@@ -1,13 +1,15 @@
 """Command line front end.
 
 Exit codes: 0 success (or: nets equal), 1 nets semantically distinct,
-2 usage or validation error.
+2 usage or validation error, 3 internal error (a bug; the traceback goes to
+stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from . import fixtures
 from .category import load_category
@@ -130,6 +132,10 @@ def main(argv=None):
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        print("internal error", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

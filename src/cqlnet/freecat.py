@@ -24,9 +24,6 @@ from .errors import ParseError
 from .formula import (
     Atom,
     DualAtom,
-    Plus,
-    Tensor,
-    Unit,
     anf,
     anf_formula,
     anf_kron,
@@ -35,7 +32,6 @@ from .formula import (
     fmt_anf,
     parse_anf,
     split_commas,
-    star,
 )
 
 UNIT = ((),)
@@ -386,18 +382,13 @@ def embed(cat, f):
     )
 
 
-def _cap_pairs(cat, w):
-    # boundary is star(w) ++ w, positions k and len(w) + k
-    return _id_pairs(cat, w, 0, len(w))
-
-
 def eta(cat, a):
     """I -> star(A) x A, the diagonal of caps."""
     a = tuple(a)
     cod = anf_kron(anf_star(a), a)
     entries = {}
     for i, w in enumerate(a):
-        t = wiring((), tuple(l.dual() for l in w) + w, _cap_pairs(cat, w), (), cat)
+        t = wiring((), tuple(l.dual() for l in w) + w, _id_pairs(cat, w, 0, len(w)), (), cat)
         entries[(i * len(a) + i, 0)] = Counter({t: 1})
     return FreeArrow(cat, UNIT, cod, entries)
 
@@ -408,7 +399,7 @@ def epsilon(cat, a):
     dom = anf_kron(a, anf_star(a))
     entries = {}
     for i, w in enumerate(a):
-        t = wiring(w + tuple(l.dual() for l in w), (), _cap_pairs(cat, w), (), cat)
+        t = wiring(w + tuple(l.dual() for l in w), (), _id_pairs(cat, w, 0, len(w)), (), cat)
         entries[(0, i * len(a) + i)] = Counter({t: 1})
     return FreeArrow(cat, dom, UNIT, entries)
 
@@ -517,7 +508,6 @@ def trace_arrow(f, a, b, c):
 
 def denote_slice(s, cat, conclusions):
     """The arrow I -> tensor of the conclusions denoted by one slice."""
-    labs = nets.labels(s, cat)
     edges = []  # (producing port, ANF)
     d = identity(cat, UNIT)
 
@@ -551,8 +541,8 @@ def denote_slice(s, cat, conclusions):
         link = s.links[lid]
         if isinstance(link, nets.AxLink):
             d = d @ name_of(embed(cat, link.arrow))
-            edges.append(((lid, 0), anf(labs[(lid, 0)])))
-            edges.append(((lid, 1), anf(labs[(lid, 1)])))
+            edges.append(((lid, 0), anf(DualAtom(cat.dom(link.arrow)))))
+            edges.append(((lid, 1), anf(Atom(cat.cod(link.arrow)))))
         elif isinstance(link, nets.UnitLink):
             edges.append(((lid, 0), UNIT))
         elif isinstance(link, nets.TimesLink):
@@ -573,15 +563,10 @@ def denote_slice(s, cat, conclusions):
             arrow = injection(cat, [anf(link.other), a_here], 1)
             apply_at(at, 1, arrow, [((lid, 0), arrow.cod)])
         elif isinstance(link, nets.CutLink):
+            at = bring_together(s.wires[(lid, 0)], s.wires[(lid, 1)])
             if link.arrow is not None:
-                sp, ss = nets.cut_sides(s, cat, lid)
-                p_plain = s.wires[(lid, sp)]
-                p_star = s.wires[(lid, ss)]
-                at = bring_together(p_plain, p_star)
                 apply_at(at, 2, coname_of(embed(cat, link.arrow)), [])
             else:
-                p0, p1 = s.wires[(lid, 0)], s.wires[(lid, 1)]
-                at = bring_together(p0, p1)
                 apply_at(at, 2, epsilon(cat, edges[at][1]), [])
 
     if [p for p, _ in edges] != list(s.outs):
@@ -626,6 +611,10 @@ def complete(fa, name="completed"):
     if keep_cod:
         concl.append(cod_f)
 
+    def word(n, k):
+        # anf_formula nests sums to the left: word k of n is n-1-k lefts, then right if k > 0
+        return iter([False] * (n - 1 - k) + [True] * (k > 0))
+
     slices = []
     for (i, j) in sorted(fa.entries):
         by_key = sorted(
@@ -636,9 +625,9 @@ def complete(fa, name="completed"):
                 b = nets.SliceBuilder()
                 tops = []
                 if keep_dom:
-                    tops.append(b.realize_component(dom_f, j))
+                    tops.append(b.realize_choices(dom_f, word(len(fa.dom), j)))
                 if keep_cod:
-                    tops.append(b.realize_component(cod_f, i))
+                    tops.append(b.realize_choices(cod_f, word(len(fa.cod), i)))
                 # hole order matches boundary order: star(dom word), then cod word
                 for neg, pos, g in t.pairs:
                     lid = b.fresh("a")
@@ -697,7 +686,10 @@ def _parse_wiring(text, dom, cod, cat, lineno):
             label = " ".join(label.split())
             if label not in cat.arrows:
                 raise ParseError(lineno, f"unknown arrow {label!r}")
-            pairs.append((int(a), int(btxt), label))
+            try:
+                pairs.append((int(a), int(btxt), label))
+            except ValueError:
+                raise ParseError(lineno, f"bad pair {item.strip()!r}") from None
     loops = []
     ltext = lpart[len("loops:"):].strip()
     if ltext:

@@ -564,12 +564,10 @@ def eval_slice(s, interp):
             state = out
             edges[k] = ((lid, 0), merged)
         elif isinstance(link, nets.CutLink):
+            kp = edge_index(s.wires[(lid, 0)])
+            kq = edge_index(s.wires[(lid, 1)])
             if link.arrow is not None:
-                g = link.arrow
-                m = interp.mat(g)
-                sp, ss = nets.cut_sides(s, cat, lid)
-                kp = edge_index(s.wires[(lid, sp)])
-                kq = edge_index(s.wires[(lid, ss)])
+                m = interp.mat(link.arrow)
 
                 def weight(slot_p, slot_q, v, m=m):
                     (_, (a,)) = slot_p
@@ -578,16 +576,11 @@ def eval_slice(s, interp):
                     if x == ring.zero:
                         return None
                     return ring.mul(v, x)
-
-                contract(kp, kq, weight)
             else:
-                kp = edge_index(s.wires[(lid, 0)])
-                kq = edge_index(s.wires[(lid, 1)])
-
                 def weight(slot_p, slot_q, v):
                     return v if slot_p == slot_q else None
 
-                contract(kp, kq, weight)
+            contract(kp, kq, weight)
 
     perm = [edge_index(p) for p in s.outs]
     final_dims = [edges[k][1] for k in perm]

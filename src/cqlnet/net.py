@@ -11,6 +11,7 @@ other producing links output 0.  Cuts have no outputs and no written id.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .category import Category
 from .errors import NetError, ParseError
@@ -36,6 +37,8 @@ Port = tuple[str, int]
 class AxLink:
     """Axiom for an arrow f: A -> B; outputs 0: A*, 1: B."""
 
+    n_in: ClassVar[int] = 0
+    n_out: ClassVar[int] = 2
     arrow: str
 
 
@@ -44,10 +47,14 @@ class CutLink:
     """A cut; either arrow-labelled (atoms) or an identity cut on a formula.
 
     Exactly one of ``arrow``/``formula`` is set.  Atom-level identity cuts are
-    normalized to arrow cuts labelled ``id A``.  For formula cuts, ``formula``
-    is the label of input 0 and input 1 carries its dual.
+    normalized to arrow cuts labelled ``id A``.  Input 0 is the plain side and
+    input 1 the starred side: an arrow cut labelled g takes dom(g) on input 0
+    and (cod g)* on input 1, a formula cut takes ``formula`` and its dual
+    (see ``cut_inputs``).
     """
 
+    n_in: ClassVar[int] = 2
+    n_out: ClassVar[int] = 0
     arrow: str | None = None
     formula: Formula | None = None
 
@@ -56,11 +63,16 @@ class CutLink:
 class TimesLink:
     """Inputs 0: A, 1: B; output 0: (A x B)."""
 
+    n_in: ClassVar[int] = 2
+    n_out: ClassVar[int] = 1
+
 
 @dataclass(frozen=True)
 class Plus1Link:
     """Input 0: A; output 0: (A + other)."""
 
+    n_in: ClassVar[int] = 1
+    n_out: ClassVar[int] = 1
     other: Formula
 
 
@@ -68,6 +80,8 @@ class Plus1Link:
 class Plus2Link:
     """Input 0: B; output 0: (other + B)."""
 
+    n_in: ClassVar[int] = 1
+    n_out: ClassVar[int] = 1
     other: Formula
 
 
@@ -75,24 +89,11 @@ class Plus2Link:
 class UnitLink:
     """No inputs; output 0: I."""
 
+    n_in: ClassVar[int] = 0
+    n_out: ClassVar[int] = 1
+
 
 Link = AxLink | CutLink | TimesLink | Plus1Link | Plus2Link | UnitLink
-
-
-def out_arity(link):
-    if isinstance(link, AxLink):
-        return 2
-    if isinstance(link, CutLink):
-        return 0
-    return 1
-
-
-def in_arity(link):
-    if isinstance(link, (CutLink, TimesLink)):
-        return 2
-    if isinstance(link, (Plus1Link, Plus2Link)):
-        return 1
-    return 0
 
 
 @dataclass
@@ -157,44 +158,27 @@ def labels(slice_, cat):
         return out
 
     for lid, link in slice_.links.items():
-        for slot in range(out_arity(link)):
+        for slot in range(link.n_out):
             lab((lid, slot))
     return memo
 
 
-def cut_sides(slice_, cat, cid):
-    """Orient a cut: (plain-side input slot, starred-side input slot).
-
-    For an arrow cut labelled g the plain side carries dom(g) and the starred
-    side (cod g)*.  For a formula cut the plain side is the one labelled by
-    the stored formula.
-    """
-    link = slice_.links[cid]
-    labs = labels(slice_, cat)
-    l0 = labs[slice_.wires[(cid, 0)]]
-    l1 = labs[slice_.wires[(cid, 1)]]
+def cut_inputs(link, cat):
+    """The labels a cut expects on input 0 (plain side) and input 1 (starred side)."""
     if link.arrow is not None:
-        plain = Atom(cat.dom(link.arrow))
-        starred = DualAtom(cat.cod(link.arrow))
-        if (l0, l1) == (plain, starred):
-            return 0, 1
-        if (l1, l0) == (plain, starred):
-            return 1, 0
-        raise NetError(f"cut {link.arrow}: inputs {fmt(l0)}, {fmt(l1)} do not match")
-    if l0 == link.formula and l1 == star(link.formula):
-        return 0, 1
-    raise NetError(f"identity cut on {fmt(link.formula)}: inputs do not match")
+        return Atom(cat.dom(link.arrow)), DualAtom(cat.cod(link.arrow))
+    return link.formula, star(link.formula)
 
 
 def validate_slice(slice_, cat, conclusions):
     """Well-formedness of one slice against the net's conclusion list."""
     seen_out = {}
     for lid, link in slice_.links.items():
-        for slot in range(out_arity(link)):
+        for slot in range(link.n_out):
             seen_out[(lid, slot)] = 0
     want_in = set()
     for lid, link in slice_.links.items():
-        for slot in range(in_arity(link)):
+        for slot in range(link.n_in):
             want_in.add((lid, slot))
     if set(slice_.wires.keys()) != want_in:
         missing = want_in - set(slice_.wires.keys())
@@ -226,7 +210,10 @@ def validate_slice(slice_, cat, conclusions):
     rev = slice_.consumers()
     for lid, link in slice_.links.items():
         if isinstance(link, CutLink):
-            cut_sides(slice_, cat, lid)
+            got = labs[slice_.wires[(lid, 0)]], labs[slice_.wires[(lid, 1)]]
+            if got != cut_inputs(link, cat):
+                label = link.arrow if link.arrow is not None else f"id {fmt(link.formula)}"
+                raise NetError(f"cut {label}: inputs {fmt(got[0])}, {fmt(got[1])} do not match")
         if isinstance(link, UnitLink):
             consumer = rev.get((lid, 0))
             if consumer is None:
@@ -255,9 +242,9 @@ def validate_net(net):
 class SliceBuilder:
     """Accumulates links for one slice, leaving holes for axiom outputs.
 
-    ``realize_component``/``realize_choices`` build the link tree under one
-    conclusion, picking a branch at every plus; atom leaves become numbered
-    holes in left-to-right order, filled by ``place`` once axioms exist.
+    ``realize_choices`` builds the link tree under one conclusion, picking a
+    branch at every plus; atom leaves become numbered holes in left-to-right
+    order, filled by ``place`` once axioms exist.
     """
 
     def __init__(self):
@@ -300,27 +287,6 @@ class SliceBuilder:
         lid = self.fresh("u")
         self.links[lid] = UnitLink()
         return (lid, 0)
-
-    def realize_component(self, formula, comp):
-        """Realize the branch picking ANF component ``comp`` of ``formula``."""
-        from .formula import anf as _anf
-
-        match formula:
-            case Unit():
-                return self._unit()
-            case Atom(_) | DualAtom(_):
-                return self._leaf()
-            case Tensor(l, r):
-                nr = len(_anf(r))
-                below_l = self.realize_component(l, comp // nr)
-                below_r = self.realize_component(r, comp % nr)
-                return self._times(below_l, below_r)
-            case Plus(l, r):
-                nl = len(_anf(l))
-                if comp < nl:
-                    return self._plus(False, self.realize_component(l, comp), r)
-                return self._plus(True, self.realize_component(r, comp - nl), l)
-        raise AssertionError(f"cannot realize {formula!r}")
 
     def realize_choices(self, formula, choices):
         """Realize branches following an iterator of plus bits (True = right)."""
@@ -387,16 +353,16 @@ def parse_net(text, cat):
     name = None
     conclusions = None
     slices = []
-    cur = None  # (links, wires-as-(in, port text), outs) while inside a slice
+    cur = None  # (links, pending wires, cut lines, outs) while inside a slice
     cut_count = 0
 
-    def resolve_slice(links, pending, outs_toks, lineno):
+    def resolve_slice(links, pending, cuts, outs_toks):
         wires = {}
         for inp, (tok, ln) in pending.items():
             port = _parse_port(tok, ln)
             if port[0] not in links:
                 raise ParseError(ln, f"unknown link {port[0]!r}")
-            if port[1] >= out_arity(links[port[0]]):
+            if port[1] >= links[port[0]].n_out:
                 raise ParseError(ln, f"link {port[0]} has no output {port[1]}")
             wires[inp] = port
         outs = []
@@ -405,7 +371,17 @@ def parse_net(text, cat):
             if port[0] not in links:
                 raise ParseError(ln, f"unknown link {port[0]!r}")
             outs.append(port)
-        return Slice(links, wires, tuple(outs))
+        s = Slice(links, wires, tuple(outs))
+        labs = labels(s, cat)
+        for cid, label, ln in cuts:
+            p0, p1 = wires[(cid, 0)], wires[(cid, 1)]
+            link = _build_cut(cat, label, labs[p0], labs[p1], ln)
+            want = cut_inputs(link, cat)
+            # symmetric cuts (id on I against I) match both ways: keep them as written
+            if (labs[p0], labs[p1]) != want and (labs[p1], labs[p0]) == want:
+                wires[(cid, 0)], wires[(cid, 1)] = p1, p0
+            links[cid] = link
+        return s
 
     lines = text.splitlines()
     i = 0
@@ -435,19 +411,19 @@ def parse_net(text, cat):
                 raise ParseError(lineno, "slice before conclusions")
             if cur is not None:
                 raise ParseError(lineno, "nested slice")
-            cur = ({}, {}, None)
+            cur = ({}, {}, [], None)
         elif line == "end":
             if cur is None:
                 raise ParseError(lineno, "end outside slice")
-            links, pending, outs_toks = cur
+            links, pending, cuts, outs_toks = cur
             if outs_toks is None:
                 raise ParseError(lineno, "slice has no out line")
-            slices.append(resolve_slice(links, pending, outs_toks, lineno))
+            slices.append(resolve_slice(links, pending, cuts, outs_toks))
             cur = None
         elif head in ("ax", "unit", "times", "plus1", "plus2", "cut", "out"):
             if cur is None:
                 raise ParseError(lineno, f"{head} outside slice")
-            links, pending, outs_toks = cur
+            links, pending, cuts, outs_toks = cur
 
             def fresh(lid):
                 lid = lid.strip()
@@ -499,16 +475,18 @@ def parse_net(text, cat):
                 if len(ports) != 2:
                     raise ParseError(lineno, "cut takes exactly two ports")
                 label = " ".join(label.split())
+                if label != "id" and label not in cat.arrows:
+                    raise ParseError(lineno, f"unknown cut label {label!r}")
                 cid = f"#c{cut_count}"
                 cut_count += 1
-                links[cid] = ("cut-placeholder", label, lineno)
+                cuts.append((cid, label, lineno))
                 pending[(cid, 0)] = (ports[0], lineno)
                 pending[(cid, 1)] = (ports[1], lineno)
             elif head == "out":
                 if outs_toks is not None:
                     raise ParseError(lineno, "duplicate out line")
                 outs_toks = [] if not rest else [(tok, lineno) for tok in split_commas(rest)]
-            cur = (links, pending, outs_toks)
+            cur = (links, pending, cuts, outs_toks)
         else:
             raise ParseError(lineno, f"unknown directive {head!r}")
     if cur is not None:
@@ -518,36 +496,23 @@ def parse_net(text, cat):
     if conclusions is None:
         raise ParseError(1, "missing conclusions line")
 
-    # resolve cut labels now that wires exist and labels can be computed
-    for s in slices:
-        placeholders = {
-            lid: ph for lid, ph in s.links.items() if isinstance(ph, tuple)
-        }
-        for lid, (_, label, ln) in placeholders.items():
-            if label == "id":
-                s.links[lid] = CutLink(formula=Unit())  # placeholder, fixed below
-            elif label in cat.arrows:
-                s.links[lid] = CutLink(arrow=label)
-            else:
-                raise ParseError(ln, f"unknown cut label {label!r}")
-        labs = labels(s, cat)
-        for lid, (_, label, ln) in placeholders.items():
-            if label == "id":
-                s.links[lid] = _infer_id_cut(s, cat, lid, labs, ln)
     net = Net(name, conclusions, tuple(slices), cat)
     validate_net(net)
     return net
 
 
-def _infer_id_cut(s, cat, cid, labs, lineno):
-    l0 = labs[s.wires[(cid, 0)]]
-    l1 = labs[s.wires[(cid, 1)]]
+def _build_cut(cat, label, l0, l1, lineno):
+    """The cut a ``cut`` line writes, given the labels of its two input ports.
+
+    ``id`` becomes an identity arrow cut when an input is an atom, and
+    otherwise a formula cut on ``l0``.
+    """
+    if label != "id":
+        return CutLink(arrow=label)
     atoms = [l for l in (l0, l1) if isinstance(l, Atom)]
     duals = [l for l in (l0, l1) if isinstance(l, DualAtom)]
-    if atoms:
-        return CutLink(arrow=cat.identity(atoms[0].name))
-    if duals:
-        return CutLink(arrow=cat.identity(duals[0].name))
+    if atoms or duals:
+        return CutLink(arrow=cat.identity((atoms + duals)[0].name))
     if star(l0) == l1:
         return CutLink(formula=l0)
     raise ParseError(lineno, f"id cut inputs {fmt(l0)}, {fmt(l1)} are not dual")
@@ -570,7 +535,7 @@ def topo_order(slice_):
             for lid in remaining
             if all(
                 slice_.wires[(lid, k)][0] in done
-                for k in range(in_arity(slice_.links[lid]))
+                for k in range(slice_.links[lid].n_in)
             )
         )
         if not ready:

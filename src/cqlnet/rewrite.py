@@ -18,7 +18,6 @@ import random
 from dataclasses import dataclass
 
 from . import net as nets
-from .errors import NetError
 from .formula import Atom, DualAtom, Plus, Tensor, Unit
 
 
@@ -35,10 +34,7 @@ def _classify(s, cat, cid):
     """The redex at cut ``cid``, or None for a closed loop (normal)."""
     link = s.links[cid]
     if link.arrow is not None:
-        sp, ss = nets.cut_sides(s, cat, cid)
-        f_ax = s.wires[(cid, sp)][0]
-        h_ax = s.wires[(cid, ss)][0]
-        if f_ax == h_ax:
+        if s.wires[(cid, 0)][0] == s.wires[(cid, 1)][0]:
             if cat.is_identity(link.arrow):
                 return None  # closed loop, a normal scalar
             return Redex(cid, "ax-self")
@@ -102,13 +98,12 @@ def step(s, cat, redex):
             outs[outs.index(old_port)] = new_port
 
     def drop_link(lid):
-        for slot in range(nets.in_arity(links[lid])):
+        for slot in range(links[lid].n_in):
             del wires[(lid, slot)]
         del links[lid]
 
     if redex.rule == "ax-self":
-        sp, ss = nets.cut_sides(s, cat, cid)
-        ax = s.wires[(cid, sp)][0]
+        ax = s.wires[(cid, 0)][0]
         loop_arrow = cat.compose(links[ax].arrow, link.arrow)
         a = cat.dom(loop_arrow)
         links[ax] = nets.AxLink(loop_arrow)
@@ -116,9 +111,8 @@ def step(s, cat, redex):
         wires[(cid, 0)] = (ax, 1)
         wires[(cid, 1)] = (ax, 0)
     elif redex.rule == "ax-ax":
-        sp, ss = nets.cut_sides(s, cat, cid)
-        f_ax = s.wires[(cid, sp)][0]
-        h_ax = s.wires[(cid, ss)][0]
+        f_ax = s.wires[(cid, 0)][0]
+        h_ax = s.wires[(cid, 1)][0]
         f, h = links[f_ax].arrow, links[h_ax].arrow
         composite = cat.compose(cat.compose(f, link.arrow), h)
         nid = min(f_ax, h_ax)

@@ -147,6 +147,18 @@ def test_model_category_mismatch(exdir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_internal_error_exits_three(exdir, tmp_path, capsys):
+    # the recursive formula parser overflows the stack on this nesting depth
+    deep = "(Q x " * 1200 + "Q" + ")" * 1200
+    net = tmp_path / "deep.net"
+    net.write_text(f"net deep\nconclusions {deep}\n")
+    rc = cli.main(["equal", "--category", _p(exdir, "pauli8.cat"), str(net), str(net)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert err.rstrip().endswith("internal error")
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main([])

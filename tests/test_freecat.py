@@ -5,6 +5,7 @@ import pytest
 
 from cqlnet import fixtures
 from cqlnet.category import Loop
+from cqlnet.errors import ParseError
 from cqlnet.formula import anf, anf_star, parse_formula
 from cqlnet.freecat import (
     UNIT,
@@ -307,6 +308,12 @@ def test_fmt_parse_round_trip(pauli8):
         assert back.dom == f.dom and back.cod == f.cod
     for fa in [eta(pauli8, _anf("((Q x Q) + I)", pauli8)), scalar(pauli8, [Loop("Q", "X")])]:
         assert fa_equal(parse_arrow(fmt_arrow(fa), pauli8), fa)
+
+
+def test_parse_arrow_rejects_non_integer_pair(pauli8):
+    text = "arrow : I -> Q* x Q\nentry (0,0): { (pairs: x<->1 : id Q; loops:) }\n"
+    with pytest.raises(ParseError, match="line 2: bad pair"):
+        parse_arrow(text, pauli8)
 
 
 def test_wiring_rejects_bad_pairings(pauli8):

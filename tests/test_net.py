@@ -3,12 +3,16 @@ import pytest
 from cqlnet import fixtures
 from cqlnet.errors import NetError, ParseError
 from cqlnet.formula import Atom, DualAtom, Tensor, parse_formula
+from cqlnet.freecat import denote, fmt_arrow
+from cqlnet.model import eval_net
+from cqlnet.rewrite import normalize
 from cqlnet.net import (
     AxLink,
     CutLink,
     Net,
+    Slice,
     SliceBuilder,
-    cut_sides,
+    cut_inputs,
     labels,
     parse_net,
     print_net,
@@ -43,6 +47,19 @@ def test_parse_swapping(pauli8):
         assert len(s.outs) == 3
 
 
+# an id cut on I against I matches in both orders and keeps the written one
+UNIT_CUT_NET = (
+    "net units\n"
+    "conclusions\n"
+    "slice\n"
+    "  unit u0\n"
+    "  unit u1\n"
+    "  cut u0.0 , u1.0 : id\n"
+    "  out\n"
+    "end\n"
+)
+
+
 def test_print_parse_round_trip(pauli8):
     for text in [
         fixtures.BELL_NET,
@@ -50,30 +67,71 @@ def test_print_parse_round_trip(pauli8):
         fixtures.CHAIN_NET,
         fixtures.RING_NET,
         fixtures.SWAPPING_NET,
+        UNIT_CUT_NET,
     ]:
         net = parse_net(text, pauli8)
         printed = print_net(net)
         again = parse_net(printed, pauli8)
         assert print_net(again) == printed
+    assert print_net(parse_net(UNIT_CUT_NET, pauli8)) == UNIT_CUT_NET
 
 
-def test_cut_sides_orientation(pauli8):
+def _cut_wires(s):
+    return {
+        cid: (s.wires[(cid, 0)], s.wires[(cid, 1)])
+        for cid, link in s.links.items()
+        if isinstance(link, CutLink)
+    }
+
+
+def _assert_cuts_oriented(s, cat):
+    labs = labels(s, cat)
+    for cid, (p0, p1) in _cut_wires(s).items():
+        assert (labs[p0], labs[p1]) == cut_inputs(s.links[cid], cat)
+
+
+def test_cuts_stored_as_written(pauli8):
     net = parse_net(fixtures.CHAIN_NET, pauli8)
     s = net.slices[0]
-    # both cuts were written plain-first
-    assert cut_sides(s, pauli8, "#c0") == (0, 1)
-    assert cut_sides(s, pauli8, "#c1") == (0, 1)
+    # both cuts were written plain side first
+    assert _cut_wires(s) == {
+        "#c0": (("a", 1), ("b", 0)),
+        "#c1": (("b", 1), ("c", 0)),
+    }
+    _assert_cuts_oriented(s, pauli8)
 
 
-def test_cut_sides_reversed_inputs(pauli8):
-    text = fixtures.RING_NET.replace("cut a.1 , b.0 : X", "cut b.0 , a.1 : X")
-    net = parse_net(text, pauli8)
-    cuts = [
-        lid
-        for lid, link in net.slices[0].links.items()
-        if isinstance(link, CutLink) and link.arrow == "X"
-    ]
-    assert cut_sides(net.slices[0], pauli8, cuts[0]) == (1, 0)
+REVERSED_RING_NET = fixtures.RING_NET.replace("cut a.1 , b.0 : X", "cut b.0 , a.1 : X")
+
+
+def test_reversed_cut_stored_plain_side_first(pauli8):
+    assert REVERSED_RING_NET != fixtures.RING_NET
+    net = parse_net(REVERSED_RING_NET, pauli8)
+    s = net.slices[0]
+    assert _cut_wires(s)["#c0"] == (("a", 1), ("b", 0))
+    _assert_cuts_oriented(s, pauli8)
+    assert "  cut a.1 , b.0 : X\n" in print_net(net)
+
+
+def test_reversed_cut_has_same_meaning(pauli8, pauli8_mod):
+    fwd = parse_net(fixtures.RING_NET, pauli8)
+    rev = parse_net(REVERSED_RING_NET, pauli8)
+    assert normalize(rev) == normalize(fwd)
+    assert fmt_arrow(denote(rev)) == fmt_arrow(denote(fwd))
+    assert eval_net(rev, pauli8_mod) == eval_net(fwd, pauli8_mod)
+
+
+def test_built_cut_starred_side_first_rejected(pauli8):
+    s = Slice(
+        {"a": AxLink("X"), "b": AxLink("X"), "#c0": CutLink(arrow="Z")},
+        {("#c0", 0): ("b", 0), ("#c0", 1): ("a", 1)},
+        (("a", 0), ("b", 1)),
+    )
+    net = Net("built", (DualAtom("Q"), Atom("Q")), (s,), pauli8)
+    with pytest.raises(NetError, match="do not match"):
+        validate_net(net)
+    s.wires[("#c0", 0)], s.wires[("#c0", 1)] = ("a", 1), ("b", 0)
+    validate_net(net)
 
 
 def test_id_cut_inference_on_atoms(pauli8):
@@ -237,7 +295,7 @@ def test_topo_order_producers_first(pauli8):
 def test_slice_builder_realizes_components(pauli8):
     f = parse_formula("((Q* x Q) + I)")
     b = SliceBuilder()
-    top = b.realize_component(f, 0)
+    top = b.realize_choices(f, iter([False]))
     assert len(b.holes) == 2
     lid = b.fresh("a")
     b.links[lid] = AxLink("id Q")
@@ -251,7 +309,7 @@ def test_slice_builder_realizes_components(pauli8):
 def test_slice_builder_unit_component(pauli8):
     f = parse_formula("((Q* x Q) + I)")
     b = SliceBuilder()
-    top = b.realize_component(f, 1)
+    top = b.realize_choices(f, iter([True]))
     assert len(b.holes) == 0
     s = b.build([top])
     net = Net("built", (f,), (s,), pauli8)
