@@ -252,16 +252,24 @@ def _tokenize(text, lineno):
     return toks
 
 
-def _parse(toks, pos, lineno):
+# Deepest bracket nesting a formula may have.  Every formula read from text
+# passes through ``_parse``, so this also bounds the recursive walkers
+# (``star``, ``anf``, ``fmt``, ``validate``, ``net.labels``, ...).
+MAX_DEPTH = 256
+
+
+def _parse(toks, pos, lineno, depth=0):
     if pos >= len(toks):
         raise ParseError(lineno, "unexpected end of formula")
     t = toks[pos]
     if t == "(":
-        left, pos = _parse(toks, pos + 1, lineno)
+        if depth == MAX_DEPTH:
+            raise ParseError(lineno, f"formula nested deeper than {MAX_DEPTH}")
+        left, pos = _parse(toks, pos + 1, lineno, depth + 1)
         if pos >= len(toks) or toks[pos] not in ("x", "+"):
             raise ParseError(lineno, "expected 'x' or '+' in formula")
         op = toks[pos]
-        right, pos = _parse(toks, pos + 1, lineno)
+        right, pos = _parse(toks, pos + 1, lineno, depth + 1)
         if pos >= len(toks) or toks[pos] != ")":
             raise ParseError(lineno, "expected ')' in formula")
         node = Tensor(left, right) if op == "x" else Plus(left, right)

@@ -6,7 +6,10 @@ lists of such scalars; all comparisons are exact.
 
 ``eval_free`` evaluates a free arrow entry by entry from its wirings.
 ``eval_net`` evaluates a net directly by contracting the model tensors along
-the links, never building wirings, so the two paths check each other.
+the links, never building wirings, so the two paths check each other.  It
+contracts each cut as soon as its two inputs exist (see ``_schedule``), so a
+cut chain keeps a state of O(n) entries; ``denote`` deliberately keeps
+``topo_order``, so the two evaluators do not share a traversal.
 """
 
 from __future__ import annotations
@@ -382,14 +385,14 @@ def load_model(text, cat):
                 raise ParseError(lineno, f"unknown scalar kind {rest!r}")
         elif head == "dim":
             obj, eq, val = rest.partition("=")
-            obj = obj.strip()
-            if not eq or not val.strip().isdigit():
+            obj, val = obj.strip(), val.strip()
+            if not eq or not (val.isascii() and val.isdigit()):
                 raise ParseError(lineno, "expected 'dim Obj = n'")
             if obj in dims:
                 raise ParseError(lineno, f"duplicate dim for {obj}")
             if obj not in cat.objects:
                 raise ParseError(lineno, f"unknown object {obj!r}")
-            dims[obj] = int(val.strip())
+            dims[obj] = int(val)
         elif head == "mat":
             f, eq, val = rest.partition("=")
             f = " ".join(f.split())
@@ -469,8 +472,36 @@ def _edge_dims(interp, a):
     return [[interp.dims[l.name] for l in w] for w in a]
 
 
+def _schedule(s):
+    """Link ids in contraction order: each cut right after the links it needs.
+
+    Cuts are taken in ``topo_order``'s order.  Before each cut come the
+    producers its two inputs still lack, in ``topo_order``'s order; the links
+    that feed only ``outs`` come last.  Only axioms grow the state and only
+    cuts shrink it, so each cut contracts as soon as its two inputs exist.
+    """
+    topo = nets.topo_order(s)  # raises NetError on cyclic wiring
+    pos = {lid: k for k, lid in enumerate(topo)}
+    order = {}  # insertion-ordered set
+    for cut in (lid for lid in topo if isinstance(s.links[lid], nets.CutLink)):
+        need, stack = set(), [cut]
+        while stack:
+            lid = stack.pop()
+            if lid not in order and lid not in need:
+                need.add(lid)
+                stack.extend(s.wires[(lid, k)][0] for k in range(s.links[lid].n_in))
+        order.update(dict.fromkeys(sorted(need, key=pos.get)))
+    order.update(dict.fromkeys(topo))
+    return list(order)
+
+
 def eval_slice(s, interp):
-    """Contract one slice to a vector over its conclusions' index space."""
+    """Contract one slice to its vector over the conclusions' index space.
+
+    Returns the nonzero-state entries only, as ``{flat index: value}``.  Each
+    cut contracts as soon as its two inputs exist (``_schedule``); ``denote``
+    keeps ``topo_order``, which puts every cut last.
+    """
     cat = interp.cat
     ring = interp.ring
     edges = []  # (port, per-component dim lists)
@@ -500,7 +531,7 @@ def eval_slice(s, interp):
         del edges[hi]
         del edges[lo]
 
-    for lid in nets.topo_order(s):
+    for lid in _schedule(s):
         link = s.links[lid]
         if isinstance(link, nets.AxLink):
             f = link.arrow
@@ -584,15 +615,10 @@ def eval_slice(s, interp):
 
     perm = [edge_index(p) for p in s.outs]
     final_dims = [edges[k][1] for k in perm]
-    total = 1
-    for d in final_dims:
-        total *= sum(_word_size(w) for w in d)
-    vec = [ring.zero] * total
-    for key, v in state.items():
-        ordered = [key[k] for k in perm]
-        idx = _flat_index(ordered, final_dims)
-        vec[idx] = ring.add(vec[idx], v)
-    return vec
+    return {
+        _flat_index([key[k] for k in perm], final_dims): v
+        for key, v in state.items()
+    }
 
 
 def _word_size(dims):
@@ -636,6 +662,6 @@ def eval_net(net, interp):
         total *= interp.dim_formula(f)
     acc = [ring.zero] * total
     for s in net.slices:
-        vec = eval_slice(s, interp)
-        acc = [ring.add(x, y) for x, y in zip(acc, vec)]
+        for idx, v in eval_slice(s, interp).items():
+            acc[idx] = ring.add(acc[idx], v)
     return Matrix(ring, [[x] for x in acc], 1)

@@ -343,7 +343,7 @@ class SliceBuilder:
 def _parse_port(tok, lineno):
     tok = tok.strip()
     lid, dot, slot = tok.rpartition(".")
-    if not dot or not slot.isdigit():
+    if not dot or not (slot.isascii() and slot.isdigit()):
         raise ParseError(lineno, f"bad port {tok!r}")
     return (lid.strip(), int(slot))
 

@@ -66,6 +66,16 @@ def corpus(c2, pauli8):
     return nets
 
 
+@pytest.fixture(scope="module")
+def wide_corpus(c2, pauli8):
+    rng = random.Random(2024)
+    nets = []
+    for i in range(40):
+        cat = pauli8 if i % 2 == 0 else c2
+        nets.append(random_net(cat, rng, name=f"w{i}", max_links=24))
+    return nets
+
+
 def _mod_for(net, c2, pauli8, c2_mod, pauli8_mod):
     return pauli8_mod if net.cat is pauli8 else c2_mod
 
@@ -147,9 +157,11 @@ def test_criterion_2_confluence(corpus, pauli8):
     _report(2, "confluence across strategies and both critical pairs", check)
 
 
-def test_criterion_3_soundness(corpus, c2, pauli8, c2_mod, pauli8_mod):
+def test_criterion_3_soundness(
+    corpus, wide_corpus, c2, pauli8, c2_mod, pauli8_mod
+):
     def check():
-        for net in corpus:
+        for net in corpus + wide_corpus:
             mod = _mod_for(net, c2, pauli8, c2_mod, pauli8_mod)
             nf_net = to_net(normalize(net), net.cat)
             assert eval_net(net, mod) == eval_net(nf_net, mod)
@@ -364,10 +376,10 @@ def test_criterion_8_eta_ambiguity(pauli8):
 
 
 def test_criterion_9_oracle_independence(
-    corpus, c2, pauli8, c2_mod, pauli8_mod
+    corpus, wide_corpus, c2, pauli8, c2_mod, pauli8_mod
 ):
     def check():
-        for net in corpus:
+        for net in corpus + wide_corpus:
             mod = _mod_for(net, c2, pauli8, c2_mod, pauli8_mod)
             assert eval_net(net, mod) == eval_free(denote(net), mod)
         for name, cat, mod in [

@@ -1,6 +1,7 @@
 import pytest
 
 from cqlnet import cli, fixtures
+from cqlnet.formula import MAX_DEPTH
 from cqlnet.freecat import denote, embed, fa_equal, fmt_arrow, name_of, parse_arrow
 from cqlnet.net import parse_net
 
@@ -147,16 +148,40 @@ def test_model_category_mismatch(exdir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_internal_error_exits_three(exdir, tmp_path, capsys):
-    # the recursive formula parser overflows the stack on this nesting depth
-    deep = "(Q x " * 1200 + "Q" + ")" * 1200
-    net = tmp_path / "deep.net"
-    net.write_text(f"net deep\nconclusions {deep}\n")
-    rc = cli.main(["equal", "--category", _p(exdir, "pauli8.cat"), str(net), str(net)])
+def test_internal_error_exits_three(exdir, monkeypatch, capsys):
+    # an exception outside the documented errors stands in for a crash
+    def crash(text, cat):
+        raise RuntimeError("crash")
+
+    monkeypatch.setattr(cli, "parse_net", crash)
+    net = _p(exdir, "bell.net")
+    rc = cli.main(["equal", "--category", _p(exdir, "pauli8.cat"), net, net])
     assert rc == 3
     err = capsys.readouterr().err
     assert "Traceback" in err
     assert err.rstrip().endswith("internal error")
+
+
+def _nested_net(tmp_path, depth):
+    deep = "(Q x " * depth + "Q" + ")" * depth
+    net = tmp_path / f"deep{depth}.net"
+    net.write_text(f"net deep\nconclusions {deep}\n")
+    return str(net)
+
+
+def test_deep_formula_exits_two(exdir, tmp_path, capsys):
+    net = _nested_net(tmp_path, 1200)
+    rc = cli.main(["equal", "--category", _p(exdir, "pauli8.cat"), net, net])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.strip() == f"error: line 2: formula nested deeper than {MAX_DEPTH}"
+
+
+def test_formula_at_depth_limit_is_accepted(exdir, tmp_path, capsys):
+    net = _nested_net(tmp_path, MAX_DEPTH)
+    for cmd in ("check", "normalize"):
+        assert cli.main([cmd, "--category", _p(exdir, "pauli8.cat"), net]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_usage_error_exits_two():

@@ -160,6 +160,8 @@ def test_load_model_parse_errors(c2):
         load_model("model m over c2\nscalars float\n", c2)
     with pytest.raises(ParseError, match="expected 'dim"):
         load_model("model m over c2\ndim Q\n", c2)
+    with pytest.raises(ParseError, match="line 2: expected 'dim"):
+        load_model("model m over c2\ndim Q = \u00b2\n", c2)
     with pytest.raises(ParseError, match="duplicate dim"):
         load_model(good + "dim Q = 2\n", c2)
     with pytest.raises(ParseError, match="unknown object"):
@@ -312,3 +314,25 @@ def test_eval_category_mismatch(c2, pauli8, pauli8_mod):
         eval_net(bell_c2, pauli8_mod)
     with pytest.raises(ValueError, match="different categories"):
         eval_free(embed(c2, "X"), pauli8_mod)
+
+
+def test_eval_cut_chain_contracts_each_cut_early(c2, c2_bool_mod, monkeypatch):
+    # 14 X axioms joined by 13 X cuts compose X 27 times, which is X.
+    # Contracting each cut as soon as both of its axioms are in keeps the
+    # state at a few entries, so the multiplications grow linearly with n
+    # instead of as 2^n.
+    n = 14
+    lines = ["net chain", "conclusions Q* , Q", "slice"]
+    lines += [f"  ax a{k} : X" for k in range(n)]
+    lines += [f"  cut a{k}.1 , a{k + 1}.0 : X" for k in range(n - 1)]
+    lines += [f"  out a0.0 , a{n - 1}.1", "end"]
+    chain = parse_net("\n".join(lines) + "\n", c2)
+    calls = []
+
+    def mul(x, y):
+        calls.append(None)
+        return x and y
+
+    monkeypatch.setattr(BoolRing, "mul", staticmethod(mul))
+    assert eval_net(chain, c2_bool_mod).column() == [False, True, True, False]
+    assert len(calls) <= 16 * n

@@ -267,6 +267,13 @@ def test_unknown_port_rejected(pauli8):
         parse_net(text, pauli8)
 
 
+def test_non_ascii_digit_slot_rejected(pauli8):
+    # str.isdigit accepts the superscript two, which int() cannot read
+    text = "net n\nconclusions Q* , Q\nslice\n  ax a : id Q\n  out a.0 , a.\u00b2\nend\n"
+    with pytest.raises(ParseError, match="line 5: bad port"):
+        parse_net(text, pauli8)
+
+
 def test_duplicate_link_id_rejected(pauli8):
     text = (
         "net n\nconclusions Q* , Q\nslice\n  ax a : id Q\n  ax a : X\n"
