@@ -20,15 +20,7 @@ from .model import eval_net, load_model
 from .net import parse_net, print_net, to_dot
 from .rewrite import beta_equal, normalize, to_net
 
-_ERRORS = (
-    ParseError,
-    CategoryError,
-    FormulaError,
-    NetError,
-    ModelError,
-    ValueError,
-    OSError,
-)
+_ERRORS = (ParseError, CategoryError, FormulaError, NetError, ModelError, OSError)
 
 
 def _read(path):

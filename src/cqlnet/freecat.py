@@ -17,6 +17,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import matmul
 
 from . import net as nets
 from .category import Loop
@@ -507,71 +509,55 @@ def trace_arrow(f, a, b, c):
 
 
 def denote_slice(s, cat, conclusions):
-    """The arrow I -> tensor of the conclusions denoted by one slice."""
-    edges = []  # (producing port, ANF)
-    d = identity(cat, UNIT)
+    """The arrow I -> tensor of the conclusions denoted by one slice.
 
-    def edge_index(port):
-        for k, (p, _) in enumerate(edges):
-            if p == port:
-                return k
-        raise AssertionError(f"no open edge for {port}")
+    A slice is a forest: its roots are the ports on ``outs`` and the cuts,
+    its leaves are axiom outputs and units, and times and plus links sit in
+    between.  So it denotes ``names >> permutation >> roots``: ``names`` is
+    the tensor of the axioms' names in id order; ``roots`` is the tensor of
+    each out port's tree, then of each cut's two trees followed by its
+    co-name (or, for a formula cut, its counit); and the one permutation
+    takes the axiom outputs from ``names`` order to the order in which the
+    walk of the trees meets them.
+    """
+    axioms = sorted(lid for lid, link in s.links.items() if isinstance(link, nets.AxLink))
+    factor_of = {}  # axiom output port -> its tensor factor in ``names``
+    factors = []
+    for lid in axioms:
+        f = s.links[lid].arrow
+        for slot, lit in enumerate((DualAtom(cat.dom(f)), Atom(cat.cod(f)))):
+            factor_of[(lid, slot)] = len(factors)
+            factors.append(anf(lit))
+    leaves = []  # factors in the order the walk meets them
 
-    def bring_together(p1, p2):
-        """Permute edges so p1, p2 sit adjacent (in that order); return index."""
-        i1, i2 = edge_index(p1), edge_index(p2)
-        rest = [k for k in range(len(edges)) if k not in (i1, i2)]
-        at = sum(1 for k in rest if k < min(i1, i2))
-        order = rest[:at] + [i1, i2] + rest[at:]
-        nonlocal d
-        if order != list(range(len(edges))):
-            d = d >> permutation(cat, [e[1] for e in edges], order)
-            edges[:] = [edges[k] for k in order]
-        return at
+    def tree(port):
+        lid, _ = port
+        match s.links[lid]:
+            case nets.AxLink():
+                leaves.append(factor_of[port])
+                return identity(cat, factors[factor_of[port]])
+            case nets.UnitLink():
+                return identity(cat, UNIT)
+            case nets.TimesLink():
+                return tree(s.wires[(lid, 0)]) @ tree(s.wires[(lid, 1)])
+            case nets.Plus1Link(other):
+                below = tree(s.wires[(lid, 0)])
+                return below >> injection(cat, [below.cod, anf(other)], 0)
+            case nets.Plus2Link(other):
+                below = tree(s.wires[(lid, 0)])
+                return below >> injection(cat, [anf(other), below.cod], 1)
 
-    def apply_at(pos, count, arrow, new_edges):
-        nonlocal d
-        pre = anf_kron_all([e[1] for e in edges[:pos]])
-        post = anf_kron_all([e[1] for e in edges[pos + count:]])
-        lifted = identity(cat, pre) @ arrow @ identity(cat, post)
-        d = d >> lifted
-        edges[pos : pos + count] = new_edges
-
-    for lid in nets.topo_order(s):
+    roots = [tree(port) for port in s.outs]
+    for lid in sorted(lid for lid, link in s.links.items() if isinstance(link, nets.CutLink)):
         link = s.links[lid]
-        if isinstance(link, nets.AxLink):
-            d = d @ name_of(embed(cat, link.arrow))
-            edges.append(((lid, 0), anf(DualAtom(cat.dom(link.arrow)))))
-            edges.append(((lid, 1), anf(Atom(cat.cod(link.arrow)))))
-        elif isinstance(link, nets.UnitLink):
-            edges.append(((lid, 0), UNIT))
-        elif isinstance(link, nets.TimesLink):
-            p0, p1 = s.wires[(lid, 0)], s.wires[(lid, 1)]
-            at = bring_together(p0, p1)
-            merged = anf_kron(edges[at][1], edges[at + 1][1])
-            edges[at : at + 2] = [((lid, 0), merged)]
-        elif isinstance(link, nets.Plus1Link):
-            p = s.wires[(lid, 0)]
-            at = edge_index(p)
-            a_here = edges[at][1]
-            arrow = injection(cat, [a_here, anf(link.other)], 0)
-            apply_at(at, 1, arrow, [((lid, 0), arrow.cod)])
-        elif isinstance(link, nets.Plus2Link):
-            p = s.wires[(lid, 0)]
-            at = edge_index(p)
-            a_here = edges[at][1]
-            arrow = injection(cat, [anf(link.other), a_here], 1)
-            apply_at(at, 1, arrow, [((lid, 0), arrow.cod)])
-        elif isinstance(link, nets.CutLink):
-            at = bring_together(s.wires[(lid, 0)], s.wires[(lid, 1)])
-            if link.arrow is not None:
-                apply_at(at, 2, coname_of(embed(cat, link.arrow)), [])
-            else:
-                apply_at(at, 2, epsilon(cat, edges[at][1]), [])
-
-    if [p for p, _ in edges] != list(s.outs):
-        order = [edge_index(p) for p in s.outs]
-        d = d >> permutation(cat, [e[1] for e in edges], order)
+        pair = tree(s.wires[(lid, 0)]) @ tree(s.wires[(lid, 1)])
+        if link.arrow is not None:
+            roots.append(pair >> coname_of(embed(cat, link.arrow)))
+        else:
+            roots.append(pair >> epsilon(cat, anf(link.formula)))
+    unit = identity(cat, UNIT)
+    names = reduce(matmul, [name_of(embed(cat, s.links[lid].arrow)) for lid in axioms], unit)
+    d = names >> permutation(cat, factors, leaves) >> reduce(matmul, roots, unit)
     want = anf_kron_all([anf(f) for f in conclusions])
     if d.cod != want:
         raise AssertionError("denotation has unexpected codomain")

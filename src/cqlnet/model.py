@@ -8,8 +8,8 @@ lists of such scalars; all comparisons are exact.
 ``eval_net`` evaluates a net directly by contracting the model tensors along
 the links, never building wirings, so the two paths check each other.  It
 contracts each cut as soon as its two inputs exist (see ``_schedule``), so a
-cut chain keeps a state of O(n) entries; ``denote`` deliberately keeps
-``topo_order``, so the two evaluators do not share a traversal.
+cut chain keeps a state of O(n) entries; ``denote`` walks each slice's link
+trees from their roots, so the two evaluators do not share a traversal.
 """
 
 from __future__ import annotations
@@ -83,12 +83,13 @@ class ExactRing:
             parts = token[1:-1].split(",")
             if len(parts) != 4:
                 raise ParseError(lineno, f"scalar wants four components: {token!r}")
-            try:
-                return Qi2(*(Fraction(p.strip()) for p in parts))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(lineno, f"bad scalar {token!r}") from exc
+        else:
+            parts = [token]
+        # Fraction would expand an exponent such as 1e1000000000 with no bound
+        if "e" in token.lower():
+            raise ParseError(lineno, f"bad scalar {token!r}: no exponent notation")
         try:
-            return Qi2(Fraction(token))
+            return Qi2(*(Fraction(p.strip()) for p in parts))
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(lineno, f"bad scalar {token!r}") from exc
 
@@ -392,7 +393,10 @@ def load_model(text, cat):
                 raise ParseError(lineno, f"duplicate dim for {obj}")
             if obj not in cat.objects:
                 raise ParseError(lineno, f"unknown object {obj!r}")
-            dims[obj] = int(val)
+            try:
+                dims[obj] = int(val)
+            except ValueError:  # a digit run past Python's int-conversion limit
+                raise ParseError(lineno, "expected 'dim Obj = n'") from None
         elif head == "mat":
             f, eq, val = rest.partition("=")
             f = " ".join(f.split())
@@ -499,8 +503,7 @@ def eval_slice(s, interp):
     """Contract one slice to its vector over the conclusions' index space.
 
     Returns the nonzero-state entries only, as ``{flat index: value}``.  Each
-    cut contracts as soon as its two inputs exist (``_schedule``); ``denote``
-    keeps ``topo_order``, which puts every cut last.
+    cut contracts as soon as its two inputs exist (``_schedule``).
     """
     cat = interp.cat
     ring = interp.ring

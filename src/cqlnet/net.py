@@ -345,7 +345,10 @@ def _parse_port(tok, lineno):
     lid, dot, slot = tok.rpartition(".")
     if not dot or not (slot.isascii() and slot.isdigit()):
         raise ParseError(lineno, f"bad port {tok!r}")
-    return (lid.strip(), int(slot))
+    try:
+        return (lid.strip(), int(slot))
+    except ValueError:  # a digit run past Python's int-conversion limit
+        raise ParseError(lineno, f"bad port {tok!r}") from None
 
 
 def parse_net(text, cat):
@@ -581,11 +584,16 @@ def print_net(net):
     return "\n".join(out) + "\n"
 
 
+def _dot_str(text):
+    """A DOT quoted string: backslashes and double quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(net):
     """GraphViz rendering: one cluster per slice, shared conclusion anchors."""
     lines = ["digraph net {", "  rankdir=BT;"]
     for k, f in enumerate(net.conclusions):
-        lines.append(f'  concl_{k} [shape=box, label="{fmt(f)}"];')
+        lines.append(f"  concl_{k} [shape=box, label={_dot_str(fmt(f))}];")
     for si, s in enumerate(net.slices):
         ids = {lid: n for n, lid in enumerate(sorted(s.links))}
         lines.append(f"  subgraph cluster_{si} {{")
@@ -604,11 +612,11 @@ def to_dot(net):
                 text = f"plus2 {lid} | {fmt(link.other)}"
             else:
                 text = f"unit {lid}"
-            lines.append(f'    s{si}_n{ids[lid]} [label="{text}"];')
+            lines.append(f"    s{si}_n{ids[lid]} [label={_dot_str(text)}];")
         for inp, outp in s.wires.items():
             lines.append(
-                f'    s{si}_n{ids[outp[0]]} -> s{si}_n{ids[inp[0]]} '
-                f'[label="{fmt(labs[outp])}"];'
+                f"    s{si}_n{ids[outp[0]]} -> s{si}_n{ids[inp[0]]} "
+                f"[label={_dot_str(fmt(labs[outp]))}];"
             )
         lines.append("  }")
         for k, port in enumerate(s.outs):

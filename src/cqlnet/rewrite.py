@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 
 from . import net as nets
+from .errors import NetError
 from .formula import Atom, DualAtom, Plus, Tensor, Unit
 
 
@@ -298,5 +299,5 @@ def beta_equal(n1, n2, strategy="min", seed=0):
     if n1.cat is not n2.cat:
         raise ValueError("nets over different categories")
     if n1.conclusions != n2.conclusions:
-        raise ValueError("nets have different conclusions")
+        raise NetError("nets have different conclusions")
     return normalize(n1, strategy, seed) == normalize(n2, strategy, seed)

@@ -150,16 +150,24 @@ def test_model_category_mismatch(exdir, capsys):
 
 def test_internal_error_exits_three(exdir, monkeypatch, capsys):
     # an exception outside the documented errors stands in for a crash
-    def crash(text, cat):
-        raise RuntimeError("crash")
+    for exc_type in (RuntimeError, ValueError):
 
-    monkeypatch.setattr(cli, "parse_net", crash)
-    net = _p(exdir, "bell.net")
-    rc = cli.main(["equal", "--category", _p(exdir, "pauli8.cat"), net, net])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert "Traceback" in err
-    assert err.rstrip().endswith("internal error")
+        def crash(text, cat):
+            raise exc_type("crash")
+
+        monkeypatch.setattr(cli, "parse_net", crash)
+        net = _p(exdir, "bell.net")
+        rc = cli.main(["equal", "--category", _p(exdir, "pauli8.cat"), net, net])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert err.rstrip().endswith("internal error")
+
+
+def test_equal_different_conclusions_exits_two(exdir, capsys):
+    cat, bell, ring = (_p(exdir, n) for n in ("pauli8.cat", "bell.net", "ring.net"))
+    assert cli.main(["equal", "--category", cat, bell, ring]) == 2
+    assert capsys.readouterr().err.strip() == "error: nets have different conclusions"
 
 
 def _nested_net(tmp_path, depth):

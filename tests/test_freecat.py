@@ -33,8 +33,9 @@ from cqlnet.freecat import (
     wiring_dual,
     zero,
 )
-from cqlnet.net import parse_net
-from cqlnet.randgen import random_anf, random_free_arrow, random_wiring
+from cqlnet.model import eval_free, eval_net
+from cqlnet.net import AxLink, Net, Slice, parse_net, validate_net
+from cqlnet.randgen import random_anf, random_free_arrow, random_net, random_wiring
 
 
 def _anf(text, cat):
@@ -375,3 +376,72 @@ def test_complete_round_trip_on_fixtures(pauli8):
     ]:
         net = complete(fa)
         assert fa_equal(denote(net), name_of(fa))
+
+
+def _renamed(net, rename):
+    """The net with every link id of every slice replaced by ``rename(ids)[id]``."""
+    slices = []
+    for s in net.slices:
+        new = rename(sorted(s.links))
+        links = {new[lid]: link for lid, link in s.links.items()}
+        wires = {(new[a], i): (new[b], j) for (a, i), (b, j) in s.wires.items()}
+        slices.append(Slice(links, wires, tuple((new[lid], k) for lid, k in s.outs)))
+    renamed = Net(net.name, net.conclusions, tuple(slices), net.cat)
+    validate_net(renamed)
+    return renamed
+
+
+def test_denote_ignores_link_ids(c2, pauli8):
+    # new ids in reversed (or shuffled) order reorder the axioms' names in denote
+    def reverse(ids):
+        return {lid: f"r{len(ids) - 1 - k:03d}" for k, lid in enumerate(ids)}
+
+    def shuffle(ids):
+        return {lid: f"r{k:03d}" for k, lid in zip(rng.sample(range(len(ids)), len(ids)), ids)}
+
+    rng = random.Random(11)
+    permuted = 0
+    for i in range(60):
+        net = random_net(pauli8 if i % 2 == 0 else c2, rng, name=f"n{i}", max_links=16)
+        permuted += any(
+            sum(isinstance(link, AxLink) for link in s.links.values()) > 2
+            for s in net.slices
+        )
+        for rename in (reverse, shuffle):
+            assert fa_equal(denote(_renamed(net, rename)), denote(net))
+    assert permuted > 10
+
+
+def _sum_tree(depth):
+    return "I" if depth == 0 else f"({_sum_tree(depth - 1)} + {_sum_tree(depth - 1)})"
+
+
+def _swap_tree_net(depth, pairs, arrows):
+    """2^depth slices; slice k selects leaf k of the sum tree, then cuts each pair."""
+    lines = ["net swap_tree", "conclusions " + " , ".join([_sum_tree(depth)] + ["Q* , Q"] * pairs)]
+    for leaf in range(2**depth):
+        lines += ["slice", "  unit u"]
+        below = "u.0"
+        for level in range(depth):
+            if (leaf >> level) & 1:
+                lines.append(f"  plus2 p{level} = {_sum_tree(level)} | {below}")
+            else:
+                lines.append(f"  plus1 p{level} = {below} | {_sum_tree(level)}")
+            below = f"p{level}.0"
+        outs = [below]
+        for k in range(pairs):
+            g = arrows[(3 * leaf + k) % len(arrows)]
+            lines += [f"  ax a{k} : id Q", f"  ax b{k} : id Q", f"  cut a{k}.1 , b{k}.0 : {g}"]
+            outs += [f"a{k}.0", f"b{k}.1"]
+        lines += ["  out " + " , ".join(outs), "end"]
+    return "\n".join(lines) + "\n"
+
+
+def test_denote_deep_sum_tree(pauli8, pauli8_mod):
+    net = parse_net(_swap_tree_net(5, 2, sorted(pauli8.arrows)), pauli8)
+    assert len(net.slices) == 32
+    fa = denote(net)
+    assert len(fa.entries) == 32
+    assert eval_net(net, pauli8_mod) == eval_free(fa, pauli8_mod)
+    back = complete(parse_arrow(fmt_arrow(fa), pauli8))
+    assert fa_equal(denote(back), fa)

@@ -162,6 +162,10 @@ def test_load_model_parse_errors(c2):
         load_model("model m over c2\ndim Q\n", c2)
     with pytest.raises(ParseError, match="line 2: expected 'dim"):
         load_model("model m over c2\ndim Q = \u00b2\n", c2)
+    with pytest.raises(ParseError, match="line 2: expected 'dim"):
+        load_model("model m over c2\ndim Q = " + "2" * 5000 + "\n", c2)
+    with pytest.raises(ParseError, match="line 3: bad scalar .*exponent"):
+        load_model("model m over c2\ndim Q = 2\nmat X = [ [0, 1e1000000000] ; [1, 0] ]\n", c2)
     with pytest.raises(ParseError, match="duplicate dim"):
         load_model(good + "dim Q = 2\n", c2)
     with pytest.raises(ParseError, match="unknown object"):

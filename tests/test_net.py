@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from cqlnet import fixtures
@@ -269,9 +271,11 @@ def test_unknown_port_rejected(pauli8):
 
 def test_non_ascii_digit_slot_rejected(pauli8):
     # str.isdigit accepts the superscript two, which int() cannot read
-    text = "net n\nconclusions Q* , Q\nslice\n  ax a : id Q\n  out a.0 , a.\u00b2\nend\n"
-    with pytest.raises(ParseError, match="line 5: bad port"):
-        parse_net(text, pauli8)
+    # and a digit run past Python's int-conversion limit, which int() refuses
+    for slot in ("\u00b2", "1" * 5000):
+        text = f"net n\nconclusions Q* , Q\nslice\n  ax a : id Q\n  out a.0 , a.{slot}\nend\n"
+        with pytest.raises(ParseError, match="line 5: bad port"):
+            parse_net(text, pauli8)
 
 
 def test_duplicate_link_id_rejected(pauli8):
@@ -329,6 +333,14 @@ def test_to_dot_mentions_slices_and_conclusions(pauli8):
     assert "cluster_0" in dot and "cluster_3" in dot
     assert "concl_2" in dot
     assert dot.count("style=dashed") == 12
+
+
+def test_to_dot_escapes_quotes_and_backslashes(pauli8):
+    text = 'net n\nconclusions Q* , Q\nslice\n  ax a"b\\c : X\n  out a"b\\c.0 , a"b\\c.1\nend\n'
+    dot = to_dot(parse_net(text, pauli8))
+    assert 'label="ax a\\"b\\\\c: X"' in dot
+    # every quote and backslash sits inside a well-formed DOT string
+    assert not re.search(r'["\\]', re.sub(r'"(?:[^"\\]|\\.)*"', "", dot))
 
 
 def test_net_str_is_printable(pauli8):

@@ -4,6 +4,7 @@ import pytest
 
 from cqlnet import fixtures
 from cqlnet.category import Loop
+from cqlnet.errors import NetError
 from cqlnet.net import AxLink, CutLink, parse_net, print_net
 from cqlnet.randgen import random_net
 from cqlnet.rewrite import (
@@ -40,7 +41,7 @@ def test_bell_and_bellx_differ(pauli8):
 def test_beta_equal_needs_shared_conclusions(pauli8):
     bell = parse_net(fixtures.BELL_NET, pauli8)
     ring = parse_net(fixtures.RING_NET, pauli8)
-    with pytest.raises(ValueError):
+    with pytest.raises(NetError, match="different conclusions"):
         beta_equal(bell, ring)
 
 
