@@ -98,10 +98,11 @@ class Category:
             if f in self._dagger and self._dagger[f] != g:
                 raise CategoryError(f"dagger {f}: conflicting declaration")
             self._dagger[f] = g
-        for f, (a, b) in self.arrows.items():
-            g = self._dagger.get(f)
-            if g is None:
+        for f in self.arrows:
+            if f not in self._dagger:
                 raise CategoryError(f"dagger undefined for {f}")
+        for f, (a, b) in self.arrows.items():
+            g = self._dagger[f]
             if self.arrows[g] != (b, a):
                 raise CategoryError(f"dagger {f} = {g}: wrong type")
             if self._dagger[g] != f:

@@ -35,6 +35,7 @@ from .formula import (
     parse_anf,
     split_commas,
 )
+from .rewrite import CanonicalSlice, NormalNet, to_net
 
 UNIT = ((),)
 
@@ -582,8 +583,9 @@ def complete(fa, name="completed"):
     """A net whose denotation is the name of ``fa``, one slice per wiring.
 
     Conclusions are (star of the domain, codomain) as canonical formulas,
-    omitting a side that is bare I.  Each wiring becomes the slice realizing
-    its matrix entry's plus branches, with one axiom per pair and one closed
+    omitting a side that is bare I.  Each wiring becomes the normal slice
+    ``rewrite.reconstruct_slice`` builds from its matrix entry's plus
+    branches, its pairs and its loops: one axiom per pair and one closed
     loop per loop class.
     """
     cat = fa.cat
@@ -599,33 +601,22 @@ def complete(fa, name="completed"):
 
     def word(n, k):
         # anf_formula nests sums to the left: word k of n is n-1-k lefts, then right if k > 0
-        return iter([False] * (n - 1 - k) + [True] * (k > 0))
+        return [False] * (n - 1 - k) + [True] * (k > 0)
 
     slices = []
     for (i, j) in sorted(fa.entries):
+        # plus bits in boundary order: star(dom word j), then cod word i
+        bits = []
+        if keep_dom:
+            bits += word(len(fa.dom), j)
+        if keep_cod:
+            bits += word(len(fa.cod), i)
         by_key = sorted(
             fa.entries[(i, j)].items(), key=lambda kv: (kv[0].pairs, kv[0].loops)
         )
         for t, mult in by_key:
-            for _ in range(mult):
-                b = nets.SliceBuilder()
-                tops = []
-                if keep_dom:
-                    tops.append(b.realize_choices(dom_f, word(len(fa.dom), j)))
-                if keep_cod:
-                    tops.append(b.realize_choices(cod_f, word(len(fa.cod), i)))
-                # hole order matches boundary order: star(dom word), then cod word
-                for neg, pos, g in t.pairs:
-                    lid = b.fresh("a")
-                    b.links[lid] = nets.AxLink(g)
-                    b.place(neg, (lid, 0))
-                    b.place(pos, (lid, 1))
-                for lp in t.loops:
-                    b.add_loop(cat, lp)
-                slices.append(b.build(tops))
-    net = nets.Net(name, tuple(concl), tuple(slices), cat)
-    nets.validate_net(net)
-    return net
+            slices += [CanonicalSlice(tuple(bits), t.pairs, t.loops)] * mult
+    return to_net(NormalNet(tuple(concl), tuple(slices)), cat, name)
 
 
 # ---------------------------------------------------------------------------

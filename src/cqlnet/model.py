@@ -10,6 +10,9 @@ the links, never building wirings, so the two paths check each other.  It
 contracts each cut as soon as its two inputs exist (see ``_schedule``), so a
 cut chain keeps a state of O(n) entries; ``denote`` walks each slice's link
 trees from their roots, so the two evaluators do not share a traversal.
+Its state is sparse: each key holds one slot ``(w, i)`` per open edge, the
+index ``w`` of a word of the edge's ANF and the row-major index ``i`` inside
+that word, which is exactly where the entry sits in the edge's block layout.
 """
 
 from __future__ import annotations
@@ -471,11 +474,6 @@ def eval_free(fa, interp):
 # direct evaluation of nets
 
 
-def _edge_dims(interp, a):
-    """Per-component word sizes of an ANF under the model's dimensions."""
-    return [[interp.dims[l.name] for l in w] for w in a]
-
-
 def _schedule(s):
     """Link ids in contraction order: each cut right after the links it needs.
 
@@ -499,160 +497,103 @@ def _schedule(s):
     return list(order)
 
 
+def _times(slot0, slot1, sizes1):
+    """The slot of a tensor: word-major over (w0, w1), row-major inside."""
+    (w0, i0), (w1, i1) = slot0, slot1
+    return (w0 * len(sizes1) + w1, i0 * sizes1[w1] + i1)
+
+
 def eval_slice(s, interp):
     """Contract one slice to its vector over the conclusions' index space.
 
-    Returns the nonzero-state entries only, as ``{flat index: value}``.  Each
-    cut contracts as soon as its two inputs exist (``_schedule``).
+    The state maps keys to values; a key holds one slot ``(w, i)`` per open
+    edge: ``w`` picks a word of the edge's ANF and ``i`` a row-major index
+    within that word, and ``sizes`` keeps each edge's word sizes under the
+    model.  An axiom f adds ``(0, a), (0, b)`` with weight ``mat(f)[b][a]``;
+    times combines two slots by ``_times``; a plus link shifts ``w`` past
+    the words of a left ``other``; an arrow cut g weighs ``mat(g)[i1][i0]``
+    and a formula cut keeps equal slots.  Each cut contracts as soon as its
+    two inputs exist (``_schedule``).  Returns the entries of the sparse
+    final state, as ``{flat index: value}``: the outs are folded by
+    ``_times`` into one slot, whose word offset plus ``i`` is the index.
     """
     cat = interp.cat
     ring = interp.ring
-    edges = []  # (port, per-component dim lists)
+    ports = []  # open edges, in key order
+    sizes = {}  # port -> word sizes of its ANF
     state = {(): ring.one}
 
-    def edge_index(port):
-        for k, (p, _) in enumerate(edges):
-            if p == port:
-                return k
-        raise AssertionError(f"no open edge for {port}")
-
-    def contract(kp, kq, weight):
-        """Remove key slots kp, kq, combining with weight(valp, valq)."""
-        nonlocal state
-        out = {}
-        hi, lo = max(kp, kq), min(kp, kq)
-        for key, v in state.items():
-            w = weight(key[kp], key[kq], v)
-            if w is None:
-                continue
-            ks = list(key)
-            del ks[hi]
-            del ks[lo]
-            ks = tuple(ks)
-            out[ks] = ring.add(out.get(ks, ring.zero), w)
-        state = out
-        del edges[hi]
-        del edges[lo]
+    def close(p, q):
+        """Remove edges p and q: each entry as (rest of key, slot p, slot q, value)."""
+        kp, kq = ports.index(p), ports.index(q)
+        lo, hi = sorted((kp, kq))
+        del ports[hi], ports[lo]
+        return [
+            (key[:lo] + key[lo + 1:hi] + key[hi + 1:], key[kp], key[kq], v)
+            for key, v in state.items()
+        ]
 
     for lid in _schedule(s):
         link = s.links[lid]
+        out = {}
         if isinstance(link, nets.AxLink):
-            f = link.arrow
-            m = interp.mat(f)
-            da, db = interp.dims[cat.dom(f)], interp.dims[cat.cod(f)]
-            out = {}
+            m = interp.mat(link.arrow)
             for key, v in state.items():
-                for a in range(da):
-                    for bval in range(db):
-                        x = m.at(bval, a)
-                        if x == ring.zero:
-                            continue
-                        out_key = key + ((0, (a,)), (0, (bval,)))
-                        out[out_key] = ring.add(
-                            out.get(out_key, ring.zero), ring.mul(v, x)
-                        )
-            state = out
-            edges.append(((lid, 0), [[da]]))
-            edges.append(((lid, 1), [[db]]))
+                for b, row in enumerate(m.rows):
+                    for a, x in enumerate(row):
+                        if x != ring.zero:
+                            out[key + ((0, a), (0, b))] = ring.mul(v, x)
+            ports += [(lid, 0), (lid, 1)]
+            sizes[(lid, 0)] = [interp.dims[cat.dom(link.arrow)]]
+            sizes[(lid, 1)] = [interp.dims[cat.cod(link.arrow)]]
         elif isinstance(link, nets.UnitLink):
-            state = {key + ((0, ()),): v for key, v in state.items()}
-            edges.append(((lid, 0), [[]]))
+            out = {key + ((0, 0),): v for key, v in state.items()}
+            ports.append((lid, 0))
+            sizes[(lid, 0)] = [1]
         elif isinstance(link, nets.TimesLink):
-            k0 = edge_index(s.wires[(lid, 0)])
-            k1 = edge_index(s.wires[(lid, 1)])
-            d0, d1 = edges[k0][1], edges[k1][1]
-            merged = [w0 + w1 for w0 in d0 for w1 in d1]
-            out = {}
-            for key, v in state.items():
-                c0, w0 = key[k0]
-                c1, w1 = key[k1]
-                slot = (c0 * len(d1) + c1, w0 + w1)
-                ks = list(key)
-                hi, lo = max(k0, k1), min(k0, k1)
-                del ks[hi]
-                del ks[lo]
-                ks.append(slot)
-                ks = tuple(ks)
-                out[ks] = ring.add(out.get(ks, ring.zero), v)
-            state = out
-            hi, lo = max(k0, k1), min(k0, k1)
-            del edges[hi]
-            del edges[lo]
-            edges.append(((lid, 0), merged))
+            p, q = s.wires[(lid, 0)], s.wires[(lid, 1)]
+            for rest, slot0, slot1, v in close(p, q):
+                out[rest + (_times(slot0, slot1, sizes[q]),)] = v
+            ports.append((lid, 0))
+            sizes[(lid, 0)] = [x * y for x in sizes[p] for y in sizes[q]]
         elif isinstance(link, (nets.Plus1Link, nets.Plus2Link)):
-            k = edge_index(s.wires[(lid, 0)])
-            other_dims = _edge_dims(interp, anf(link.other))
-            here = edges[k][1]
-            if isinstance(link, nets.Plus1Link):
-                shift = 0
-                merged = here + other_dims
-            else:
-                shift = len(other_dims)
-                merged = other_dims + here
-            out = {}
+            p = s.wires[(lid, 0)]
+            k = ports.index(p)
+            other = [interp.dim_word(w) for w in anf(link.other)]
+            right = isinstance(link, nets.Plus2Link)
+            shift = len(other) if right else 0
             for key, v in state.items():
-                c, w = key[k]
-                ks = list(key)
-                ks[k] = (c + shift, w)
-                out[tuple(ks)] = ring.add(out.get(tuple(ks), ring.zero), v)
-            state = out
-            edges[k] = ((lid, 0), merged)
+                w, i = key[k]
+                out[key[:k] + ((w + shift, i),) + key[k + 1:]] = v
+            ports[k] = (lid, 0)
+            sizes[(lid, 0)] = other + sizes[p] if right else sizes[p] + other
         elif isinstance(link, nets.CutLink):
-            kp = edge_index(s.wires[(lid, 0)])
-            kq = edge_index(s.wires[(lid, 1)])
-            if link.arrow is not None:
-                m = interp.mat(link.arrow)
-
-                def weight(slot_p, slot_q, v, m=m):
-                    (_, (a,)) = slot_p
-                    (_, (g_idx,)) = slot_q
-                    x = m.at(g_idx, a)
+            m = None if link.arrow is None else interp.mat(link.arrow)
+            for rest, slot0, slot1, v in close(s.wires[(lid, 0)], s.wires[(lid, 1)]):
+                if m is None:  # a formula cut keeps the matching slots
+                    if slot0 != slot1:
+                        continue
+                else:
+                    x = m.at(slot1[1], slot0[1])
                     if x == ring.zero:
-                        return None
-                    return ring.mul(v, x)
-            else:
-                def weight(slot_p, slot_q, v):
-                    return v if slot_p == slot_q else None
+                        continue
+                    v = ring.mul(v, x)
+                out[rest] = ring.add(out.get(rest, ring.zero), v)
+        state = out
 
-            contract(kp, kq, weight)
-
-    perm = [edge_index(p) for p in s.outs]
-    final_dims = [edges[k][1] for k in perm]
-    return {
-        _flat_index([key[k] for k in perm], final_dims): v
-        for key, v in state.items()
-    }
-
-
-def _word_size(dims):
-    n = 1
-    for d in dims:
-        n *= d
-    return n
-
-
-def _flat_index(slots, edge_dims):
-    """Index into the block layout of the tensor of the edges' ANFs."""
-    total_dims = [sum(_word_size(w) for w in d) for d in edge_dims]
-    off = 0
-    prefix = 1
-    for e, ((comp, _), d) in enumerate(zip(slots, edge_dims)):
-        base = sum(_word_size(w) for w in d[:comp])
-        suffix = 1
-        for t in total_dims[e + 1:]:
-            suffix *= t
-        off += prefix * base * suffix
-        prefix *= _word_size(d[comp])
-    # within-block: concatenated word indices, row-major
-    widx = []
-    wdims = []
-    for (comp, w), d in zip(slots, edge_dims):
-        widx.extend(w)
-        wdims.extend(d[comp])
-    inner = 0
-    for x, dctx in zip(widx, wdims):
-        inner = inner * dctx + x
-    return off + inner
+    # the outs, in order, are one tensor: fold the times rule over them
+    order = [ports.index(p) for p in s.outs]
+    folded = [1]
+    for p in s.outs:
+        folded = [x * y for x in folded for y in sizes[p]]
+    offset = list(itertools.accumulate(folded, initial=0))
+    flat = {}
+    for key, v in state.items():
+        slot = (0, 0)
+        for k, p in zip(order, s.outs):
+            slot = _times(slot, key[k], sizes[p])
+        flat[offset[slot[0]] + slot[1]] = v
+    return flat
 
 
 def eval_net(net, interp):

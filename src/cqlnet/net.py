@@ -16,6 +16,7 @@ from typing import ClassVar
 from .category import Category
 from .errors import NetError, ParseError
 from .formula import (
+    MAX_DEPTH,
     Atom,
     DualAtom,
     Formula,
@@ -124,42 +125,56 @@ class Net:
 
 
 def labels(slice_, cat):
-    """Formula label of every output port; raises NetError on cyclic wiring."""
+    """Formula label of every output port.
+
+    Raises NetError on cyclic wiring, and on a label built by more than
+    ``MAX_DEPTH`` nested times and plus links: the parser bounds the formulas
+    it reads, and this bounds the ones a slice builds, before any recursive
+    walker meets them.
+    """
     memo = {}
+    depth = {}  # port -> times and plus links nested under its label
     state = {}
 
-    def lab(port):
+    def lab(port, frames):
         if port in memo:
             return memo[port]
         if state.get(port) == "open":
             raise NetError("cyclic wiring")
-        state[port] = "open"
         lid, slot = port
+        if frames > MAX_DEPTH:
+            raise NetError(f"link {lid}: label nested deeper than {MAX_DEPTH}")
+        state[port] = "open"
         link = slice_.links[lid]
+        d = 0
         if isinstance(link, AxLink):
             a, b = cat.dom(link.arrow), cat.cod(link.arrow)
             out = DualAtom(a) if slot == 0 else Atom(b)
         elif isinstance(link, UnitLink):
             out = Unit()
         elif isinstance(link, TimesLink):
-            l0 = lab(slice_.wires[(lid, 0)])
-            l1 = lab(slice_.wires[(lid, 1)])
+            p0, p1 = slice_.wires[(lid, 0)], slice_.wires[(lid, 1)]
+            l0, l1 = lab(p0, frames + 1), lab(p1, frames + 1)
             if isinstance(l0, Unit) or isinstance(l1, Unit):
                 raise NetError(f"times {lid}: I may not appear under x")
-            out = Tensor(l0, l1)
-        elif isinstance(link, Plus1Link):
-            out = Plus(lab(slice_.wires[(lid, 0)]), link.other)
-        elif isinstance(link, Plus2Link):
-            out = Plus(link.other, lab(slice_.wires[(lid, 0)]))
+            out, d = Tensor(l0, l1), 1 + max(depth[p0], depth[p1])
+        elif isinstance(link, (Plus1Link, Plus2Link)):
+            p = slice_.wires[(lid, 0)]
+            below = lab(p, frames + 1)
+            out = Plus(below, link.other) if isinstance(link, Plus1Link) else Plus(link.other, below)
+            d = 1 + depth[p]
         else:
             raise NetError(f"link {lid} has no outputs")
+        if d > MAX_DEPTH:
+            raise NetError(f"link {lid}: label nested deeper than {MAX_DEPTH}")
+        depth[port] = d
         state[port] = "done"
         memo[port] = out
         return out
 
     for lid, link in slice_.links.items():
         for slot in range(link.n_out):
-            lab((lid, slot))
+            lab((lid, slot), 0)
     return memo
 
 
@@ -317,8 +332,7 @@ class SliceBuilder:
         """A closed loop: an axiom for the endo plus an identity cut."""
         lid = self.fresh("a")
         self.links[lid] = AxLink(loop.arrow)
-        cid = f"#c{self.counts.get('#c', 0)}"
-        self.counts["#c"] = self.counts.get("#c", 0) + 1
+        cid = self.fresh("#c")
         self.links[cid] = CutLink(arrow=cat.identity(loop.obj))
         self.wires[(cid, 0)] = (lid, 1)
         self.wires[(cid, 1)] = (lid, 0)

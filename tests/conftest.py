@@ -28,3 +28,26 @@ def c2_bool_mod(c2):
 @pytest.fixture(scope="session")
 def pauli8_mod(pauli8):
     return load_model(fixtures.PAULI8_MOD, pauli8)
+
+
+@pytest.fixture(scope="session")
+def plus_chain_net():
+    """Net text with two chains of n plus1 links over units, cut against each other.
+
+    The conclusions are ``Q* , Q , (I + I)``, so the chains' label, nested n
+    deep, appears only at the cut.  ``top_down`` lists each chain from its top
+    link down.
+    """
+
+    def build(n, top_down=False):
+        links = []
+        for side in "lr":
+            chain = [f"  unit {side}u"]
+            chain += [f"  plus1 {side}{k} = {side}{k - 1 if k else 'u'}.0 | I" for k in range(n)]
+            links += chain[::-1] if top_down else chain
+        lines = ["net chain", "conclusions Q* , Q , (I + I)", "slice", "  ax a : id Q"]
+        lines += ["  unit v", "  plus1 w = v.0 | I"] + links
+        lines += [f"  cut l{n - 1}.0 , r{n - 1}.0 : id", "  out a.0 , a.1 , w.0", "end"]
+        return "\n".join(lines) + "\n"
+
+    return build

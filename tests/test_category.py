@@ -145,6 +145,14 @@ def test_non_involutive_dagger_rejected():
         load_category(text)
 
 
+def test_one_way_dagger_rejected():
+    # XZ names mXZ as its dagger, but mXZ names none
+    text = fixtures.PAULI8_CAT.replace("dagger mXZ = XZ\n", "")
+    assert text != fixtures.PAULI8_CAT
+    with pytest.raises(CategoryError, match="^dagger undefined for mXZ$"):
+        load_category(text)
+
+
 def test_reserved_names_rejected():
     with pytest.raises(CategoryError):
         load_category("category bad\nobject I\n")

@@ -192,6 +192,38 @@ def test_formula_at_depth_limit_is_accepted(exdir, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_deep_link_chain_exits_two(exdir, tmp_path, capsys, plus_chain_net):
+    net = tmp_path / "chain.net"
+    net.write_text(plus_chain_net(1500))
+    for cmd in ("check", "dot"):
+        assert cli.main([cmd, "--category", _p(exdir, "pauli8.cat"), str(net)]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "error: link l256: label nested deeper than 256"
+
+
+def test_link_chain_at_depth_limit_passes_every_command(exdir, tmp_path, capsys, plus_chain_net):
+    net = tmp_path / "chain.net"
+    net.write_text(plus_chain_net(MAX_DEPTH, top_down=True))
+    cat = ["--category", _p(exdir, "pauli8.cat")]
+    for args in (
+        ["check"],
+        ["normalize"],
+        ["denote"],
+        ["eval", "--model", _p(exdir, "pauli8.mod")],
+        ["dot"],
+        ["equal", str(net)],
+    ):
+        assert cli.main(args[:1] + cat + args[1:] + [str(net)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_one_way_dagger_exits_two(exdir, tmp_path, capsys):
+    cat = tmp_path / "oneway.cat"
+    cat.write_text(fixtures.PAULI8_CAT.replace("dagger mXZ = XZ\n", ""))
+    assert cli.main(["check", "--category", str(cat), _p(exdir, "bell.net")]) == 2
+    assert capsys.readouterr().err.strip() == "error: dagger undefined for mXZ"
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main([])

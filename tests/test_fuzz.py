@@ -1,0 +1,105 @@
+"""Seeded mutation fuzzing of every input format.
+
+Each seed text (the fixture categories, models and nets, printed random nets
+and printed random arrows) is mutated by deleting or duplicating each line in
+turn, and by seeded token deletions, swaps and duplications.  Every mutant
+must load, and a net that loads must also normalize, denote and evaluate, or
+else fail with one of the five documented errors.
+"""
+
+import random
+import re
+
+from cqlnet import fixtures
+from cqlnet.category import load_category
+from cqlnet.errors import CategoryError, FormulaError, ModelError, NetError, ParseError
+from cqlnet.freecat import denote, fmt_arrow, parse_arrow
+from cqlnet.model import eval_net, load_model
+from cqlnet.net import parse_net, print_net
+from cqlnet.randgen import random_free_arrow, random_net
+from cqlnet.rewrite import normalize
+
+DOCUMENTED = (ParseError, CategoryError, FormulaError, NetError, ModelError)
+TOKEN_MUTANTS = 150
+
+
+def line_mutants(text):
+    lines = text.splitlines(keepends=True)
+    for k in range(len(lines)):
+        yield "".join(lines[:k] + lines[k + 1:])
+        yield "".join(lines[:k + 1] + lines[k:])
+
+
+def token_mutants(text, rng):
+    parts = re.split(r"(\s+)", text)
+    words = [k for k, p in enumerate(parts) if p and not p.isspace()]
+    for _ in range(TOKEN_MUTANTS):
+        out = list(parts)
+        i, j = rng.choice(words), rng.choice(words)
+        op = rng.randrange(3)
+        if op == 0:
+            out[i] = ""
+        elif op == 1:
+            out[i], out[j] = out[j], out[i]
+        else:
+            out[i] = out[i] + " " + out[i]
+        yield "".join(out)
+
+
+def mutants(text, rng):
+    yield from line_mutants(text)
+    yield from token_mutants(text, rng)
+
+
+def test_mutants_end_in_a_result_or_a_documented_error():
+    rng = random.Random(5)
+    c2 = load_category(fixtures.C2_CAT)
+    pauli8 = load_category(fixtures.PAULI8_CAT)
+    model_of = {
+        c2: load_model(fixtures.C2_MOD, c2),
+        pauli8: load_model(fixtures.PAULI8_MOD, pauli8),
+    }
+
+    def net_pipeline(cat):
+        def run(text):
+            net = parse_net(text, cat)
+            normalize(net)
+            denote(net)
+            eval_net(net, model_of[cat])
+
+        return run
+
+    seeds = [
+        (fixtures.C2_CAT, load_category),
+        (fixtures.PAULI8_CAT, load_category),
+        (fixtures.C2_MOD, lambda t: load_model(t, c2)),
+        (fixtures.C2_BOOL_MOD, lambda t: load_model(t, c2)),
+        (fixtures.PAULI8_MOD, lambda t: load_model(t, pauli8)),
+    ]
+    for net_text in (
+        fixtures.BELL_NET,
+        fixtures.BELLX_NET,
+        fixtures.CHAIN_NET,
+        fixtures.RING_NET,
+        fixtures.SWAPPING_NET,
+    ):
+        seeds.append((net_text, net_pipeline(pauli8)))
+    for i in range(5):
+        cat = (pauli8, c2)[i % 2]
+        seeds.append((print_net(random_net(cat, rng, max_links=12)), net_pipeline(cat)))
+    for i in range(5):
+        cat = (pauli8, c2)[i % 2]
+        seeds.append((fmt_arrow(random_free_arrow(cat, rng)), lambda t, cat=cat: parse_arrow(t, cat)))
+
+    tried = 0
+    for text, load in seeds:
+        load(text)  # every seed text is valid
+        for mutant in mutants(text, rng):
+            tried += 1
+            try:
+                load(mutant)
+            except DOCUMENTED:
+                pass
+            except Exception as exc:
+                raise AssertionError(f"{type(exc).__name__}: {exc} on\n{mutant}") from exc
+    assert tried > 3000

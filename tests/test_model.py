@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from cqlnet import fixtures
+from cqlnet import fixtures, load_category
 from cqlnet.errors import ModelError, ParseError
 from cqlnet.formula import Literal, anf, parse_formula
-from cqlnet.freecat import UNIT, embed, eta, identity, scalar, wiring, zero
+from cqlnet.freecat import UNIT, denote, embed, eta, identity, scalar, wiring, zero
 from cqlnet.model import (
     BoolRing,
     ExactRing,
@@ -18,8 +18,8 @@ from cqlnet.model import (
     eval_wiring,
     load_model,
 )
-from cqlnet.net import parse_net
-from cqlnet.randgen import random_anf, random_free_arrow, random_wiring
+from cqlnet.net import parse_net, print_net
+from cqlnet.randgen import random_anf, random_free_arrow, random_net, random_wiring
 
 
 def _q(n):
@@ -340,3 +340,44 @@ def test_eval_cut_chain_contracts_each_cut_early(c2, c2_bool_mod, monkeypatch):
     monkeypatch.setattr(BoolRing, "mul", staticmethod(mul))
     assert eval_net(chain, c2_bool_mod).column() == [False, True, True, False]
     assert len(calls) <= 16 * n
+
+
+# A 2-dimensional A included in a 3-dimensional B: f is the inclusion, g = f†
+# its projection back, and e = g;f the projection of B onto the image of A.
+# Every other model in the suite is square, so this one catches mix-ups
+# between an arrow's row and column sizes.
+INCLUSION_CAT = """\
+category inclusion
+object A
+object B
+arrow f : A -> B
+arrow g : B -> A
+arrow e : B -> B
+compose f ; g = id A
+compose g ; f = e
+compose e ; e = e
+compose f ; e = f
+compose e ; g = g
+dagger f = g
+dagger g = f
+dagger e = e
+"""
+
+INCLUSION_MOD = """\
+model inclusion23 over inclusion
+dim A = 2
+dim B = 3
+mat f = [ [1, 0] ; [0, 1] ; [0, 0] ]
+mat g = [ [1, 0, 0] ; [0, 1, 0] ]
+mat e = [ [1, 0, 0] ; [0, 1, 0] ; [0, 0, 0] ]
+"""
+
+
+def test_eval_non_square_model_agrees_with_free():
+    cat = load_category(INCLUSION_CAT)
+    interp = load_model(INCLUSION_MOD, cat)
+    assert interp.mat("f").shape == (3, 2)
+    rng = random.Random(11)
+    for i in range(40):
+        net = random_net(cat, rng, name=f"n{i}", max_links=16)
+        assert eval_net(net, interp) == eval_free(denote(net), interp), print_net(net)

@@ -278,6 +278,14 @@ def test_non_ascii_digit_slot_rejected(pauli8):
             parse_net(text, pauli8)
 
 
+def test_deep_link_chain_rejected(pauli8, plus_chain_net):
+    # 1,500 nested plus links: the label is too deep whichever way it is written
+    for top_down, lid in ((False, "l256"), (True, "l1242")):
+        text = plus_chain_net(1500, top_down)
+        with pytest.raises(NetError, match=f"link {lid}: label nested deeper than 256"):
+            parse_net(text, pauli8)
+
+
 def test_duplicate_link_id_rejected(pauli8):
     text = (
         "net n\nconclusions Q* , Q\nslice\n  ax a : id Q\n  ax a : X\n"
