@@ -22,4 +22,5 @@ class NetError(Exception):
 
 
 class ModelError(Exception):
-    """A model file is incomplete or its matrices break a functor law."""
+    """A model file is incomplete, its matrices break a functor law, or an
+    evaluated matrix would pass ``model.MAX_ENTRIES`` entries."""

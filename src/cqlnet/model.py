@@ -1,8 +1,12 @@
 """Exact matrix models: evaluate arrows and nets in finite dimension.
 
-Scalars are either exact elements of Q(sqrt2, i) stored as four rationals
-(a + b sqrt2 + (c + d sqrt2) i), or booleans with or/and.  Matrices are dense
-lists of such scalars; all comparisons are exact.
+Scalars are either exact elements of Q(sqrt2, i), stored as four integer
+numerators over one shared positive denominator,
+(a + b sqrt2 + (c + d sqrt2) i) / den, reduced after each operation so that
+equal elements have equal fields; or booleans with or/and.  Matrices are dense
+lists of such scalars; all comparisons are exact.  No matrix or vector may
+hold more than ``MAX_ENTRIES`` entries: a larger model object, ``eval_free``
+result or ``eval_net`` output is a ``ModelError`` before it is allocated.
 
 ``eval_free`` evaluates a free arrow entry by entry from its wirings.
 ``eval_net`` evaluates a net directly by contracting the model tensors along
@@ -18,44 +22,105 @@ that word, which is exactly where the entry sits in the edge's block layout.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 
 from .errors import ModelError, ParseError
 from .formula import anf
 from . import net as nets
 
+# Largest number of entries a model may hold in one matrix or vector: an object's
+# dim x dim identity, ``eval_free``'s rows x cols and ``eval_net``'s output.
+# Each is checked before it is allocated, and a larger one is a ``ModelError``.
+MAX_ENTRIES = 2**20
 
-@dataclass(frozen=True)
+
 class Qi2:
-    """An element a + b sqrt2 + (c + d sqrt2) i with rational a, b, c, d."""
+    """An element (a + b sqrt2 + (c + d sqrt2) i) / den of Q(sqrt2, i).
 
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
-    c: Fraction = Fraction(0)
-    d: Fraction = Fraction(0)
+    The numerators a..d are ints and the denominator ``den`` is a positive int
+    with gcd(a, b, c, d, den) = 1, so equal elements have equal fields.  The
+    constructor takes ints or ``Fraction``s, and the properties ``a``..``d``
+    return ``Fraction``s.
+    """
+
+    __slots__ = ("_a", "_b", "_c", "_d", "_den")
+
+    def __init__(self, a=0, b=0, c=0, d=0):
+        a, b, c, d = (Fraction(x) for x in (a, b, c, d))
+        den = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+        self._a, self._b, self._c, self._d = (
+            x.numerator * (den // x.denominator) for x in (a, b, c, d)
+        )
+        self._den = den
+
+    a = property(lambda self: Fraction(self._a, self._den))
+    b = property(lambda self: Fraction(self._b, self._den))
+    c = property(lambda self: Fraction(self._c, self._den))
+    d = property(lambda self: Fraction(self._d, self._den))
+
+    def __eq__(self, o):
+        if type(o) is not Qi2:
+            return NotImplemented
+        return (
+            self._a == o._a
+            and self._b == o._b
+            and self._c == o._c
+            and self._d == o._d
+            and self._den == o._den
+        )
+
+    def __hash__(self):
+        return hash((self._a, self._b, self._c, self._d, self._den))
 
     def __add__(self, o):
-        return Qi2(self.a + o.a, self.b + o.b, self.c + o.c, self.d + o.d)
+        n, m = self._den, o._den
+        if n == m:
+            return _make(self._a + o._a, self._b + o._b, self._c + o._c, self._d + o._d, n)
+        return _make(
+            self._a * m + o._a * n,
+            self._b * m + o._b * n,
+            self._c * m + o._c * n,
+            self._d * m + o._d * n,
+            n * m,
+        )
 
     def __neg__(self):
-        return Qi2(-self.a, -self.b, -self.c, -self.d)
+        return _make(-self._a, -self._b, -self._c, -self._d, self._den)
 
     def __mul__(self, o):
-        # (x1 + y1 i)(x2 + y2 i) with x, y in Q(sqrt2)
-        a = self.a * o.a + 2 * self.b * o.b - (self.c * o.c + 2 * self.d * o.d)
-        b = self.a * o.b + self.b * o.a - (self.c * o.d + self.d * o.c)
-        c = self.a * o.c + 2 * self.b * o.d + self.c * o.a + 2 * self.d * o.b
-        d = self.a * o.d + self.b * o.c + self.c * o.b + self.d * o.a
-        return Qi2(a, b, c, d)
+        # (x1 + y1 i)(x2 + y2 i) with x, y in Z[sqrt2], over den1 * den2
+        a1, b1, c1, d1 = self._a, self._b, self._c, self._d
+        a2, b2, c2, d2 = o._a, o._b, o._c, o._d
+        return _make(
+            a1 * a2 + 2 * b1 * b2 - c1 * c2 - 2 * d1 * d2,
+            a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
+            a1 * c2 + 2 * b1 * d2 + c1 * a2 + 2 * d1 * b2,
+            a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2,
+            self._den * o._den,
+        )
 
     def conj(self):
-        return Qi2(self.a, self.b, -self.c, -self.d)
+        return _make(self._a, self._b, -self._c, -self._d, self._den)
+
+    def __repr__(self):
+        return f"Qi2({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
     def __str__(self):
-        if self.b == self.c == self.d == 0:
+        if self._b == self._c == self._d == 0:
             return str(self.a)
         return f"({self.a}, {self.b}, {self.c}, {self.d})"
+
+
+def _make(a, b, c, d, den):
+    """The Qi2 (a + b sqrt2 + (c + d sqrt2) i) / den, for ints a..d and den > 0."""
+    if den != 1:
+        g = math.gcd(a, b, c, d, den)
+        if g != 1:
+            a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+    x = object.__new__(Qi2)
+    x._a, x._b, x._c, x._d, x._den = a, b, c, d, den
+    return x
 
 
 class ExactRing:
@@ -263,8 +328,13 @@ class Interpretation:
         for obj in cat.objects:
             if obj not in self.dims:
                 raise ModelError(f"no dimension for object {obj}")
-            if not isinstance(self.dims[obj], int) or self.dims[obj] < 0:
+            n = self.dims[obj]
+            if not isinstance(n, int) or n < 0:
                 raise ModelError(f"bad dimension for {obj}")
+            if n * n > MAX_ENTRIES:
+                raise ModelError(
+                    f"dim {obj} = {n}: {n * n} matrix entries, more than {MAX_ENTRIES}"
+                )
         self.mats = {}
         for obj in cat.objects:
             self.mats[cat.identity(obj)] = Matrix.identity(ring, self.dims[obj])
@@ -458,7 +528,12 @@ def eval_free(fa, interp):
     col_off = [0]
     for w in fa.dom:
         col_off.append(col_off[-1] + interp.dim_word(w))
-    out = Matrix.zeros(ring, row_off[-1], col_off[-1])
+    rows, cols = row_off[-1], col_off[-1]
+    if rows * cols > MAX_ENTRIES:
+        raise ModelError(
+            f"arrow matrix is {rows} x {cols}: {rows * cols} entries, more than {MAX_ENTRIES}"
+        )
+    out = Matrix.zeros(ring, rows, cols)
     for (i, j), c in fa.entries.items():
         for t, mult in c.items():
             block = eval_wiring(t, interp)
@@ -604,6 +679,8 @@ def eval_net(net, interp):
     total = 1
     for f in net.conclusions:
         total *= interp.dim_formula(f)
+    if total > MAX_ENTRIES:
+        raise ModelError(f"net {net.name}: {total} output entries, more than {MAX_ENTRIES}")
     acc = [ring.zero] * total
     for s in net.slices:
         for idx, v in eval_slice(s, interp).items():

@@ -70,9 +70,9 @@ def corpus(c2, pauli8):
 def wide_corpus(c2, pauli8):
     rng = random.Random(2024)
     nets = []
-    for i in range(40):
+    for i in range(120):
         cat = pauli8 if i % 2 == 0 else c2
-        nets.append(random_net(cat, rng, name=f"w{i}", max_links=24))
+        nets.append(random_net(cat, rng, name=f"w{i}", max_links=32))
     return nets
 
 

@@ -3,6 +3,7 @@ import pytest
 from cqlnet import cli, fixtures
 from cqlnet.formula import MAX_DEPTH
 from cqlnet.freecat import denote, embed, fa_equal, fmt_arrow, name_of, parse_arrow
+from cqlnet.model import MAX_ENTRIES
 from cqlnet.net import parse_net
 
 
@@ -222,6 +223,43 @@ def test_one_way_dagger_exits_two(exdir, tmp_path, capsys):
     cat.write_text(fixtures.PAULI8_CAT.replace("dagger mXZ = XZ\n", ""))
     assert cli.main(["check", "--category", str(cat), _p(exdir, "bell.net")]) == 2
     assert capsys.readouterr().err.strip() == "error: dagger undefined for mXZ"
+
+
+def _sum_net(tmp_path, k):
+    """k axioms ``id Q``, each injected into ``(Q + Q)`` and tensored: 8^k outputs."""
+    lines = ["slice"]
+    concl, top = "(Q + Q)", "p0.0"
+    for j in range(k):
+        lines += [f"  ax a{j} : id Q", f"  plus1 p{j} = a{j}.1 | Q"]
+        if j:
+            concl = f"({concl} x (Q + Q))"
+            lines.append(f"  times t{j} = {top} p{j}.0")
+            top = f"t{j}.0"
+    lines.append("  out " + " , ".join([f"a{j}.0" for j in range(k)] + [top]))
+    head = [f"net sum{k}", "conclusions " + " , ".join(["Q*"] * k + [concl])]
+    net = tmp_path / f"sum{k}.net"
+    net.write_text("\n".join(head + lines + ["end"]) + "\n")
+    return str(net)
+
+
+def test_eval_size_limit(exdir, tmp_path, capsys):
+    base = ["eval", "--category", _p(exdir, "pauli8.cat"), "--model", _p(exdir, "pauli8.mod")]
+    assert 8**6 <= MAX_ENTRIES < 8**7
+    assert cli.main(base + [_sum_net(tmp_path, 6)]) == 0
+    out, err = capsys.readouterr()
+    assert out.count(",") == 8**6 - 1 and err == ""
+    assert cli.main(base + [_sum_net(tmp_path, 7)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: net sum7: {8**7} output entries, more than {MAX_ENTRIES}"
+
+
+def test_model_dim_limit_exits_two(exdir, tmp_path, capsys):
+    mod = tmp_path / "big.mod"
+    mod.write_text(fixtures.PAULI8_MOD.replace("dim Q = 2", "dim Q = 200000"))
+    argv = ["eval", "--category", _p(exdir, "pauli8.cat"), "--model", str(mod)]
+    assert cli.main(argv + [_p(exdir, "bell.net")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: dim Q = 200000: {200000**2} matrix entries, more than {MAX_ENTRIES}"
 
 
 def test_usage_error_exits_two():

@@ -50,6 +50,31 @@ def test_qi2_arithmetic():
     assert x * x.conj() == (x.conj() * x)
     assert str(_q(Fraction(3, 2))) == "3/2"
     assert str(x) == "(1, 2, 3, 4)"
+    # one canonical form: equal elements have equal fields and hashes
+    half = Qi2(Fraction(1, 2))
+    assert half + half == ExactRing.one
+    assert hash(half + half) == hash(ExactRing.one)
+    assert Qi2(2, 0, 0, 4) * Qi2(Fraction(1, 2)) == Qi2(1, 0, 0, 2)
+    assert _q(1) + -_q(1) == ExactRing.zero
+    assert hash(_q(1) + -_q(1)) == hash(Qi2())
+    # mixed denominators
+    y = Qi2(Fraction(1, 2), Fraction(1, 3), Fraction(0), Fraction(-2))
+    z = Qi2(Fraction(1, 6), Fraction(0), Fraction(3, 4), Fraction(1, 5))
+    assert y + z == Qi2(Fraction(2, 3), Fraction(1, 3), Fraction(3, 4), Fraction(-9, 5))
+    assert y * z == Qi2(
+        Fraction(1, 12) + Fraction(4, 5),
+        Fraction(1, 18) + Fraction(3, 2),
+        Fraction(3, 8) + Fraction(2, 15),
+        Fraction(1, 10) + Fraction(1, 4) - Fraction(1, 3),
+    )
+    assert (y + z).a.denominator == 3
+    assert all(type(f) is Fraction for f in (y.a, y.b, y.c, y.d))
+    assert (y.a, y.b, y.c, y.d) == (Fraction(1, 2), Fraction(1, 3), 0, -2)
+    # comparisons with other types answer instead of raising
+    assert Qi2() != 0
+    assert not (ExactRing.one == 1)
+    assert ExactRing.one != "1"
+    assert ExactRing.one not in (None, Fraction(1))
 
 
 def test_exact_ring_parse():
@@ -58,6 +83,9 @@ def test_exact_ring_parse():
         Fraction(1), Fraction(1, 2), Fraction(0), Fraction(-2)
     )
     assert ExactRing.parse(ExactRing.fmt(SQRT2), 0) == SQRT2
+    y = Qi2(Fraction(1, 2), Fraction(1, 3), 0, -2)
+    assert str(y) == "(1/2, 1/3, 0, -2)"
+    assert ExactRing.parse(str(y), 0) == y
     with pytest.raises(ParseError):
         ExactRing.parse("(1, 2)", 0)
     with pytest.raises(ParseError):
@@ -278,6 +306,16 @@ def test_eval_free_units(pauli8, pauli8_mod):
     assert eval_free(embed(pauli8, "XZ"), pauli8_mod) == _qm([[0, -1], [1, 0]])
 
 
+def test_eval_free_size_limit(pauli8, pauli8_mod):
+    def power(n):
+        return anf(parse_formula("(Q x " * (n - 1) + "Q" + ")" * (n - 1), pauli8))
+
+    wide, narrow = power(11), power(9)
+    assert eval_free(zero(pauli8, narrow, wide), pauli8_mod).shape == (2**11, 2**9)
+    with pytest.raises(ModelError, match=f"2048 x 2048: {2**22} entries, more than {2**20}"):
+        eval_free(zero(pauli8, wide, wide), pauli8_mod)
+
+
 def test_eval_bell_states(pauli8, pauli8_mod):
     bell = parse_net(fixtures.BELL_NET, pauli8)
     assert eval_net(bell, pauli8_mod).column() == _qcol([1, 0, 0, 1])
@@ -378,6 +416,41 @@ def test_eval_non_square_model_agrees_with_free():
     interp = load_model(INCLUSION_MOD, cat)
     assert interp.mat("f").shape == (3, 2)
     rng = random.Random(11)
+    for i in range(40):
+        net = random_net(cat, rng, name=f"n{i}", max_links=16)
+        assert eval_net(net, interp) == eval_free(denote(net), interp), print_net(net)
+
+
+# Entries with denominators and sqrt2 and i parts: H = (1/sqrt2) [[1, 1], [1, -1]]
+# on Q and Y = [[0, -i], [i, 0]] on P.
+HY_CAT = """\
+category hy
+object Q
+object P
+arrow H : Q -> Q
+arrow Y : P -> P
+compose H ; H = id Q
+compose Y ; Y = id P
+dagger H = H
+dagger Y = Y
+"""
+
+HY_MOD = """\
+model hy over hy
+scalars exact
+dim Q = 2
+dim P = 2
+mat H = [ [(0, 1/2, 0, 0), (0, 1/2, 0, 0)] ; [(0, 1/2, 0, 0), (0, -1/2, 0, 0)] ]
+mat Y = [ [0, (0, 0, -1, 0)] ; [(0, 0, 1, 0), 0] ]
+"""
+
+
+def test_eval_irrational_model_agrees_with_free():
+    cat = load_category(HY_CAT)
+    interp = load_model(HY_MOD, cat)
+    h = interp.mat("H").at(0, 0)
+    assert h * h == Qi2(Fraction(1, 2))
+    rng = random.Random(13)
     for i in range(40):
         net = random_net(cat, rng, name=f"n{i}", max_links=16)
         assert eval_net(net, interp) == eval_free(denote(net), interp), print_net(net)
