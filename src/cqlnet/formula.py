@@ -131,7 +131,7 @@ def anf(f):
         case Plus(l, r):
             return anf(l) + anf(r)
         case Tensor(l, r):
-            return tuple(u + v for u in anf(l) for v in anf(r))
+            return anf_kron(anf(l), anf(r))
     raise TypeError(f"not a formula: {f!r}")
 
 

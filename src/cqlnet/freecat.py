@@ -10,6 +10,12 @@ cycles that close up inside the interface become loops.
 
 ``denote`` interprets a proof net here; ``complete`` goes back, rebuilding a
 net from any arrow, one slice per wiring.
+
+Only the public entry points check what they are given: ``FreeArrow(...)``,
+``wiring`` and ``parse_arrow``.  The operations on arrows and wirings this
+module built (composition, tensor, dagger, dual, sums, names, identities,
+injections and permutations) do not re-check them; each ends in the
+unchecked ``_arrow`` or ``_wiring``.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ class Wiring:
     loops: tuple
 
 
-def wiring(dom, cod, pairs, loops=(), cat=None):
+def wiring(dom, cod, pairs, loops, cat):
     """Build a wiring in canonical order, checking the pairing is well-typed."""
     dom, cod = tuple(dom), tuple(cod)
     bnd = boundary(dom, cod)
@@ -72,21 +78,24 @@ def wiring(dom, cod, pairs, loops=(), cat=None):
             raise ValueError(f"pair ({neg}, {pos}) has wrong polarity")
         used[neg] += 1
         used[pos] += 1
-        if cat is not None:
-            if cat.dom(f) != bnd[neg].name or cat.cod(f) != bnd[pos].name:
-                raise ValueError(
-                    f"label {f}: {cat.dom(f)} -> {cat.cod(f)} does not join "
-                    f"{bnd[neg]} to {bnd[pos]}"
-                )
+        if cat.dom(f) != bnd[neg].name or cat.cod(f) != bnd[pos].name:
+            raise ValueError(
+                f"label {f}: {cat.dom(f)} -> {cat.cod(f)} does not join "
+                f"{bnd[neg]} to {bnd[pos]}"
+            )
     if any(u != 1 for u in used):
         raise ValueError("pairs must cover every boundary position exactly once")
-    pairs = tuple(sorted(pairs, key=lambda p: min(p[0], p[1])))
     loops = tuple(sorted(loops))
-    if cat is not None:
-        for lp in loops:
-            if not isinstance(lp, Loop):
-                raise ValueError(f"bad loop {lp!r}")
-    return Wiring(dom, cod, pairs, loops)
+    for lp in loops:
+        if not isinstance(lp, Loop):
+            raise ValueError(f"bad loop {lp!r}")
+    return _wiring(dom, cod, pairs, loops)
+
+
+def _wiring(dom, cod, pairs, loops):
+    """A wiring from parts this module built: canonical order, no checks."""
+    pairs = tuple(sorted(pairs, key=lambda p: min(p[0], p[1])))
+    return Wiring(dom, cod, pairs, tuple(sorted(loops)))
 
 
 def wiring_compose(cat, t1, t2):
@@ -148,10 +157,10 @@ def wiring_compose(cat, t1, t2):
                 break
         cycles.append(cat.loop_of(acc))
     loops = t1.loops + t2.loops + tuple(cycles)
-    return wiring(t1.dom, t2.cod, out_pairs, loops, cat)
+    return _wiring(t1.dom, t2.cod, out_pairs, loops)
 
 
-def wiring_tensor(cat, t1, t2):
+def wiring_tensor(t1, t2):
     n1, m1 = len(t1.dom), len(t1.cod)
     n2, m2 = len(t2.dom), len(t2.cod)
     n = n1 + n2
@@ -164,7 +173,7 @@ def wiring_tensor(cat, t1, t2):
 
     pairs = [(map1(a), map1(b), f) for a, b, f in t1.pairs]
     pairs += [(map2(a), map2(b), f) for a, b, f in t2.pairs]
-    return wiring(t1.dom + t2.dom, t1.cod + t2.cod, pairs, t1.loops + t2.loops, cat)
+    return _wiring(t1.dom + t2.dom, t1.cod + t2.cod, pairs, t1.loops + t2.loops)
 
 
 def wiring_dagger(cat, t):
@@ -175,19 +184,17 @@ def wiring_dagger(cat, t):
 
     pairs = [(flip(pos), flip(neg), cat.dagger(f)) for neg, pos, f in t.pairs]
     loops = [cat.loop_dagger(lp) for lp in t.loops]
-    return wiring(t.cod, t.dom, pairs, loops, cat)
+    return _wiring(t.cod, t.dom, pairs, loops)
 
 
-def wiring_dual(t, cat=None):
+def wiring_dual(t):
     n, m = len(t.dom), len(t.cod)
 
     def shift(p):
         return m + p if p < n else p - n
 
     pairs = [(shift(neg), shift(pos), f) for neg, pos, f in t.pairs]
-    return wiring(
-        tuple(l.dual() for l in t.cod), tuple(l.dual() for l in t.dom), pairs, t.loops, cat
-    )
+    return _wiring(tuple(l.dual() for l in t.cod), tuple(l.dual() for l in t.dom), pairs, t.loops)
 
 
 def wiring_name(t):
@@ -255,7 +262,7 @@ class FreeArrow:
                 for t1, m1 in c1.items():
                     for t2, m2 in c2.items():
                         tgt[wiring_compose(self.cat, t1, t2)] += m1 * m2
-        return FreeArrow(self.cat, self.dom, other.cod, out)
+        return _arrow(self.cat, self.dom, other.cod, out)
 
     def tensor(self, other):
         self._like(other)
@@ -266,13 +273,8 @@ class FreeArrow:
                 tgt = out.setdefault(key, Counter())
                 for t1, m1 in c1.items():
                     for t2, m2 in c2.items():
-                        tgt[wiring_tensor(self.cat, t1, t2)] += m1 * m2
-        return FreeArrow(
-            self.cat,
-            anf_kron(self.dom, other.dom),
-            anf_kron(self.cod, other.cod),
-            out,
-        )
+                        tgt[wiring_tensor(t1, t2)] += m1 * m2
+        return _arrow(self.cat, anf_kron(self.dom, other.dom), anf_kron(self.cod, other.cod), out)
 
     def dagger(self):
         out = {}
@@ -280,14 +282,14 @@ class FreeArrow:
             out[(j, i)] = Counter(
                 {wiring_dagger(self.cat, t): m for t, m in c.items()}
             )
-        return FreeArrow(self.cat, self.cod, self.dom, out)
+        return _arrow(self.cat, self.cod, self.dom, out)
 
     def dual(self):
         """The contravariant duality A -> B into B* -> A*."""
         out = {}
         for (i, j), c in self.entries.items():
-            out[(j, i)] = Counter({wiring_dual(t, self.cat): m for t, m in c.items()})
-        return FreeArrow(self.cat, anf_star(self.cod), anf_star(self.dom), out)
+            out[(j, i)] = Counter({wiring_dual(t): m for t, m in c.items()})
+        return _arrow(self.cat, anf_star(self.cod), anf_star(self.dom), out)
 
     def add(self, other):
         self._like(other)
@@ -296,7 +298,7 @@ class FreeArrow:
         out = {}
         for key in set(self.entries) | set(other.entries):
             out[key] = self.entries.get(key, Counter()) + other.entries.get(key, Counter())
-        return FreeArrow(self.cat, self.dom, self.cod, out)
+        return _arrow(self.cat, self.dom, self.cod, out)
 
     def scale(self, s):
         """Multiply by a scalar (an arrow I -> I)."""
@@ -331,6 +333,13 @@ class FreeArrow:
         return fmt_arrow(self)
 
 
+def _arrow(cat, dom, cod, entries):
+    """A free arrow from parts this module built: entries already normal, no checks."""
+    fa = object.__new__(FreeArrow)
+    fa.cat, fa.dom, fa.cod, fa.entries = cat, dom, cod, entries
+    return fa
+
+
 def fa_equal(f, g):
     """Decide equality of two free arrows with the same shape."""
     if not isinstance(f, FreeArrow) or not isinstance(g, FreeArrow):
@@ -359,15 +368,13 @@ def _id_pairs(cat, w, neg_base, pos_base):
     return pairs
 
 
-def _id_wiring(cat, w):
-    return wiring(w, w, _id_pairs(cat, w, 0, len(w)), (), cat)
-
-
 def identity(cat, a):
-    a = tuple(a)
-    return FreeArrow(
-        cat, a, a, {(i, i): Counter({_id_wiring(cat, w): 1}) for i, w in enumerate(a)}
-    )
+    a = tuple(tuple(w) for w in a)
+    entries = {
+        (i, i): Counter({_wiring(w, w, _id_pairs(cat, w, 0, len(w)), ()): 1})
+        for i, w in enumerate(a)
+    }
+    return _arrow(cat, a, a, entries)
 
 
 def zero(cat, dom, cod):
@@ -380,31 +387,17 @@ def embed(cat, f):
 
     u = (Literal(cat.dom(f)),)
     v = (Literal(cat.cod(f)),)
-    return FreeArrow(
-        cat, (u,), (v,), {(0, 0): Counter({wiring(u, v, [(0, 1, f)], (), cat): 1})}
-    )
+    return _arrow(cat, (u,), (v,), {(0, 0): Counter({_wiring(u, v, [(0, 1, f)], ()): 1})})
 
 
 def eta(cat, a):
     """I -> star(A) x A, the diagonal of caps."""
-    a = tuple(a)
-    cod = anf_kron(anf_star(a), a)
-    entries = {}
-    for i, w in enumerate(a):
-        t = wiring((), tuple(l.dual() for l in w) + w, _id_pairs(cat, w, 0, len(w)), (), cat)
-        entries[(i * len(a) + i, 0)] = Counter({t: 1})
-    return FreeArrow(cat, UNIT, cod, entries)
+    return name_of(identity(cat, a))
 
 
 def epsilon(cat, a):
     """A x star(A) -> I, the codiagonal of cups."""
-    a = tuple(a)
-    dom = anf_kron(a, anf_star(a))
-    entries = {}
-    for i, w in enumerate(a):
-        t = wiring(w + tuple(l.dual() for l in w), (), _id_pairs(cat, w, 0, len(w)), (), cat)
-        entries[(0, i * len(a) + i)] = Counter({t: 1})
-    return FreeArrow(cat, dom, UNIT, entries)
+    return coname_of(identity(cat, a))
 
 
 def name_of(fa):
@@ -414,7 +407,7 @@ def name_of(fa):
     for (i, j), c in fa.entries.items():
         row = j * len(fa.cod) + i
         out[(row, 0)] = Counter({wiring_name(t): m for t, m in c.items()})
-    return FreeArrow(fa.cat, UNIT, cod, out)
+    return _arrow(fa.cat, UNIT, cod, out)
 
 
 def coname_of(fa):
@@ -424,18 +417,25 @@ def coname_of(fa):
     for (i, j), c in fa.entries.items():
         col = j * len(fa.cod) + i
         out[(0, col)] = Counter({wiring_coname(t): m for t, m in c.items()})
-    return FreeArrow(fa.cat, dom, UNIT, out)
+    return _arrow(fa.cat, dom, UNIT, out)
+
+
+def _inject(fa, parts, k):
+    """fa followed by the k-th injection into parts[0] + ... + parts[n-1].
+
+    fa's codomain is parts[k].  Every component of the injection is an
+    identity wiring, so the composite only moves fa's rows down past the
+    words of the parts before k.
+    """
+    off = sum(len(p) for p in parts[:k])
+    cod = tuple(w for p in parts for w in p)
+    return _arrow(fa.cat, fa.dom, cod, {(off + i, j): c for (i, j), c in fa.entries.items()})
 
 
 def injection(cat, parts, k):
     """The k-th biproduct injection parts[k] -> parts[0] + ... + parts[n-1]."""
-    parts = [tuple(p) for p in parts]
-    cod = tuple(w for p in parts for w in p)
-    off = sum(len(p) for p in parts[:k])
-    entries = {
-        (off + i, i): Counter({_id_wiring(cat, w): 1}) for i, w in enumerate(parts[k])
-    }
-    return FreeArrow(cat, parts[k], cod, entries)
+    parts = [tuple(tuple(w) for w in p) for p in parts]
+    return _inject(identity(cat, parts[k]), parts, k)
 
 
 def projection(cat, parts, k):
@@ -445,7 +445,7 @@ def projection(cat, parts, k):
 
 def permutation(cat, factors, perm):
     """Permute tensor factors: codomain position t holds factors[perm[t]]."""
-    factors = [tuple(f) for f in factors]
+    factors = [tuple(tuple(w) for w in f) for f in factors]
     if sorted(perm) != list(range(len(factors))):
         raise ValueError(f"not a permutation: {perm}")
     dom = anf_kron_all(factors)
@@ -466,20 +466,17 @@ def permutation(cat, factors, perm):
         for w in words:
             dom_off.append(dom_off[-1] + len(w))
         cod_off = {}
-        run = 0
-        for t, p in enumerate(perm):
+        run = len(dom_word)
+        for p in perm:
             cod_off[p] = run
             run += len(words[p])
-        pairs = []
-        for s, w in enumerate(words):
-            for k, lit in enumerate(w):
-                a = dom_off[s] + k
-                b = len(dom_word) + cod_off[s] + k
-                if lit.star:
-                    a, b = b, a
-                pairs.append((a, b, cat.identity(lit.name)))
-        entries[(i, j)] = Counter({wiring(dom_word, cod_word, pairs, (), cat): 1})
-    return FreeArrow(cat, dom, cod, entries)
+        pairs = [
+            pair
+            for s, w in enumerate(words)
+            for pair in _id_pairs(cat, w, dom_off[s], cod_off[s])
+        ]
+        entries[(i, j)] = Counter({_wiring(dom_word, cod_word, pairs, ()): 1})
+    return _arrow(cat, dom, cod, entries)
 
 
 def symmetry(cat, a, b):
@@ -488,7 +485,7 @@ def symmetry(cat, a, b):
 
 def scalar(cat, loops, mult=1):
     """The scalar I -> I carrying the given loop classes."""
-    t = wiring((), (), (), tuple(sorted(loops)), cat)
+    t = wiring((), (), (), loops, cat)
     return FreeArrow(cat, UNIT, UNIT, {(0, 0): Counter({t: mult})})
 
 
@@ -543,10 +540,10 @@ def denote_slice(s, cat, conclusions):
                 return tree(s.wires[(lid, 0)]) @ tree(s.wires[(lid, 1)])
             case nets.Plus1Link(other):
                 below = tree(s.wires[(lid, 0)])
-                return below >> injection(cat, [below.cod, anf(other)], 0)
+                return _inject(below, [below.cod, anf(other)], 0)
             case nets.Plus2Link(other):
                 below = tree(s.wires[(lid, 0)])
-                return below >> injection(cat, [anf(other), below.cod], 1)
+                return _inject(below, [anf(other), below.cod], 1)
 
     roots = [tree(port) for port in s.outs]
     for lid in sorted(lid for lid, link in s.links.items() if isinstance(link, nets.CutLink)):

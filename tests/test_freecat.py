@@ -3,13 +3,14 @@ from collections import Counter
 
 import pytest
 
-from cqlnet import fixtures
+from cqlnet import fixtures, freecat
 from cqlnet.category import Loop
 from cqlnet.errors import ParseError
 from cqlnet.formula import anf, anf_star, parse_formula
 from cqlnet.freecat import (
     UNIT,
     FreeArrow,
+    _inject,
     boundary,
     complete,
     coname_of,
@@ -193,6 +194,16 @@ def test_biproduct_projection_injection(pauli8):
                 assert fa_equal(got, zero(pauli8, parts[j], parts[i]))
 
 
+def test_inject_equals_composing_with_the_injection(pauli8):
+    rng = random.Random(67)
+    arrows = [random_free_arrow(pauli8, rng) for _ in range(30)]
+    arrows += [zero(pauli8, _anf("Q", pauli8), _anf("(Q* + I)", pauli8)), identity(pauli8, UNIT)]
+    for f in arrows:
+        b = random_anf(pauli8, rng)
+        for parts, k in (([f.cod, b], 0), ([b, f.cod], 1)):
+            assert fa_equal(_inject(f, parts, k), f >> injection(pauli8, parts, k))
+
+
 def test_biproduct_injections_sum_to_identity(pauli8):
     parts = [_anf("Q", pauli8), _anf("(Q* x Q)", pauli8), UNIT]
     whole = tuple(w for p in parts for w in p)
@@ -271,7 +282,7 @@ def test_wiring_dagger_and_dual_involutive(pauli8):
         cod = tuple(random_anf(pauli8, rng)[0])
         t = random_wiring(pauli8, rng, dom, cod)
         assert wiring_dagger(pauli8, wiring_dagger(pauli8, t)) == t
-        assert wiring_dual(wiring_dual(t, pauli8), pauli8) == t
+        assert wiring_dual(wiring_dual(t)) == t
 
 
 def test_permutation_composes(pauli8):
@@ -281,6 +292,13 @@ def test_permutation_composes(pauli8):
     from cqlnet.formula import anf_kron
 
     assert fa_equal(both, identity(pauli8, anf_kron(q, qq)))
+    # words given as lists build the same arrows as the tuple form
+    listed = [list(w) for w in qq]
+    assert fa_equal(identity(pauli8, listed), identity(pauli8, qq))
+    assert fa_equal(injection(pauli8, [listed, q], 0), injection(pauli8, [qq, q], 0))
+    assert fa_equal(
+        permutation(pauli8, [q, listed], [1, 0]), permutation(pauli8, [q, qq], [1, 0])
+    )
     sym = symmetry(pauli8, q, q)
     assert fa_equal(sym >> sym, identity(pauli8, anf_kron(q, q)))
 
@@ -445,3 +463,30 @@ def test_denote_deep_sum_tree(pauli8, pauli8_mod):
     assert eval_net(net, pauli8_mod) == eval_free(fa, pauli8_mod)
     back = complete(parse_arrow(fmt_arrow(fa), pauli8))
     assert fa_equal(denote(back), fa)
+
+
+def test_denote_plus_chain_checks_nothing_and_composes_a_fixed_number_of_times(
+    pauli8, plus_chain_net, monkeypatch
+):
+    # a plus link shifts the rows of the arrow below it instead of composing
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(freecat, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in ("wiring", "wiring_compose"):
+        monkeypatch.setattr(freecat, name, counted(name))
+    made = {}
+    for n in (64, 256):
+        net = parse_net(plus_chain_net(n), pauli8)
+        calls.clear()
+        denote(net)
+        made[n] = (calls["wiring"], calls["wiring_compose"])
+    assert made[64][0] == made[256][0] == 0
+    assert made[64][1] == made[256][1]
