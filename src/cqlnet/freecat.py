@@ -506,8 +506,8 @@ def trace_arrow(f, a, b, c):
 # denotation of nets
 
 
-def denote_slice(s, cat, conclusions):
-    """The arrow I -> tensor of the conclusions denoted by one slice.
+def denote_slice(s, cat, cod):
+    """The arrow I -> ``cod`` (the conclusions' tensor) denoted by one slice.
 
     A slice is a forest: its roots are the ports on ``outs`` and the cuts,
     its leaves are axiom outputs and units, and times and plus links sit in
@@ -538,12 +538,10 @@ def denote_slice(s, cat, conclusions):
                 return identity(cat, UNIT)
             case nets.TimesLink():
                 return tree(s.wires[(lid, 0)]) @ tree(s.wires[(lid, 1)])
-            case nets.Plus1Link(other):
+            case nets.PlusLink(other, right=right):
                 below = tree(s.wires[(lid, 0)])
-                return _inject(below, [below.cod, anf(other)], 0)
-            case nets.Plus2Link(other):
-                below = tree(s.wires[(lid, 0)])
-                return _inject(below, [anf(other), below.cod], 1)
+                parts = [anf(other), below.cod] if right else [below.cod, anf(other)]
+                return _inject(below, parts, int(right))
 
     roots = [tree(port) for port in s.outs]
     for lid in sorted(lid for lid, link in s.links.items() if isinstance(link, nets.CutLink)):
@@ -556,8 +554,7 @@ def denote_slice(s, cat, conclusions):
     unit = identity(cat, UNIT)
     names = reduce(matmul, [name_of(embed(cat, s.links[lid].arrow)) for lid in axioms], unit)
     d = names >> permutation(cat, factors, leaves) >> reduce(matmul, roots, unit)
-    want = anf_kron_all([anf(f) for f in conclusions])
-    if d.cod != want:
+    if d.cod != cod:
         raise AssertionError("denotation has unexpected codomain")
     return d
 
@@ -568,7 +565,7 @@ def denote(net):
     cod = anf_kron_all([anf(f) for f in net.conclusions])
     out = zero(cat, UNIT, cod)
     for s in net.slices:
-        out = out + denote_slice(s, cat, net.conclusions)
+        out = out + denote_slice(s, cat, cod)
     return out
 
 

@@ -6,7 +6,8 @@ numerators over one shared positive denominator,
 equal elements have equal fields; or booleans with or/and.  Matrices are dense
 lists of such scalars; all comparisons are exact.  No matrix or vector may
 hold more than ``MAX_ENTRIES`` entries: a larger model object, ``eval_free``
-result or ``eval_net`` output is a ``ModelError`` before it is allocated.
+result, ``eval_net`` output or contraction state (keys x open edges) is a
+``ModelError`` before it is allocated.
 
 ``eval_free`` evaluates a free arrow entry by entry from its wirings.
 ``eval_net`` evaluates a net directly by contracting the model tensors along
@@ -30,8 +31,8 @@ from .formula import anf
 from . import net as nets
 
 # Largest number of entries a model may hold in one matrix or vector: an object's
-# dim x dim identity, ``eval_free``'s rows x cols and ``eval_net``'s output.
-# Each is checked before it is allocated, and a larger one is a ``ModelError``.
+# dim x dim identity, ``eval_free``'s rows x cols, ``eval_net``'s output and the
+# slots of ``eval_slice``'s state.  Each larger one is a ``ModelError`` up front.
 MAX_ENTRIES = 2**20
 
 
@@ -613,11 +614,17 @@ def eval_slice(s, interp):
         out = {}
         if isinstance(link, nets.AxLink):
             m = interp.mat(link.arrow)
+            nonzero = [(a, b, x) for b, row in enumerate(m.rows)
+                       for a, x in enumerate(row) if x != ring.zero]
+            keys, edges = len(state) * len(nonzero), len(ports) + 2
+            if keys * edges > MAX_ENTRIES:
+                raise ModelError(
+                    f"axiom {lid}: contraction state of {keys} keys x {edges} open edges, "
+                    f"more than {MAX_ENTRIES} slots"
+                )
             for key, v in state.items():
-                for b, row in enumerate(m.rows):
-                    for a, x in enumerate(row):
-                        if x != ring.zero:
-                            out[key + ((0, a), (0, b))] = ring.mul(v, x)
+                for a, b, x in nonzero:
+                    out[key + ((0, a), (0, b))] = ring.mul(v, x)
             ports += [(lid, 0), (lid, 1)]
             sizes[(lid, 0)] = [interp.dims[cat.dom(link.arrow)]]
             sizes[(lid, 1)] = [interp.dims[cat.cod(link.arrow)]]
@@ -631,17 +638,16 @@ def eval_slice(s, interp):
                 out[rest + (_times(slot0, slot1, sizes[q]),)] = v
             ports.append((lid, 0))
             sizes[(lid, 0)] = [x * y for x in sizes[p] for y in sizes[q]]
-        elif isinstance(link, (nets.Plus1Link, nets.Plus2Link)):
+        elif isinstance(link, nets.PlusLink):
             p = s.wires[(lid, 0)]
             k = ports.index(p)
             other = [interp.dim_word(w) for w in anf(link.other)]
-            right = isinstance(link, nets.Plus2Link)
-            shift = len(other) if right else 0
+            shift = len(other) if link.right else 0
             for key, v in state.items():
                 w, i = key[k]
                 out[key[:k] + ((w + shift, i),) + key[k + 1:]] = v
             ports[k] = (lid, 0)
-            sizes[(lid, 0)] = other + sizes[p] if right else sizes[p] + other
+            sizes[(lid, 0)] = other + sizes[p] if link.right else sizes[p] + other
         elif isinstance(link, nets.CutLink):
             m = None if link.arrow is None else interp.mat(link.arrow)
             for rest, slot0, slot1, v in close(s.wires[(lid, 0)], s.wires[(lid, 1)]):

@@ -6,6 +6,9 @@ input, with every dangling output listed in order on the ``out`` line.
 
 Ports are written ``<link id>.<slot>``; axioms have outputs 0 and 1, the
 other producing links output 0.  Cuts have no outputs and no written id.
+There is one plus kind, ``PlusLink``: its two classes differ only in
+``right``, the side of the sum that input 0 fills.  There is one builder of
+identity cuts, ``id_cut``, for the parser and for rewriting.
 """
 
 from __future__ import annotations
@@ -69,21 +72,25 @@ class TimesLink:
 
 
 @dataclass(frozen=True)
-class Plus1Link:
-    """Input 0: A; output 0: (A + other)."""
+class PlusLink:
+    """Input 0: A; output 0: the sum of A and ``other``, A on the side ``right`` names."""
 
     n_in: ClassVar[int] = 1
     n_out: ClassVar[int] = 1
+    right: ClassVar[bool]
     other: Formula
 
 
-@dataclass(frozen=True)
-class Plus2Link:
-    """Input 0: B; output 0: (other + B)."""
+class Plus1Link(PlusLink):
+    """Output 0: (A + other)."""
 
-    n_in: ClassVar[int] = 1
-    n_out: ClassVar[int] = 1
-    other: Formula
+    right = False
+
+
+class Plus2Link(PlusLink):
+    """Output 0: (other + A)."""
+
+    right = True
 
 
 @dataclass(frozen=True)
@@ -158,10 +165,10 @@ def labels(slice_, cat):
             if isinstance(l0, Unit) or isinstance(l1, Unit):
                 raise NetError(f"times {lid}: I may not appear under x")
             out, d = Tensor(l0, l1), 1 + max(depth[p0], depth[p1])
-        elif isinstance(link, (Plus1Link, Plus2Link)):
+        elif isinstance(link, PlusLink):
             p = slice_.wires[(lid, 0)]
             below = lab(p, frames + 1)
-            out = Plus(below, link.other) if isinstance(link, Plus1Link) else Plus(link.other, below)
+            out = Plus(link.other, below) if link.right else Plus(below, link.other)
             d = 1 + depth[p]
         else:
             raise NetError(f"link {lid} has no outputs")
@@ -185,8 +192,22 @@ def cut_inputs(link, cat):
     return link.formula, star(link.formula)
 
 
-def validate_slice(slice_, cat, conclusions):
-    """Well-formedness of one slice against the net's conclusion list."""
+def id_cut(cat, formula, port_f, port_fstar):
+    """An identity cut on ``formula``, as (link, input-0 port, input-1 port).
+
+    ``port_f`` produces ``formula`` and ``port_fstar`` its dual.  On an atom
+    or a dual atom the cut is the arrow cut ``id A``, which takes A on input
+    0; on a compound formula it is a formula cut that takes ``formula`` there.
+    """
+    if isinstance(formula, DualAtom):
+        return CutLink(arrow=cat.identity(formula.name)), port_fstar, port_f
+    if isinstance(formula, Atom):
+        return CutLink(arrow=cat.identity(formula.name)), port_f, port_fstar
+    return CutLink(formula=formula), port_f, port_fstar
+
+
+def validate_slice(slice_, cat, conclusions, labs=None):
+    """Well-formedness of one slice against the conclusions; ``labs``: its labels if known."""
     seen_out = {}
     for lid, link in slice_.links.items():
         for slot in range(link.n_out):
@@ -211,7 +232,8 @@ def validate_slice(slice_, cat, conclusions):
         if n != 1:
             raise NetError(f"port {port[0]}.{port[1]} used {n} times, want exactly 1")
 
-    labs = labels(slice_, cat)
+    if labs is None:
+        labs = labels(slice_, cat)
 
     if len(slice_.outs) != len(conclusions):
         raise NetError(
@@ -234,20 +256,21 @@ def validate_slice(slice_, cat, conclusions):
             if consumer is None:
                 raise NetError(f"unit {lid} feeds a conclusion; I must meet a plus or id cut")
             clink = slice_.links[consumer[0]]
-            ok = isinstance(clink, (Plus1Link, Plus2Link)) or (
+            ok = isinstance(clink, PlusLink) or (
                 isinstance(clink, CutLink) and clink.formula == Unit()
             )
             if not ok:
                 raise NetError(f"unit {lid} must feed a plus link or an id cut on I")
 
 
-def validate_net(net):
+def validate_net(net, slice_labels=None):
+    """Well-formedness of a net; ``slice_labels`` holds each slice's ``labels``."""
     for f in net.conclusions:
         validate(f, net.cat)
         if f == Zero() and net.slices:
             raise NetError("a net with conclusion 0 must have no slices")
-    for s in net.slices:
-        validate_slice(s, net.cat, net.conclusions)
+    for k, s in enumerate(net.slices):
+        validate_slice(s, net.cat, net.conclusions, slice_labels and slice_labels[k])
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +317,7 @@ class SliceBuilder:
 
     def _plus(self, right_chosen, below, other):
         lid = self.fresh("p")
-        self.links[lid] = Plus2Link(other) if right_chosen else Plus1Link(other)
+        self.links[lid] = (Plus2Link if right_chosen else Plus1Link)(other)
         self._attach((lid, 0), below)
         return (lid, 0)
 
@@ -369,7 +392,7 @@ def parse_net(text, cat):
     """Parse and validate a net file against a category."""
     name = None
     conclusions = None
-    slices = []
+    slices = []  # (slice, its labels), validated once the whole net is read
     cur = None  # (links, pending wires, cut lines, outs) while inside a slice
     cut_count = 0
 
@@ -392,13 +415,16 @@ def parse_net(text, cat):
         labs = labels(s, cat)
         for cid, label, ln in cuts:
             p0, p1 = wires[(cid, 0)], wires[(cid, 1)]
-            link = _build_cut(cat, label, labs[p0], labs[p1], ln)
-            want = cut_inputs(link, cat)
-            # symmetric cuts (id on I against I) match both ways: keep them as written
-            if (labs[p0], labs[p1]) != want and (labs[p1], labs[p0]) == want:
+            l0, l1 = labs[p0], labs[p1]
+            if label == "id":
+                if star(l0) != l1:
+                    raise ParseError(ln, f"id cut inputs {fmt(l0)}, {fmt(l1)} are not dual")
+                links[cid], wires[(cid, 0)], wires[(cid, 1)] = id_cut(cat, l0, p0, p1)
+                continue
+            links[cid] = CutLink(arrow=label)
+            if (l1, l0) == cut_inputs(links[cid], cat):  # written starred side first
                 wires[(cid, 0)], wires[(cid, 1)] = p1, p0
-            links[cid] = link
-        return s
+        return s, labs
 
     lines = text.splitlines()
     i = 0
@@ -477,12 +503,9 @@ def parse_net(text, cat):
                     raise ParseError(lineno, f"expected '{head} id = ... | ...'")
                 lhs, _, rhs = body.partition("|")
                 lid = fresh(lid)
-                if head == "plus1":
-                    port_tok, other = lhs, rhs
-                else:
-                    other, port_tok = lhs, rhs
-                formula = parse_formula(other, cat, lineno)
-                links[lid] = Plus1Link(formula) if head == "plus1" else Plus2Link(formula)
+                kind = Plus2Link if head == "plus2" else Plus1Link
+                other, port_tok = (lhs, rhs) if kind.right else (rhs, lhs)
+                links[lid] = kind(parse_formula(other, cat, lineno))
                 pending[(lid, 0)] = (port_tok, lineno)
             elif head == "cut":
                 body, colon, label = rest.rpartition(":")
@@ -513,26 +536,9 @@ def parse_net(text, cat):
     if conclusions is None:
         raise ParseError(1, "missing conclusions line")
 
-    net = Net(name, conclusions, tuple(slices), cat)
-    validate_net(net)
+    net = Net(name, conclusions, tuple(s for s, _ in slices), cat)
+    validate_net(net, [labs for _, labs in slices])
     return net
-
-
-def _build_cut(cat, label, l0, l1, lineno):
-    """The cut a ``cut`` line writes, given the labels of its two input ports.
-
-    ``id`` becomes an identity arrow cut when an input is an atom, and
-    otherwise a formula cut on ``l0``.
-    """
-    if label != "id":
-        return CutLink(arrow=label)
-    atoms = [l for l in (l0, l1) if isinstance(l, Atom)]
-    duals = [l for l in (l0, l1) if isinstance(l, DualAtom)]
-    if atoms or duals:
-        return CutLink(arrow=cat.identity((atoms + duals)[0].name))
-    if star(l0) == l1:
-        return CutLink(formula=l0)
-    raise ParseError(lineno, f"id cut inputs {fmt(l0)}, {fmt(l1)} are not dual")
 
 
 # ---------------------------------------------------------------------------
@@ -584,10 +590,10 @@ def print_net(net):
             elif isinstance(link, TimesLink):
                 p0, p1 = s.wires[(lid, 0)], s.wires[(lid, 1)]
                 out.append(f"  times {lid} = {_fmt_port(p0)} {_fmt_port(p1)}")
-            elif isinstance(link, Plus1Link):
-                out.append(f"  plus1 {lid} = {_fmt_port(s.wires[(lid, 0)])} | {fmt(link.other)}")
-            elif isinstance(link, Plus2Link):
-                out.append(f"  plus2 {lid} = {fmt(link.other)} | {_fmt_port(s.wires[(lid, 0)])}")
+            elif isinstance(link, PlusLink):
+                port, other = _fmt_port(s.wires[(lid, 0)]), fmt(link.other)
+                body = f"{other} | {port}" if link.right else f"{port} | {other}"
+                out.append(f"  plus{1 + link.right} {lid} = {body}")
             elif isinstance(link, CutLink):
                 p0, p1 = s.wires[(lid, 0)], s.wires[(lid, 1)]
                 label = link.arrow if link.arrow is not None else "id"
@@ -620,10 +626,8 @@ def to_dot(net):
                 text = f"cut: {link.arrow if link.arrow else 'id ' + fmt(link.formula)}"
             elif isinstance(link, TimesLink):
                 text = f"times {lid}"
-            elif isinstance(link, Plus1Link):
-                text = f"plus1 {lid} | {fmt(link.other)}"
-            elif isinstance(link, Plus2Link):
-                text = f"plus2 {lid} | {fmt(link.other)}"
+            elif isinstance(link, PlusLink):
+                text = f"plus{1 + link.right} {lid} | {fmt(link.other)}"
             else:
                 text = f"unit {lid}"
             lines.append(f"    s{si}_n{ids[lid]} [label={_dot_str(text)}];")

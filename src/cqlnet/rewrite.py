@@ -5,7 +5,10 @@ cut back on itself, a cut on a tensor, plus, or unit formula, or a closed
 loop (an identity cut on both outputs of one endo axiom).  All but the last
 are redexes; closed loops are normal and denote loop scalars.  Each step
 removes links or turns a non-identity self-cut into a closed loop, so
-reduction terminates in at most as many steps as there are links.
+reduction terminates in at most as many steps as there are links.  Cuts on
+tensor, plus and unit formulas share one rule: drop the cut and the links
+that built its inputs, and cut each sub-formula they joined: two for a
+tensor, none for a unit, and for a sum the side both plus links chose.
 
 A normal slice is determined by its plus choices, the pairing of its
 conclusion leaves, and its loop classes; nets compare equal when their
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 from . import net as nets
 from .errors import NetError
-from .formula import Atom, DualAtom, Plus, Tensor, Unit
+from .formula import Plus, Tensor, Unit
 
 
 @dataclass(frozen=True)
@@ -28,7 +31,6 @@ class Redex:
 
     cut: str
     rule: str  # "ax-self" | "ax-ax" | "times" | "plus" | "unit"
-    detail: tuple = ()
 
 
 def _classify(s, cat, cid):
@@ -40,17 +42,14 @@ def _classify(s, cat, cid):
                 return None  # closed loop, a normal scalar
             return Redex(cid, "ax-self")
         return Redex(cid, "ax-ax")
-    formula = link.formula
-    if isinstance(formula, Unit):
-        return Redex(cid, "unit")
-    if isinstance(formula, Tensor):
-        return Redex(cid, "times")
-    if isinstance(formula, Plus):
-        side = {nets.Plus1Link: 1, nets.Plus2Link: 2}
-        i = side[type(s.links[s.wires[(cid, 0)][0]])]
-        j = side[type(s.links[s.wires[(cid, 1)][0]])]
-        return Redex(cid, "plus", (i, j))
-    raise AssertionError(f"unexpected cut formula {formula!r}")
+    match link.formula:
+        case Unit():
+            return Redex(cid, "unit")
+        case Tensor():
+            return Redex(cid, "times")
+        case Plus():
+            return Redex(cid, "plus")
+    raise AssertionError(f"unexpected cut formula {link.formula!r}")
 
 
 def find_redexes(s, cat):
@@ -62,19 +61,6 @@ def find_redexes(s, cat):
             if r is not None:
                 out.append(r)
     return out
-
-
-def _id_cut(cat, formula, port_f, port_fstar):
-    """An identity cut on ``formula``, normalizing atom cuts to arrow cuts.
-
-    ``port_f`` produces ``formula`` and ``port_fstar`` its dual; returns
-    (link, input-0 port, input-1 port) with the orientation the link expects.
-    """
-    if isinstance(formula, Atom):
-        return nets.CutLink(arrow=cat.identity(formula.name)), port_f, port_fstar
-    if isinstance(formula, DualAtom):
-        return nets.CutLink(arrow=cat.identity(formula.name)), port_fstar, port_f
-    return nets.CutLink(formula=formula), port_f, port_fstar
 
 
 def step(s, cat, redex):
@@ -123,45 +109,23 @@ def step(s, cat, redex):
         links[nid] = nets.AxLink(composite)
         rewire((f_ax, 0), (nid, 0))
         rewire((h_ax, 1), (nid, 1))
-    elif redex.rule == "times":
-        t1 = s.wires[(cid, 0)][0]
-        t2 = s.wires[(cid, 1)][0]
-        x_p, y_p = s.wires[(t1, 0)], s.wires[(t1, 1)]
-        xs_p, ys_p = s.wires[(t2, 0)], s.wires[(t2, 1)]
-        formula = link.formula
-        drop_link(cid)
-        drop_link(t1)
-        drop_link(t2)
-        cx, in0, in1 = _id_cut(cat, formula.left, x_p, xs_p)
-        links[cid] = cx
-        wires[(cid, 0)], wires[(cid, 1)] = in0, in1
-        cy, in0, in1 = _id_cut(cat, formula.right, y_p, ys_p)
-        links[t1] = cy
-        wires[(t1, 0)], wires[(t1, 1)] = in0, in1
-    elif redex.rule == "plus":
-        i, j = redex.detail
-        p1 = s.wires[(cid, 0)][0]
-        p2 = s.wires[(cid, 1)][0]
-        if i != j:
-            return None
-        w_p = s.wires[(p1, 0)]
-        w_q = s.wires[(p2, 0)]
-        formula = link.formula
-        chosen = formula.left if i == 1 else formula.right
-        drop_link(cid)
-        drop_link(p1)
-        drop_link(p2)
-        c, in0, in1 = _id_cut(cat, chosen, w_p, w_q)
-        links[cid] = c
-        wires[(cid, 0)], wires[(cid, 1)] = in0, in1
-    elif redex.rule == "unit":
-        u1 = s.wires[(cid, 0)][0]
-        u2 = s.wires[(cid, 1)][0]
-        drop_link(cid)
-        del links[u1]
-        del links[u2]
     else:
-        raise AssertionError(f"unknown rule {redex.rule}")
+        # a cut on a compound formula meets the two links that built it and
+        # its dual: cut each joined sub-formula instead, input k against input k
+        a, b = s.wires[(cid, 0)][0], s.wires[(cid, 1)][0]
+        f = link.formula
+        if redex.rule == "plus":
+            if links[a].right != links[b].right:
+                return None  # opposite injections: the slice is zero
+            subs = (f.right if links[a].right else f.left,)
+        else:
+            subs = (f.left, f.right) if redex.rule == "times" else ()
+        joins = [(g, s.wires[(a, k)], s.wires[(b, k)]) for k, g in enumerate(subs)]
+        drop_link(cid)
+        drop_link(a)
+        drop_link(b)
+        for nid, (g, p, q) in zip((cid, a), joins):
+            links[nid], wires[(nid, 0)], wires[(nid, 1)] = nets.id_cut(cat, g, p, q)
     return nets.Slice(links, wires, tuple(outs))
 
 
@@ -236,11 +200,8 @@ def canonicalize_slice(s, cat):
         elif isinstance(link, nets.TimesLink):
             walk(s.wires[(lid, 0)])
             walk(s.wires[(lid, 1)])
-        elif isinstance(link, nets.Plus1Link):
-            choices.append(False)
-            walk(s.wires[(lid, 0)])
-        elif isinstance(link, nets.Plus2Link):
-            choices.append(True)
+        elif isinstance(link, nets.PlusLink):
+            choices.append(link.right)
             walk(s.wires[(lid, 0)])
         # units contribute nothing
 

@@ -51,3 +51,25 @@ def plus_chain_net():
         return "\n".join(lines) + "\n"
 
     return build
+
+
+@pytest.fixture(scope="session")
+def closed_tensor_net():
+    """Net text with k axioms ``id Q``, each end tensored by k-1 times links.
+
+    One formula cut joins the two tensors and there are no conclusions, so
+    the net denotes the scalar 2^k in pauli8, while contracting it keeps 2^k
+    keys of 2k open edges before that cut.
+    """
+
+    def build(k):
+        lines = ["net closed", "conclusions", "slice"] + [f"  ax a{i} : id Q" for i in range(k)]
+        for side, slot in (("t", 1), ("u", 0)):
+            below = f"a0.{slot}"
+            for i in range(1, k):
+                lines.append(f"  times {side}{i} = {below} a{i}.{slot}")
+                below = f"{side}{i}.0"
+        lines += [f"  cut t{k - 1}.0 , u{k - 1}.0 : id", "  out", "end"]
+        return "\n".join(lines) + "\n"
+
+    return build

@@ -253,6 +253,25 @@ def test_eval_size_limit(exdir, tmp_path, capsys):
     assert err == f"error: net sum7: {8**7} output entries, more than {MAX_ENTRIES}"
 
 
+def test_eval_state_limit_exits_two(exdir, tmp_path, capsys, closed_tensor_net):
+    net = tmp_path / "closed16.net"
+    net.write_text(closed_tensor_net(16))
+    argv = ["eval", "--category", _p(exdir, "pauli8.cat"), "--model", _p(exdir, "pauli8.mod")]
+    assert cli.main(argv + [str(net)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: axiom ") and err.endswith(f"more than {MAX_ENTRIES} slots")
+
+
+def test_non_dual_id_cut_exits_two(exdir, tmp_path, capsys):
+    net = tmp_path / "nondual.net"
+    net.write_text(
+        "net n\nconclusions Q* , Q*\nslice\n  ax a : id Q\n  ax b : id Q\n"
+        "  cut a.1 , b.1 : id\n  out a.0 , b.0\nend\n"
+    )
+    assert cli.main(["check", "--category", _p(exdir, "pauli8.cat"), str(net)]) == 2
+    assert capsys.readouterr().err.strip() == "error: line 6: id cut inputs Q, Q are not dual"
+
+
 def test_model_dim_limit_exits_two(exdir, tmp_path, capsys):
     mod = tmp_path / "big.mod"
     mod.write_text(fixtures.PAULI8_MOD.replace("dim Q = 2", "dim Q = 200000"))

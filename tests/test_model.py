@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from cqlnet.errors import ModelError, ParseError
 from cqlnet.formula import Literal, anf, parse_formula
 from cqlnet.freecat import UNIT, denote, embed, eta, identity, scalar, wiring, zero
 from cqlnet.model import (
+    MAX_ENTRIES,
     BoolRing,
     ExactRing,
     Interpretation,
@@ -314,6 +316,16 @@ def test_eval_free_size_limit(pauli8, pauli8_mod):
     assert eval_free(zero(pauli8, narrow, wide), pauli8_mod).shape == (2**11, 2**9)
     with pytest.raises(ModelError, match=f"2048 x 2048: {2**22} entries, more than {2**20}"):
         eval_free(zero(pauli8, wide, wide), pauli8_mod)
+
+
+def test_eval_state_limit(pauli8, pauli8_mod, closed_tensor_net):
+    # 2^12 keys x 24 open edges fit under the bound
+    assert str(eval_net(parse_net(closed_tensor_net(12), pauli8), pauli8_mod)) == "[ [4096] ]"
+    big = parse_net(closed_tensor_net(16), pauli8)
+    start = time.perf_counter()
+    with pytest.raises(ModelError, match=f"65536 keys x 32 open edges, more than {MAX_ENTRIES}"):
+        eval_net(big, pauli8_mod)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_eval_bell_states(pauli8, pauli8_mod):

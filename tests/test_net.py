@@ -4,7 +4,8 @@ import pytest
 
 from cqlnet import fixtures
 from cqlnet.errors import NetError, ParseError
-from cqlnet.formula import Atom, DualAtom, Tensor, parse_formula
+from cqlnet import net as net_module
+from cqlnet.formula import Atom, DualAtom, Plus, Tensor, Unit, parse_formula
 from cqlnet.freecat import denote, fmt_arrow
 from cqlnet.model import eval_net
 from cqlnet.rewrite import normalize
@@ -12,9 +13,13 @@ from cqlnet.net import (
     AxLink,
     CutLink,
     Net,
+    Plus1Link,
+    Plus2Link,
+    PlusLink,
     Slice,
     SliceBuilder,
     cut_inputs,
+    id_cut,
     labels,
     parse_net,
     print_net,
@@ -153,6 +158,70 @@ def test_id_cut_inference_on_atoms(pauli8):
     assert cut.formula is None
 
 
+NON_DUAL_ID_CUT_NET = (
+    "net n\nconclusions Q* , Q*\nslice\n  ax a : id Q\n  ax b : id Q\n"
+    "  cut a.1 , b.1 : id\n  out a.0 , b.0\nend\n"
+)
+
+
+def test_non_dual_id_cut_on_atoms_rejected_at_its_line(pauli8):
+    with pytest.raises(ParseError) as exc:
+        parse_net(NON_DUAL_ID_CUT_NET, pauli8)
+    assert str(exc.value) == "line 6: id cut inputs Q, Q are not dual"
+
+
+def test_id_cut_orients_its_ports(pauli8):
+    f, fs = ("a", 1), ("b", 0)
+    assert id_cut(pauli8, Atom("Q"), f, fs) == (CutLink(arrow="id Q"), f, fs)
+    assert id_cut(pauli8, DualAtom("Q"), f, fs) == (CutLink(arrow="id Q"), fs, f)
+    pair = Tensor(Atom("Q"), DualAtom("Q"))
+    assert id_cut(pauli8, pair, f, fs) == (CutLink(formula=pair), f, fs)
+
+
+def test_plus_links_are_one_kind_with_a_side():
+    f = Atom("Q")
+    assert Plus1Link(f) != Plus2Link(f)
+    assert Plus1Link(f) == Plus1Link(f)
+    assert isinstance(Plus1Link(f), PlusLink) and isinstance(Plus2Link(f), PlusLink)
+    assert (Plus1Link.right, Plus2Link.right) == (False, True)
+
+
+PLUS_SIDES_NET = (
+    "net sides\n"
+    "conclusions (Q* + I) , (I + Q)\n"
+    "slice\n"
+    "  ax a : id Q\n"
+    "  plus1 p = a.0 | I\n"
+    "  plus2 q = I | a.1\n"
+    "  out p.0 , q.0\n"
+    "end\n"
+)
+
+
+def test_plus_sides_print_and_reparse(pauli8):
+    net = parse_net(PLUS_SIDES_NET, pauli8)
+    s = net.slices[0]
+    assert s.links["p"] == Plus1Link(Unit()) and s.links["q"] == Plus2Link(Unit())
+    labs = labels(s, pauli8)
+    assert labs[("p", 0)] == Plus(DualAtom("Q"), Unit())
+    assert labs[("q", 0)] == Plus(Unit(), Atom("Q"))
+    assert print_net(net) == PLUS_SIDES_NET
+    assert parse_net(print_net(net), pauli8).slices[0].links == s.links
+
+
+def test_parse_runs_labels_once_per_slice(pauli8, monkeypatch):
+    calls = []
+
+    def counted(slice_, cat):
+        calls.append(slice_)
+        return labels(slice_, cat)
+
+    monkeypatch.setattr(net_module, "labels", counted)
+    net = parse_net(fixtures.SWAPPING_NET, pauli8)
+    assert len(net.slices) == 4
+    assert len(calls) == 4
+
+
 def test_id_cut_inference_on_compounds(pauli8):
     text = (
         "net n\n"
@@ -236,8 +305,9 @@ def test_unit_feeding_id_cut_allowed(pauli8):
 
 
 def test_zero_conclusion_with_slices_rejected(pauli8):
+    # also a dangling a.1: the conclusion is reported before the slice
     text = "net n\nconclusions 0\nslice\n  ax a : id Q\n  out a.0\nend\n"
-    with pytest.raises(NetError):
+    with pytest.raises(NetError, match="conclusion 0 must have no slices"):
         parse_net(text, pauli8)
 
 
