@@ -140,8 +140,16 @@ def anf_star(a):
     return tuple(tuple(lit.dual() for lit in w) for w in a)
 
 
+# Most words an ANF may have.  A tensor of sums multiplies word counts, so a
+# short formula can stand for exponentially many words; ``anf_kron`` checks
+# the count before it builds them.
+MAX_WORDS = 2**12
+
+
 def anf_kron(a, b):
     """Tensor of ANFs: all concatenations u+v, u-major."""
+    if len(a) * len(b) > MAX_WORDS:
+        raise FormulaError(f"ANF of {len(a) * len(b)} words, more than {MAX_WORDS}")
     return tuple(u + v for u in a for v in b)
 
 

@@ -8,8 +8,8 @@ generating arrow whose domain sits at the starred end, and carries a multiset
 of loop classes.  Composition traces paths through the shared interface;
 cycles that close up inside the interface become loops.
 
-``denote`` interprets a proof net here; ``complete`` goes back, rebuilding a
-net from any arrow, one slice per wiring.
+``denote`` reads one wiring off each slice of a proof net; ``complete`` goes
+back, rebuilding a net from any arrow, one slice per wiring.
 
 Only the public entry points check what they are given: ``FreeArrow(...)``,
 ``wiring`` and ``parse_arrow``.  The operations on arrows and wirings this
@@ -23,15 +23,12 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
-from operator import matmul
 
 from . import net as nets
 from .category import Loop
 from .errors import ParseError
 from .formula import (
-    Atom,
-    DualAtom,
+    Literal,
     anf,
     anf_formula,
     anf_kron,
@@ -383,8 +380,6 @@ def zero(cat, dom, cod):
 
 def embed(cat, f):
     """A generating arrow as a free arrow between singleton words."""
-    from .formula import Literal
-
     u = (Literal(cat.dom(f)),)
     v = (Literal(cat.cod(f)),)
     return _arrow(cat, (u,), (v,), {(0, 0): Counter({_wiring(u, v, [(0, 1, f)], ()): 1})})
@@ -506,67 +501,72 @@ def trace_arrow(f, a, b, c):
 # denotation of nets
 
 
-def denote_slice(s, cat, cod):
-    """The arrow I -> ``cod`` (the conclusions' tensor) denoted by one slice.
+def denote_slice(s, cat):
+    """The one wiring a slice denotes, as ``(row, wiring)``, or ``None`` for zero.
 
-    A slice is a forest: its roots are the ports on ``outs`` and the cuts,
-    its leaves are axiom outputs and units, and times and plus links sit in
-    between.  So it denotes ``names >> permutation >> roots``: ``names`` is
-    the tensor of the axioms' names in id order; ``roots`` is the tensor of
-    each out port's tree, then of each cut's two trees followed by its
-    co-name (or, for a formula cut, its counit); and the one permutation
-    takes the axiom outputs from ``names`` order to the order in which the
-    walk of the trees meets them.
+    A slice has made every sum choice, so it denotes one wiring I -> word
+    ``row`` of the conclusions' ANF, or zero when a formula cut joins two
+    different words.  Its links form trees rooted at the outs and the cuts.
+    One walk lays their leaves out in ``word``, outs first, and tracks which
+    word of its label each tree spells.  ``names`` pairs each axiom's outputs
+    in ``word``; ``roots`` joins each cut's two sides and passes the outs'
+    leaves through.  The slice denotes ``names`` followed by ``roots``.
     """
-    axioms = sorted(lid for lid, link in s.links.items() if isinstance(link, nets.AxLink))
-    factor_of = {}  # axiom output port -> its tensor factor in ``names``
-    factors = []
-    for lid in axioms:
-        f = s.links[lid].arrow
-        for slot, lit in enumerate((DualAtom(cat.dom(f)), Atom(cat.cod(f)))):
-            factor_of[(lid, slot)] = len(factors)
-            factors.append(anf(lit))
-    leaves = []  # factors in the order the walk meets them
+    word = []
+    axioms = {}  # axiom id -> [position of its output 0, of its output 1, its arrow]
 
     def tree(port):
-        lid, _ = port
+        # (row, words): the leaves below port spell word row of a words-word ANF
+        lid, slot = port
         match s.links[lid]:
-            case nets.AxLink():
-                leaves.append(factor_of[port])
-                return identity(cat, factors[factor_of[port]])
+            case nets.AxLink(arrow=f):
+                axioms.setdefault(lid, [0, 0, f])[slot] = len(word)
+                word.append(Literal(cat.cod(f)) if slot else Literal(cat.dom(f), True))
+                return 0, 1
             case nets.UnitLink():
-                return identity(cat, UNIT)
+                return 0, 1
             case nets.TimesLink():
-                return tree(s.wires[(lid, 0)]) @ tree(s.wires[(lid, 1)])
+                r0, n0 = tree(s.wires[(lid, 0)])
+                r1, n1 = tree(s.wires[(lid, 1)])
+                return r0 * n1 + r1, n0 * n1
             case nets.PlusLink(other, right=right):
-                below = tree(s.wires[(lid, 0)])
-                parts = [anf(other), below.cod] if right else [below.cod, anf(other)]
-                return _inject(below, parts, int(right))
+                r, n = tree(s.wires[(lid, 0)])
+                k = len(anf(other))
+                return r + k * right, n + k
 
-    roots = [tree(port) for port in s.outs]
+    row = 0
+    for port in s.outs:
+        r, n = tree(port)
+        row = row * n + r
+    out_word = tuple(word)
+    pairs = []
     for lid in sorted(lid for lid, link in s.links.items() if isinstance(link, nets.CutLink)):
-        link = s.links[lid]
-        pair = tree(s.wires[(lid, 0)]) @ tree(s.wires[(lid, 1)])
-        if link.arrow is not None:
-            roots.append(pair >> coname_of(embed(cat, link.arrow)))
-        else:
-            roots.append(pair >> epsilon(cat, anf(link.formula)))
-    unit = identity(cat, UNIT)
-    names = reduce(matmul, [name_of(embed(cat, s.links[lid].arrow)) for lid in axioms], unit)
-    d = names >> permutation(cat, factors, leaves) >> reduce(matmul, roots, unit)
-    if d.cod != cod:
-        raise AssertionError("denotation has unexpected codomain")
-    return d
+        a, (r0, _) = len(word), tree(s.wires[(lid, 0)])
+        b, (r1, _) = len(word), tree(s.wires[(lid, 1)])
+        g = s.links[lid].arrow
+        if g is None and r0 != r1:
+            return None
+        pairs += [(a, b, g)] if g is not None else _id_pairs(cat, word[a:b], a, b)
+    word = tuple(word)
+    pairs += _id_pairs(cat, out_word, 0, len(word))
+    names = _wiring((), word, map(tuple, axioms.values()), ())
+    return row, wiring_compose(cat, names, _wiring(word, out_word, pairs, ()))
 
 
 def denote(net):
-    """The arrow denoted by a net: the sum over its slices."""
+    """The arrow I -> conclusions denoted by a net: each slice adds its wiring to its row."""
     cat = net.cat
     cod = anf_kron_all([anf(f) for f in net.conclusions])
-    out = zero(cat, UNIT, cod)
+    entries = {}
     for s in net.slices:
-        out = out + denote_slice(s, cat, cod)
-    return out
+        d = denote_slice(s, cat)
+        if d is None:
+            continue
+        row, t = d
+        if t.cod != cod[row]:
+            raise AssertionError("denotation has unexpected codomain")
+        entries.setdefault((row, 0), Counter())[t] += 1
+    return _arrow(cat, UNIT, cod, entries)
 
 
 # ---------------------------------------------------------------------------

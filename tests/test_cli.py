@@ -1,7 +1,8 @@
 import pytest
 
 from cqlnet import cli, fixtures
-from cqlnet.formula import MAX_DEPTH
+from cqlnet.errors import FormulaError
+from cqlnet.formula import MAX_DEPTH, MAX_WORDS
 from cqlnet.freecat import denote, embed, fa_equal, fmt_arrow, name_of, parse_arrow
 from cqlnet.model import MAX_ENTRIES
 from cqlnet.net import parse_net
@@ -251,6 +252,17 @@ def test_eval_size_limit(exdir, tmp_path, capsys):
     assert cli.main(base + [_sum_net(tmp_path, 7)]) == 2
     err = capsys.readouterr().err.strip()
     assert err == f"error: net sum7: {8**7} output entries, more than {MAX_ENTRIES}"
+
+
+def test_anf_word_limit_exits_two(exdir, tmp_path, capsys, pauli8):
+    # sum16's conclusion stands for 2^16 words; anf stops at the first product past the limit
+    assert 2**12 <= MAX_WORDS < 2**13
+    net = _sum_net(tmp_path, 16)
+    with pytest.raises(FormulaError, match=f"ANF of {2**13} words, more than {MAX_WORDS}"):
+        denote(parse_net((tmp_path / "sum16.net").read_text(), pauli8))
+    assert cli.main(["denote", "--category", _p(exdir, "pauli8.cat"), net]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: ANF of {2**13} words, more than {MAX_WORDS}"
 
 
 def test_eval_state_limit_exits_two(exdir, tmp_path, capsys, closed_tensor_net):

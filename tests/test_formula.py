@@ -2,6 +2,7 @@ import pytest
 
 from cqlnet.errors import FormulaError, ParseError
 from cqlnet.formula import (
+    MAX_WORDS,
     Atom,
     DualAtom,
     Literal,
@@ -115,6 +116,20 @@ def test_anf_kron_is_row_major():
         (Literal("B"), Literal("C")),
         (Literal("B"), Literal("D")),
     )
+
+
+def test_anf_kron_word_limit():
+    q = ((Literal("Q"),),)
+    assert len(anf_kron(q * 64, q * (MAX_WORDS // 64))) == MAX_WORDS
+    too_many = f"ANF of {MAX_WORDS + 64} words, more than {MAX_WORDS}"
+    with pytest.raises(FormulaError, match=too_many):
+        anf_kron(q * 64, q * (MAX_WORDS // 64 + 1))
+    # a short formula whose ANF would pass the limit: 16 tensored (Q + Q)
+    sums = "(Q + Q)"
+    for _ in range(15):
+        sums = f"({sums} x (Q + Q))"
+    with pytest.raises(FormulaError):
+        anf(parse_formula(sums))
 
 
 def test_validate_unit_restriction():

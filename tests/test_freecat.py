@@ -465,10 +465,8 @@ def test_denote_deep_sum_tree(pauli8, pauli8_mod):
     assert fa_equal(denote(back), fa)
 
 
-def test_denote_plus_chain_checks_nothing_and_composes_a_fixed_number_of_times(
-    pauli8, plus_chain_net, monkeypatch
-):
-    # a plus link shifts the rows of the arrow below it instead of composing
+def _count_calls(monkeypatch, *names):
+    """Count calls to the named ``freecat`` functions from inside the module."""
     calls = Counter()
 
     def counted(name):
@@ -480,8 +478,16 @@ def test_denote_plus_chain_checks_nothing_and_composes_a_fixed_number_of_times(
 
         return call
 
-    for name in ("wiring", "wiring_compose"):
+    for name in names:
         monkeypatch.setattr(freecat, name, counted(name))
+    return calls
+
+
+def test_denote_plus_chain_checks_nothing_and_composes_a_fixed_number_of_times(
+    pauli8, plus_chain_net, monkeypatch
+):
+    # a plus link shifts the rows of the arrow below it instead of composing
+    calls = _count_calls(monkeypatch, "wiring", "wiring_compose")
     made = {}
     for n in (64, 256):
         net = parse_net(plus_chain_net(n), pauli8)
@@ -490,3 +496,36 @@ def test_denote_plus_chain_checks_nothing_and_composes_a_fixed_number_of_times(
         made[n] = (calls["wiring"], calls["wiring_compose"])
     assert made[64][0] == made[256][0] == 0
     assert made[64][1] == made[256][1]
+
+
+def _cut_chain(n):
+    """One slice of n axioms ``X`` joined by n-1 cuts ``Z``."""
+    lines = ["net chain", "conclusions Q* , Q", "slice"] + [f"  ax a{k} : X" for k in range(n)]
+    lines += [f"  cut a{k}.1 , a{k + 1}.0 : Z" for k in range(n - 1)]
+    return "\n".join(lines + [f"  out a0.0 , a{n - 1}.1", "end"]) + "\n"
+
+
+def _tower_slice(second):
+    # a formula cut on (I + I) joins two plus links: zero when they pick different words
+    return (
+        "slice\n  ax a : id Q\n  unit u\n  unit v\n  plus1 p = u.0 | I\n"
+        f"  {second}\n  cut p.0 , q.0 : id\n  out a.0 , a.1\nend\n"
+    )
+
+
+def test_denote_composes_once_per_nonzero_slice_and_builds_one_arrow(pauli8, monkeypatch):
+    # each slice denotes one wiring, read off its trees; only the sum is a FreeArrow
+    tower = "net tower\nconclusions Q* , Q\n" + _tower_slice("plus2 q = I | v.0")
+    tower += _tower_slice("plus1 q = v.0 | I")
+    swap = parse_net(fixtures.SWAPPING_NET, pauli8)
+    calls = _count_calls(monkeypatch, "wiring_compose", "_arrow")
+    for net, nonzero in (
+        (parse_net(_cut_chain(800), pauli8), 1),
+        (swap, len(swap.slices)),
+        (parse_net(tower, pauli8), 1),
+    ):
+        calls.clear()
+        fa = denote(net)
+        assert calls == {"wiring_compose": nonzero, "_arrow": 1}
+        assert sum(sum(c.values()) for c in fa.entries.values()) == nonzero
+    assert fa_equal(fa, denote(parse_net(fixtures.BELL_NET, pauli8)))

@@ -4,7 +4,9 @@ Each seed text (the fixture categories, models and nets, printed random nets
 and printed random arrows) is mutated by deleting or duplicating each line in
 turn, and by seeded token deletions, swaps and duplications.  Every mutant
 must load, and a net that loads must also normalize, denote and evaluate, or
-else fail with one of the five documented errors.
+else fail with one of the five documented errors.  A net that gets through
+must have the same denotation as its normal form, and ``eval_net`` must agree
+with ``eval_free`` of its denotation.
 """
 
 import random
@@ -13,11 +15,11 @@ import re
 from cqlnet import fixtures
 from cqlnet.category import load_category
 from cqlnet.errors import CategoryError, FormulaError, ModelError, NetError, ParseError
-from cqlnet.freecat import denote, fmt_arrow, parse_arrow
-from cqlnet.model import eval_net, load_model
+from cqlnet.freecat import denote, fa_equal, fmt_arrow, parse_arrow
+from cqlnet.model import eval_free, eval_net, load_model
 from cqlnet.net import parse_net, print_net
 from cqlnet.randgen import random_free_arrow, random_net
-from cqlnet.rewrite import normalize
+from cqlnet.rewrite import normalize, to_net
 
 DOCUMENTED = (ParseError, CategoryError, FormulaError, NetError, ModelError)
 TOKEN_MUTANTS = 150
@@ -63,9 +65,9 @@ def test_mutants_end_in_a_result_or_a_documented_error():
     def net_pipeline(cat):
         def run(text):
             net = parse_net(text, cat)
-            normalize(net)
-            denote(net)
-            eval_net(net, model_of[cat])
+            fa = denote(net)
+            assert fa_equal(denote(to_net(normalize(net), cat)), fa)
+            assert eval_net(net, model_of[cat]) == eval_free(fa, model_of[cat])
 
         return run
 
