@@ -170,9 +170,13 @@ def word_formula(w):
 
 
 def anf_formula(a):
-    """A canonical formula with the given ANF (left-nested sums of words)."""
+    """The canonical formula of an ANF, left-nested sums of words; FormulaError if too deep."""
     if not a:
         return Zero()
+    # word k lies under len(a) - max(k, 1) sums
+    depth = max(len(a) - max(k, 1) + max(len(w) - 1, 0) for k, w in enumerate(a))
+    if depth > MAX_DEPTH:
+        raise FormulaError(f"formula nested {depth} deep, deeper than {MAX_DEPTH}")
     out = word_formula(a[0])
     for w in a[1:]:
         out = Plus(out, word_formula(w))

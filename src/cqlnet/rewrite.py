@@ -5,10 +5,12 @@ cut back on itself, a cut on a tensor, plus, or unit formula, or a closed
 loop (an identity cut on both outputs of one endo axiom).  All but the last
 are redexes; closed loops are normal and denote loop scalars.  Each step
 removes links or turns a non-identity self-cut into a closed loop, so
-reduction terminates in at most as many steps as there are links.  Cuts on
-tensor, plus and unit formulas share one rule: drop the cut and the links
-that built its inputs, and cut each sub-formula they joined: two for a
-tensor, none for a unit, and for a sum the side both plus links chose.
+reduction terminates in at most as many steps as there are links.  It runs
+in time linear in the links: a worklist of redexes over one working copy of
+the slice, rewritten in place.  Cuts on tensor, plus and unit formulas share
+one rule: drop the cut and the links that built its inputs, and cut each
+sub-formula they joined: two for a tensor, none for a unit, and for a sum
+the side both plus links chose.
 
 A normal slice is determined by its plus choices, the pairing of its
 conclusion leaves, and its loop classes; nets compare equal when their
@@ -17,6 +19,7 @@ normal slices match as multisets over equal conclusion lists.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 
@@ -33,6 +36,9 @@ class Redex:
     rule: str  # "ax-self" | "ax-ax" | "times" | "plus" | "unit"
 
 
+_FORMULA_RULES = {Unit: "unit", Tensor: "times", Plus: "plus"}
+
+
 def _classify(s, cat, cid):
     """The redex at cut ``cid``, or None for a closed loop (normal)."""
     link = s.links[cid]
@@ -42,14 +48,7 @@ def _classify(s, cat, cid):
                 return None  # closed loop, a normal scalar
             return Redex(cid, "ax-self")
         return Redex(cid, "ax-ax")
-    match link.formula:
-        case Unit():
-            return Redex(cid, "unit")
-        case Tensor():
-            return Redex(cid, "times")
-        case Plus():
-            return Redex(cid, "plus")
-    raise AssertionError(f"unexpected cut formula {link.formula!r}")
+    return Redex(cid, _FORMULA_RULES[type(link.formula)])
 
 
 def find_redexes(s, cat):
@@ -63,6 +62,70 @@ def find_redexes(s, cat):
     return out
 
 
+class _Work:
+    """A private copy of a slice that rewriting changes in place.
+
+    ``cons`` maps each output port to its consumer, or to ``(None, k)`` if out ``k``.
+    """
+
+    def __init__(self, s):
+        self.links, self.wires, self.outs = dict(s.links), dict(s.wires), list(s.outs)
+        self.cons = {port: (None, k) for k, port in enumerate(s.outs)} | s.consumers()
+
+    def drop(self, lid):
+        for slot in range(self.links[lid].n_in):
+            del self.cons[self.wires.pop((lid, slot))]
+        del self.links[lid]
+
+    def rewire(self, old_port, new_port):
+        lid, k = self.cons[new_port] = self.cons.pop(old_port)
+        if lid is None:
+            self.outs[k] = new_port
+        else:
+            self.wires[(lid, k)] = new_port
+
+
+def _rewrite(w, cat, cid, rule):
+    """Apply ``rule`` at cut ``cid`` in place; returns the cuts to reclassify, or None for zero."""
+    links, wires = w.links, w.wires
+    link = links[cid]
+    if rule == "ax-self":
+        # the cut already runs from the axiom's output 1 to its output 0
+        ax = wires[(cid, 0)][0]
+        loop_arrow = cat.compose(links[ax].arrow, link.arrow)
+        links[ax] = nets.AxLink(loop_arrow)
+        links[cid] = nets.CutLink(arrow=cat.identity(cat.dom(loop_arrow)))
+        return ()  # now a closed loop
+    if rule == "ax-ax":
+        f_ax, h_ax = wires[(cid, 0)][0], wires[(cid, 1)][0]
+        composite = cat.compose(cat.compose(links[f_ax].arrow, link.arrow), links[h_ax].arrow)
+        nid = min(f_ax, h_ax)
+        w.drop(cid)
+        del links[f_ax], links[h_ax]
+        links[nid] = nets.AxLink(composite)
+        w.rewire((f_ax, 0), (nid, 0))
+        w.rewire((h_ax, 1), (nid, 1))
+        consumers = (w.cons[(nid, 0)][0], w.cons[(nid, 1)][0])
+        return [lid for lid in consumers if isinstance(links.get(lid), nets.CutLink)]
+    # a cut on a compound formula meets the two links that built it and
+    # its dual: cut each joined sub-formula instead, input k against input k
+    a, b = wires[(cid, 0)][0], wires[(cid, 1)][0]
+    f = link.formula
+    if rule == "plus":
+        if links[a].right != links[b].right:
+            return None  # opposite injections: the slice is zero
+        subs = (f.right if links[a].right else f.left,)
+    else:
+        subs = (f.left, f.right) if rule == "times" else ()
+    joins = [(g, wires[(a, k)], wires[(b, k)]) for k, g in enumerate(subs)]
+    for lid in (cid, a, b):
+        w.drop(lid)
+    for nid, (g, p, q) in zip((cid, a), joins):
+        links[nid], wires[(nid, 0)], wires[(nid, 1)] = nets.id_cut(cat, g, p, q)
+        w.cons[wires[(nid, 0)]], w.cons[wires[(nid, 1)]] = (nid, 0), (nid, 1)
+    return (cid, a)[:len(joins)]
+
+
 def step(s, cat, redex):
     """Apply one redex; returns the new slice, or None when the slice deletes."""
     if redex.cut not in s.links or not isinstance(s.links[redex.cut], nets.CutLink):
@@ -70,86 +133,49 @@ def step(s, cat, redex):
     current = _classify(s, cat, redex.cut)
     if current is None or current.rule != redex.rule:
         raise ValueError(f"stale redex: cut {redex.cut} is now {current!r}")
-    cid = redex.cut
-    link = s.links[cid]
-    links = dict(s.links)
-    wires = dict(s.wires)
-    outs = list(s.outs)
-    rev = s.consumers()
-
-    def rewire(old_port, new_port):
-        consumer = rev.get(old_port)
-        if consumer is not None:
-            wires[consumer] = new_port
-        else:
-            outs[outs.index(old_port)] = new_port
-
-    def drop_link(lid):
-        for slot in range(links[lid].n_in):
-            del wires[(lid, slot)]
-        del links[lid]
-
-    if redex.rule == "ax-self":
-        ax = s.wires[(cid, 0)][0]
-        loop_arrow = cat.compose(links[ax].arrow, link.arrow)
-        a = cat.dom(loop_arrow)
-        links[ax] = nets.AxLink(loop_arrow)
-        links[cid] = nets.CutLink(arrow=cat.identity(a))
-        wires[(cid, 0)] = (ax, 1)
-        wires[(cid, 1)] = (ax, 0)
-    elif redex.rule == "ax-ax":
-        f_ax = s.wires[(cid, 0)][0]
-        h_ax = s.wires[(cid, 1)][0]
-        f, h = links[f_ax].arrow, links[h_ax].arrow
-        composite = cat.compose(cat.compose(f, link.arrow), h)
-        nid = min(f_ax, h_ax)
-        drop_link(cid)
-        del links[f_ax]
-        del links[h_ax]
-        links[nid] = nets.AxLink(composite)
-        rewire((f_ax, 0), (nid, 0))
-        rewire((h_ax, 1), (nid, 1))
-    else:
-        # a cut on a compound formula meets the two links that built it and
-        # its dual: cut each joined sub-formula instead, input k against input k
-        a, b = s.wires[(cid, 0)][0], s.wires[(cid, 1)][0]
-        f = link.formula
-        if redex.rule == "plus":
-            if links[a].right != links[b].right:
-                return None  # opposite injections: the slice is zero
-            subs = (f.right if links[a].right else f.left,)
-        else:
-            subs = (f.left, f.right) if redex.rule == "times" else ()
-        joins = [(g, s.wires[(a, k)], s.wires[(b, k)]) for k, g in enumerate(subs)]
-        drop_link(cid)
-        drop_link(a)
-        drop_link(b)
-        for nid, (g, p, q) in zip((cid, a), joins):
-            links[nid], wires[(nid, 0)], wires[(nid, 1)] = nets.id_cut(cat, g, p, q)
-    return nets.Slice(links, wires, tuple(outs))
+    w = _Work(s)
+    if _rewrite(w, cat, redex.cut, redex.rule) is None:
+        return None
+    return nets.Slice(w.links, w.wires, tuple(w.outs))
 
 
 def normalize_slice(s, cat, strategy="min", rng=None, on_step=None):
-    """Reduce one slice to normal form; returns (slice or None, step count)."""
+    """Reduce one slice to normal form; returns (slice or None, step count).
+
+    ``live`` holds the slice's redexes by cut id; after each step only the
+    cuts it touched are classified again.  ``min`` pops the least live id off
+    a heap; ``random`` chooses among them sorted, as ``find_redexes`` lists.
+    """
+    live = {r.cut: r for r in find_redexes(s, cat)}
+    if not live:
+        return s, 0  # already normal: nothing to copy
+    heap = list(live)  # sorted, so already a heap
+    w = _Work(s)
     steps = 0
-    while True:
-        redexes = find_redexes(s, cat)
-        if not redexes:
-            return s, steps
+    while live:
         if strategy == "min":
-            r = redexes[0]
+            cid = heapq.heappop(heap)
+            if cid not in live:
+                continue  # reduced already, or now a closed loop
         elif strategy == "random":
-            r = rng.choice(redexes)
+            cid = rng.choice(sorted(live))
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
-        s2 = step(s, cat, r)
+        r = live.pop(cid)
+        touched = _rewrite(w, cat, cid, r.rule)
         steps += 1
         if on_step is not None:
-            remaining = 0 if s2 is None else len(s2.links)
-            on_step(r, remaining)
-        if s2 is None:
+            on_step(r, 0 if touched is None else len(w.links))
+        if touched is None:
             return None, steps
-        s = s2
+        for t in touched:
+            nr = _classify(w, cat, t)
+            if nr is None:
+                live.pop(t, None)
+            else:
+                live[t] = nr
+                heapq.heappush(heap, t)
+    return nets.Slice(w.links, w.wires, tuple(w.outs)), steps
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,19 @@ def plus_chain_net():
 
 
 @pytest.fixture(scope="session")
+def cut_chain_net():
+    """Net text with one slice of n axioms ``X`` joined by n-1 cuts ``Z``."""
+
+    def build(n):
+        lines = ["net chain", "conclusions Q* , Q", "slice"]
+        lines += [f"  ax a{k} : X" for k in range(n)]
+        lines += [f"  cut a{k}.1 , a{k + 1}.0 : Z" for k in range(n - 1)]
+        return "\n".join(lines + [f"  out a0.0 , a{n - 1}.1", "end"]) + "\n"
+
+    return build
+
+
+@pytest.fixture(scope="session")
 def closed_tensor_net():
     """Net text with k axioms ``id Q``, each end tensored by k-1 times links.
 

@@ -2,8 +2,8 @@ import pytest
 
 from cqlnet import cli, fixtures
 from cqlnet.errors import FormulaError
-from cqlnet.formula import MAX_DEPTH, MAX_WORDS
-from cqlnet.freecat import denote, embed, fa_equal, fmt_arrow, name_of, parse_arrow
+from cqlnet.formula import MAX_DEPTH, MAX_WORDS, Literal
+from cqlnet.freecat import denote, embed, fa_equal, fmt_arrow, identity, name_of, parse_arrow
 from cqlnet.model import MAX_ENTRIES
 from cqlnet.net import parse_net
 
@@ -109,6 +109,23 @@ def test_equal_command(exdir, capsys):
     rc = cli.main(["equal"] + cat + [_p(exdir, "bell.net"), _p(exdir, "bellx.net")])
     assert rc == 1
     assert capsys.readouterr().out.strip() == "distinct"
+
+
+def test_complete_deep_word_exits_two(exdir, tmp_path, capsys, pauli8):
+    # the name of the identity on Q x ... x Q is one word of 2n literals,
+    # which complete would nest 2n - 1 tensors deep
+    def arrow_file(literals):
+        path = tmp_path / f"deep{literals}.arrow"
+        fa = name_of(identity(pauli8, ((Literal("Q"),) * (literals // 2),)))
+        path.write_text(fmt_arrow(fa))
+        return str(path)
+
+    argv = ["complete", "--category", _p(exdir, "pauli8.cat")]
+    assert cli.main(argv + [arrow_file(MAX_DEPTH)]) == 0
+    capsys.readouterr()
+    assert cli.main(argv + [arrow_file(1200)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == f"error: formula nested 1199 deep, deeper than {MAX_DEPTH}"
 
 
 def test_complete_round_trip(exdir, tmp_path, capsys, pauli8):

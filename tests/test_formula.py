@@ -2,6 +2,7 @@ import pytest
 
 from cqlnet.errors import FormulaError, ParseError
 from cqlnet.formula import (
+    MAX_DEPTH,
     MAX_WORDS,
     Atom,
     DualAtom,
@@ -83,6 +84,18 @@ def test_anf_formula_round_trip():
     for text in ["0", "I", "(Q + I)", "((Q + I) x Q*)", "(Q* x (Q x Q))"]:
         a = anf(parse_formula(text))
         assert anf(anf_formula(a)) == a
+
+
+def test_anf_formula_depth_limit():
+    # word k of n words nests under n - max(k, 1) sums and len - 1 tensors
+    q = Literal("Q")
+    assert anf(anf_formula(((q,) * (MAX_DEPTH + 1),))) == ((q,) * (MAX_DEPTH + 1),)
+    deep = ((q,) * 2, (q,) * MAX_DEPTH, ())
+    msg = f"formula nested {MAX_DEPTH + 1} deep, deeper than {MAX_DEPTH}"
+    with pytest.raises(FormulaError, match=msg):
+        anf_formula(deep)
+    with pytest.raises(FormulaError, match=f"nested {MAX_DEPTH + 1} deep"):
+        anf_formula(((),) * (MAX_DEPTH + 2))
 
 
 def test_word_formula():

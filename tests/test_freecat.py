@@ -498,13 +498,6 @@ def test_denote_plus_chain_checks_nothing_and_composes_a_fixed_number_of_times(
     assert made[64][1] == made[256][1]
 
 
-def _cut_chain(n):
-    """One slice of n axioms ``X`` joined by n-1 cuts ``Z``."""
-    lines = ["net chain", "conclusions Q* , Q", "slice"] + [f"  ax a{k} : X" for k in range(n)]
-    lines += [f"  cut a{k}.1 , a{k + 1}.0 : Z" for k in range(n - 1)]
-    return "\n".join(lines + [f"  out a0.0 , a{n - 1}.1", "end"]) + "\n"
-
-
 def _tower_slice(second):
     # a formula cut on (I + I) joins two plus links: zero when they pick different words
     return (
@@ -513,14 +506,16 @@ def _tower_slice(second):
     )
 
 
-def test_denote_composes_once_per_nonzero_slice_and_builds_one_arrow(pauli8, monkeypatch):
+def test_denote_composes_once_per_nonzero_slice_and_builds_one_arrow(
+    pauli8, monkeypatch, cut_chain_net
+):
     # each slice denotes one wiring, read off its trees; only the sum is a FreeArrow
     tower = "net tower\nconclusions Q* , Q\n" + _tower_slice("plus2 q = I | v.0")
     tower += _tower_slice("plus1 q = v.0 | I")
     swap = parse_net(fixtures.SWAPPING_NET, pauli8)
     calls = _count_calls(monkeypatch, "wiring_compose", "_arrow")
     for net, nonzero in (
-        (parse_net(_cut_chain(800), pauli8), 1),
+        (parse_net(cut_chain_net(800), pauli8), 1),
         (swap, len(swap.slices)),
         (parse_net(tower, pauli8), 1),
     ):

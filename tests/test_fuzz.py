@@ -5,8 +5,9 @@ and printed random arrows) is mutated by deleting or duplicating each line in
 turn, and by seeded token deletions, swaps and duplications.  Every mutant
 must load, and a net that loads must also normalize, denote and evaluate, or
 else fail with one of the five documented errors.  A net that gets through
-must have the same denotation as its normal form, and ``eval_net`` must agree
-with ``eval_free`` of its denotation.
+must normalize each slice in at most as many steps as it has links, have the
+same denotation as its normal form, and ``eval_net`` must agree with
+``eval_free`` of its denotation.
 """
 
 import random
@@ -19,10 +20,16 @@ from cqlnet.freecat import denote, fa_equal, fmt_arrow, parse_arrow
 from cqlnet.model import eval_free, eval_net, load_model
 from cqlnet.net import parse_net, print_net
 from cqlnet.randgen import random_free_arrow, random_net
-from cqlnet.rewrite import normalize, to_net
+from cqlnet.rewrite import normalize, normalize_slice, to_net
 
 DOCUMENTED = (ParseError, CategoryError, FormulaError, NetError, ModelError)
 TOKEN_MUTANTS = 150
+# formula cuts on two-literal words, which the fixtures do not have
+TIMES_CUT_NET = (
+    "net n\nconclusions\nslice\n  ax a : id Q\n  ax b : id Q\n"
+    "  times t = a.1 b.0\n  times u = a.0 b.1\n"
+    "  cut t.0 , u.0 : id\n  out\nend\n"
+)
 
 
 def line_mutants(text):
@@ -65,6 +72,8 @@ def test_mutants_end_in_a_result_or_a_documented_error():
     def net_pipeline(cat):
         def run(text):
             net = parse_net(text, cat)
+            for s in net.slices:  # the step budget of a strongly normalising calculus
+                assert normalize_slice(s, cat)[1] <= len(s.links)
             fa = denote(net)
             assert fa_equal(denote(to_net(normalize(net), cat)), fa)
             assert eval_net(net, model_of[cat]) == eval_free(fa, model_of[cat])
@@ -84,6 +93,7 @@ def test_mutants_end_in_a_result_or_a_documented_error():
         fixtures.CHAIN_NET,
         fixtures.RING_NET,
         fixtures.SWAPPING_NET,
+        TIMES_CUT_NET,
     ):
         seeds.append((net_text, net_pipeline(pauli8)))
     for i in range(5):

@@ -1,12 +1,14 @@
 import random
+from functools import reduce
 
 import pytest
 
-from cqlnet import fixtures
+from cqlnet import fixtures, rewrite
 from cqlnet.category import Loop
 from cqlnet.errors import NetError
+from cqlnet.formula import Unit
 from cqlnet.net import AxLink, CutLink, parse_net, print_net
-from cqlnet.randgen import random_net
+from cqlnet.randgen import balanced_formula, random_net
 from cqlnet.rewrite import (
     CanonicalSlice,
     NormalNet,
@@ -140,11 +142,26 @@ def test_plus_cut_match_reduces_to_unit_cut(pauli8):
     assert beta_equal(net2, bell)
 
 
+def _larger_net(cat, rng, name):
+    """A random net over one or two depth-4 conclusions, up to 48 links a slice.
+
+    ``random_net``'s own conclusions have depth 2, which keeps its slices
+    under about 32 links.
+    """
+    concl = []
+    for _ in range(rng.randint(1, 2)):
+        f = Unit()
+        while isinstance(f, Unit):  # a bare I conclusion is not a valid net
+            f = balanced_formula(cat, rng, depth=4)
+        concl.append(f)
+    return random_net(cat, rng, name=name, conclusions=tuple(concl), max_links=48)
+
+
 def test_step_count_bounded_by_links(pauli8, c2):
     rng = random.Random(5)
-    for i in range(30):
+    for i in range(60):
         cat = c2 if i % 2 else pauli8
-        net = random_net(cat, rng, name=f"r{i}")
+        net = _larger_net(cat, rng, f"r{i}")
         for s in net.slices:
             nlinks = len(s.links)
             nf, steps = normalize_slice(s, cat)
@@ -155,12 +172,40 @@ def test_step_count_bounded_by_links(pauli8, c2):
 
 def test_confluence_on_random_nets(pauli8, c2):
     rng = random.Random(11)
-    for i in range(30):
+    for i in range(60):
         cat = c2 if i % 2 else pauli8
-        net = random_net(cat, rng, name=f"r{i}")
+        net = _larger_net(cat, rng, f"r{i}")
         base = normalize(net, strategy="min")
         for seed in (1, 2, 3):
             assert normalize(net, strategy="random", seed=seed) == base
+
+
+def test_random_strategy_confluence_on_a_long_cut_chain(pauli8, cut_chain_net):
+    chain = parse_net(cut_chain_net(200), pauli8)
+    base = normalize(chain)
+    for seed in (1, 2, 3):
+        assert normalize(chain, strategy="random", seed=seed) == base
+
+
+def test_normalize_is_linear_on_a_cut_chain(pauli8, cut_chain_net, monkeypatch):
+    # a step reclassifies only the cuts it touched; rescanning every cut
+    # after every step would classify about n^2 / 2 of them
+    n = 800
+    chain = parse_net(cut_chain_net(n), pauli8)
+    classified = []
+
+    def classify(s, cat, cid, real=rewrite._classify):
+        classified.append(cid)
+        return real(s, cat, cid)
+
+    monkeypatch.setattr(rewrite, "_classify", classify)
+    trace = []
+    nn = normalize(chain, trace=trace)
+    assert len(trace) == n - 1 and all(": ax-ax at " in line for line in trace)
+    assert len(classified) <= 4 * n
+    arrow = reduce(pauli8.compose, ["X"] + ["Z", "X"] * (n - 1))
+    one = f"net one\nconclusions Q* , Q\nslice\n  ax a : {arrow}\n  out a.0 , a.1\nend\n"
+    assert nn == normalize(parse_net(one, pauli8))
 
 
 def test_normalize_idempotent(pauli8, c2):
