@@ -122,37 +122,30 @@ def wiring_compose(cat, t1, t2):
         side, k = node
         return k if side == "a" else n1 + (k - m)
 
+    visited = set()
+
+    def strand(start):
+        # compose the labels from start on, until the strand leaves or closes
+        acc, cur = None, start
+        while True:
+            f = label_at[cur]
+            acc = f if acc is None else cat.compose(acc, f)
+            visited.add(cur)
+            end = partner[cur]
+            cur = cross(end)
+            if cur is None or cur == start:
+                return acc, end
+
     starts = [("a", p) for p in range(n1) if t1.dom[p].dual().star]
     starts += [("b", m + q) for q in range(len(t2.cod)) if t2.cod[q].star]
-    visited = set()
     out_pairs = []
     for start in starts:
-        acc = None
-        cur = start
-        while True:
-            f = label_at[cur]
-            acc = f if acc is None else cat.compose(acc, f)
-            visited.add(cur)
-            nxt = partner[cur]
-            crossed = cross(nxt)
-            if crossed is None:
-                out_pairs.append((to_out(start), to_out(nxt), acc))
-                break
-            cur = crossed
+        acc, end = strand(start)
+        out_pairs.append((to_out(start), to_out(end), acc))
     cycles = []
     for start in sorted(set(partner) - visited):
-        if start in visited:
-            continue
-        acc = None
-        cur = start
-        while True:
-            f = label_at[cur]
-            acc = f if acc is None else cat.compose(acc, f)
-            visited.add(cur)
-            cur = cross(partner[cur])
-            if cur == start:
-                break
-        cycles.append(cat.loop_of(acc))
+        if start not in visited:
+            cycles.append(cat.loop_of(strand(start)[0]))
     loops = t1.loops + t2.loops + tuple(cycles)
     return _wiring(t1.dom, t2.cod, out_pairs, loops)
 

@@ -6,33 +6,29 @@ numerators over one shared positive denominator,
 equal elements have equal fields; or booleans with or/and.  Matrices are dense
 lists of such scalars; all comparisons are exact.  No matrix or vector may
 hold more than ``MAX_ENTRIES`` entries: a larger model object, ``eval_free``
-result, ``eval_net`` output or contraction state (keys x open edges) is a
-``ModelError`` before it is allocated.
+result or ``eval_net`` output is a ``ModelError`` before it is allocated.
 
-``eval_free`` evaluates a free arrow entry by entry from its wirings.
-``eval_net`` evaluates a net directly by contracting the model tensors along
-the links, never building wirings, so the two paths check each other.  It
-contracts each cut as soon as its two inputs exist (see ``_schedule``), so a
-cut chain keeps a state of O(n) entries; ``denote`` walks each slice's link
-trees from their roots, so the two evaluators do not share a traversal.
-Its state is sparse: each key holds one slot ``(w, i)`` per open edge, the
-index ``w`` of a word of the edge's ANF and the row-major index ``i`` inside
-that word, which is exactly where the entry sits in the edge's block layout.
+Both evaluators visit only nonzero entries.  ``eval_free`` evaluates a free
+arrow from its wirings.  ``eval_net`` evaluates a net directly along the
+paths of its axioms and cuts, never building wirings, so the two check each
+other; this is the execution formula of the Geometry of Interaction (Danos &
+Regnier, "Proof-nets and the Hilbert space", 1995).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
-from .errors import ModelError, ParseError
+from .errors import ModelError, NetError, ParseError
 from .formula import anf
 from . import net as nets
 
 # Largest number of entries a model may hold in one matrix or vector: an object's
-# dim x dim identity, ``eval_free``'s rows x cols, ``eval_net``'s output and the
-# slots of ``eval_slice``'s state.  Each larger one is a ``ModelError`` up front.
+# dim x dim identity, ``eval_free``'s rows x cols and ``eval_net``'s output.
+# Each larger one is a ``ModelError`` up front.
 MAX_ENTRIES = 2**20
 
 
@@ -361,6 +357,9 @@ class Interpretation:
         for f in cat.arrows:
             if self.mats[cat.dagger(f)] != self.mats[f].dagger():
                 raise ModelError(f"matrices break dagger on {f}")
+        # each column of each matrix as the list of its nonzero (row, value) entries
+        self.cols = {f: [[(i, r[j]) for i, r in enumerate(m.rows) if r[j] != ring.zero]
+                         for j in range(m.ncols)] for f, m in self.mats.items()}
 
     def mat(self, f):
         return self.mats[f]
@@ -496,26 +495,34 @@ def load_model(text, cat):
 
 
 def eval_wiring(t, interp):
-    """The matrix of one wiring: pair factors times loop traces."""
+    """The nonzero entries of one wiring's matrix, as (row, col, value) triples.
+
+    They are the product, over the pairs, of each pair's nonzero matrix
+    entries, times the loop traces.  Boundary positions before ``len(dom)``
+    index digits of the column, the others digits of the row, row-major.
+    """
     ring = interp.ring
-    lfac = ring.one
-    for lp in t.loops:
-        lfac = ring.mul(lfac, interp.mat(lp.arrow).trace())
-    ddims = [interp.dims[l.name] for l in t.dom]
-    cdims = [interp.dims[l.name] for l in t.cod]
-    n = len(t.dom)
-    out = Matrix.zeros(ring, interp.dim_word(t.cod), interp.dim_word(t.dom))
-    for bi, beta in enumerate(itertools.product(*[range(d) for d in cdims])):
-        for ai, alpha in enumerate(itertools.product(*[range(d) for d in ddims])):
+    lfac = functools.reduce(ring.mul, (interp.mat(lp.arrow).trace() for lp in t.loops), ring.one)
+    if lfac == ring.zero:
+        return []
 
-            def val_at(k):
-                return alpha[k] if k < n else beta[k - n]
+    def strides(word):
+        out, m = [], 1
+        for lit in reversed(word):
+            out.append(m)
+            m *= interp.dims[lit.name]
+        return out[::-1]
 
-            v = lfac
-            for neg, pos, f in t.pairs:
-                v = ring.mul(v, interp.mat(f).at(val_at(pos), val_at(neg)))
-            out.put(bi, ai, v)
-    return out
+    # per boundary position: what one step of its index adds to (row, col)
+    step = [(0, c) for c in strides(t.dom)] + [(r, 0) for r in strides(t.cod)]
+    entries = [(0, 0, lfac)]
+    for neg, pos, f in t.pairs:
+        (rn, cn), (rp, cp) = step[neg], step[pos]
+        nonzero = [(i * rp + j * rn, i * cp + j * cn, x)
+                   for j, col in enumerate(interp.cols[f]) for i, x in col]
+        entries = [(r + dr, c + dc, ring.mul(v, x))
+                   for r, c, v in entries for dr, dc, x in nonzero]
+    return entries
 
 
 def eval_free(fa, interp):
@@ -523,12 +530,8 @@ def eval_free(fa, interp):
     if fa.cat is not interp.cat:
         raise ValueError("arrow and model use different categories")
     ring = interp.ring
-    row_off = [0]
-    for w in fa.cod:
-        row_off.append(row_off[-1] + interp.dim_word(w))
-    col_off = [0]
-    for w in fa.dom:
-        col_off.append(col_off[-1] + interp.dim_word(w))
+    row_off = list(itertools.accumulate(map(interp.dim_word, fa.cod), initial=0))
+    col_off = list(itertools.accumulate(map(interp.dim_word, fa.dom), initial=0))
     rows, cols = row_off[-1], col_off[-1]
     if rows * cols > MAX_ENTRIES:
         raise ModelError(
@@ -537,12 +540,9 @@ def eval_free(fa, interp):
     out = Matrix.zeros(ring, rows, cols)
     for (i, j), c in fa.entries.items():
         for t, mult in c.items():
-            block = eval_wiring(t, interp)
-            for bi in range(block.nrows):
-                for bj in range(block.ncols):
-                    v = block.at(bi, bj)
-                    for _ in range(mult):
-                        out.add_at(row_off[i] + bi, col_off[j] + bj, v)
+            for bi, bj, v in eval_wiring(t, interp):
+                for _ in range(mult):  # not a product with mult: in BoolRing x + x = x
+                    out.add_at(row_off[i] + bi, col_off[j] + bj, v)
     return out
 
 
@@ -550,131 +550,112 @@ def eval_free(fa, interp):
 # direct evaluation of nets
 
 
-def _schedule(s):
-    """Link ids in contraction order: each cut right after the links it needs.
+def _then(ring, path, cols):
+    """A path matrix, (index at its end, index at its start) -> value, then ``cols``."""
+    out = {}
+    for (k, a), y in path.items():
+        for i, x in cols[k]:
+            v = ring.mul(x, y)
+            key = (i, a)
+            out[key] = ring.add(out[key], v) if key in out else v
+    return out
 
-    Cuts are taken in ``topo_order``'s order.  Before each cut come the
-    producers its two inputs still lack, in ``topo_order``'s order; the links
-    that feed only ``outs`` come last.  Only axioms grow the state and only
-    cuts shrink it, so each cut contracts as soon as its two inputs exist.
+
+def eval_slice(s, interp, concl):
+    """The nonzero entries of one slice's vector, as (flat index, value) pairs.
+
+    Axiom outputs are the leaves of the trees at the outs and the cuts.  An
+    arrow cut g joins two leaves through mat(g), a formula cut its sides leaf
+    by leaf (or the slice is zero: they spell different words).  So axioms
+    and cuts form paths between out leaves, and cycles.  The vector is the
+    tensor product of the paths' matrices times the cycles' traces, at the
+    outs' word; ``concl`` holds each conclusion's word offsets.
     """
-    topo = nets.topo_order(s)  # raises NetError on cyclic wiring
-    pos = {lid: k for k, lid in enumerate(topo)}
-    order = {}  # insertion-ordered set
-    for cut in (lid for lid in topo if isinstance(s.links[lid], nets.CutLink)):
-        need, stack = set(), [cut]
-        while stack:
-            lid = stack.pop()
-            if lid not in order and lid not in need:
-                need.add(lid)
-                stack.extend(s.wires[(lid, k)][0] for k in range(s.links[lid].n_in))
-        order.update(dict.fromkeys(sorted(need, key=pos.get)))
-    order.update(dict.fromkeys(topo))
-    return list(order)
+    ring, cat, links, wires = interp.ring, interp.cat, s.links, s.wires
+    leaves, reached = [], set()
 
-
-def _times(slot0, slot1, sizes1):
-    """The slot of a tensor: word-major over (w0, w1), row-major inside."""
-    (w0, i0), (w1, i1) = slot0, slot1
-    return (w0 * len(sizes1) + w1, i0 * sizes1[w1] + i1)
-
-
-def eval_slice(s, interp):
-    """Contract one slice to its vector over the conclusions' index space.
-
-    The state maps keys to values; a key holds one slot ``(w, i)`` per open
-    edge: ``w`` picks a word of the edge's ANF and ``i`` a row-major index
-    within that word, and ``sizes`` keeps each edge's word sizes under the
-    model.  An axiom f adds ``(0, a), (0, b)`` with weight ``mat(f)[b][a]``;
-    times combines two slots by ``_times``; a plus link shifts ``w`` past
-    the words of a left ``other``; an arrow cut g weighs ``mat(g)[i1][i0]``
-    and a formula cut keeps equal slots.  Each cut contracts as soon as its
-    two inputs exist (``_schedule``).  Returns the entries of the sparse
-    final state, as ``{flat index: value}``: the outs are folded by
-    ``_times`` into one slot, whose word offset plus ``i`` is the index.
-    """
-    cat = interp.cat
-    ring = interp.ring
-    ports = []  # open edges, in key order
-    sizes = {}  # port -> word sizes of its ANF
-    state = {(): ring.one}
-
-    def close(p, q):
-        """Remove edges p and q: each entry as (rest of key, slot p, slot q, value)."""
-        kp, kq = ports.index(p), ports.index(q)
-        lo, hi = sorted((kp, kq))
-        del ports[hi], ports[lo]
-        return [
-            (key[:lo] + key[lo + 1:hi] + key[hi + 1:], key[kp], key[kq], v)
-            for key, v in state.items()
-        ]
-
-    for lid in _schedule(s):
-        link = s.links[lid]
-        out = {}
+    def tree(port):
+        # (word index, word count) of the label at port; lists its leaves
+        if port in reached:
+            raise NetError("cyclic wiring")
+        reached.add(port)
+        lid = port[0]
+        link = links[lid]
         if isinstance(link, nets.AxLink):
-            m = interp.mat(link.arrow)
-            nonzero = [(a, b, x) for b, row in enumerate(m.rows)
-                       for a, x in enumerate(row) if x != ring.zero]
-            keys, edges = len(state) * len(nonzero), len(ports) + 2
-            if keys * edges > MAX_ENTRIES:
-                raise ModelError(
-                    f"axiom {lid}: contraction state of {keys} keys x {edges} open edges, "
-                    f"more than {MAX_ENTRIES} slots"
-                )
-            for key, v in state.items():
-                for a, b, x in nonzero:
-                    out[key + ((0, a), (0, b))] = ring.mul(v, x)
-            ports += [(lid, 0), (lid, 1)]
-            sizes[(lid, 0)] = [interp.dims[cat.dom(link.arrow)]]
-            sizes[(lid, 1)] = [interp.dims[cat.cod(link.arrow)]]
-        elif isinstance(link, nets.UnitLink):
-            out = {key + ((0, 0),): v for key, v in state.items()}
-            ports.append((lid, 0))
-            sizes[(lid, 0)] = [1]
-        elif isinstance(link, nets.TimesLink):
-            p, q = s.wires[(lid, 0)], s.wires[(lid, 1)]
-            for rest, slot0, slot1, v in close(p, q):
-                out[rest + (_times(slot0, slot1, sizes[q]),)] = v
-            ports.append((lid, 0))
-            sizes[(lid, 0)] = [x * y for x in sizes[p] for y in sizes[q]]
-        elif isinstance(link, nets.PlusLink):
-            p = s.wires[(lid, 0)]
-            k = ports.index(p)
-            other = [interp.dim_word(w) for w in anf(link.other)]
-            shift = len(other) if link.right else 0
-            for key, v in state.items():
-                w, i = key[k]
-                out[key[:k] + ((w + shift, i),) + key[k + 1:]] = v
-            ports[k] = (lid, 0)
-            sizes[(lid, 0)] = other + sizes[p] if link.right else sizes[p] + other
-        elif isinstance(link, nets.CutLink):
-            m = None if link.arrow is None else interp.mat(link.arrow)
-            for rest, slot0, slot1, v in close(s.wires[(lid, 0)], s.wires[(lid, 1)]):
-                if m is None:  # a formula cut keeps the matching slots
-                    if slot0 != slot1:
-                        continue
-                else:
-                    x = m.at(slot1[1], slot0[1])
-                    if x == ring.zero:
-                        continue
-                    v = ring.mul(v, x)
-                out[rest] = ring.add(out.get(rest, ring.zero), v)
-        state = out
+            leaves.append(port)
+            return 0, 1
+        if isinstance(link, nets.TimesLink):
+            r0, n0 = tree(wires[(lid, 0)])
+            r1, n1 = tree(wires[(lid, 1)])
+            return r0 * n1 + r1, n0 * n1
+        if isinstance(link, nets.PlusLink):
+            r, n = tree(wires[(lid, 0)])
+            k = len(anf(link.other))
+            return r + k * link.right, n + k
+        if isinstance(link, nets.UnitLink):
+            return 0, 1
+        raise NetError(f"link {lid} has no outputs")
 
-    # the outs, in order, are one tensor: fold the times rule over them
-    order = [ports.index(p) for p in s.outs]
-    folded = [1]
-    for p in s.outs:
-        folded = [x * y for x in folded for y in sizes[p]]
-    offset = list(itertools.accumulate(folded, initial=0))
-    flat = {}
-    for key, v in state.items():
-        slot = (0, 0)
-        for k, p in zip(order, s.outs):
-            slot = _times(slot, key[k], sizes[p])
-        flat[offset[slot[0]] + slot[1]] = v
-    return flat
+    offset, head = 0, 1  # words before the outs' word; its size so far
+    for port, pre in zip(s.outs, concl):
+        r, _ = tree(port)
+        offset = offset * pre[-1] + head * pre[r]
+        head *= pre[r + 1] - pre[r]
+    outs = list(leaves)
+    nxt = {}  # a leaf on an output 1 under a cut -> (the leaf it joins, cut arrow or None)
+    zero = False
+    for lid, link in links.items():
+        if isinstance(link, nets.CutLink):
+            a, (r0, _) = len(leaves), tree(wires[(lid, 0)])
+            b, (r1, _) = len(leaves), tree(wires[(lid, 1)])
+            if link.arrow is not None:
+                nxt[leaves[a]] = (leaves[b], link.arrow)
+            elif r0 != r1:
+                zero = True
+            else:
+                for p, q in zip(leaves[a:b], leaves[b:]):
+                    nxt[p if p[1] else q] = (q if p[1] else p, None)
+    if len(reached) != sum(link.n_out for link in links.values()):
+        raise NetError("cyclic wiring")
+    if zero:
+        return []
+    pending = {lid for lid, link in links.items() if isinstance(link, nets.AxLink)}
+
+    def follow(x):
+        # the path matrix from axiom x's output 0 on, and the leaf it stops at
+        path = {(a, a): ring.one for a in range(len(interp.cols[links[x].arrow]))}
+        while True:
+            pending.discard(x)
+            path = _then(ring, path, interp.cols[links[x].arrow])
+            if (x, 1) not in nxt:
+                return path, (x, 1)
+            q, g = nxt[(x, 1)]
+            if g is not None:
+                path = _then(ring, path, interp.cols[g])
+            x = q[0]
+            if x not in pending:
+                return path, q  # back at the start of a cycle
+
+    stride, size = {}, 1  # row-major over the out leaves
+    for x, slot in reversed(outs):
+        stride[(x, slot)] = size
+        size *= interp.dims[(cat.cod if slot else cat.dom)(links[x].arrow)]
+    factors = []
+    for x, slot in outs:
+        if slot == 0:
+            path, end = follow(x)
+            sa, sb = stride[(x, 0)], stride[end]
+            factors.append([(b * sb + a * sa, v) for (b, a), v in path.items() if v != ring.zero])
+    lfac = ring.one
+    for x in sorted(pending):
+        if x in pending:  # not on a cycle followed already
+            path, _ = follow(x)
+            diagonal = [v for (b, a), v in path.items() if a == b]
+            lfac = ring.mul(lfac, functools.reduce(ring.add, diagonal, ring.zero))
+    entries = [(offset, lfac)]
+    for nz in factors:
+        entries = [(i + d, ring.mul(v, x)) for i, v in entries for d, x in nz]
+    return entries
 
 
 def eval_net(net, interp):
@@ -682,13 +663,13 @@ def eval_net(net, interp):
     if net.cat is not interp.cat:
         raise ValueError("net and model use different categories")
     ring = interp.ring
-    total = 1
-    for f in net.conclusions:
-        total *= interp.dim_formula(f)
+    concl = [list(itertools.accumulate((interp.dim_word(w) for w in anf(f)), initial=0))
+             for f in net.conclusions]
+    total = math.prod(pre[-1] for pre in concl)
     if total > MAX_ENTRIES:
         raise ModelError(f"net {net.name}: {total} output entries, more than {MAX_ENTRIES}")
     acc = [ring.zero] * total
     for s in net.slices:
-        for idx, v in eval_slice(s, interp).items():
+        for idx, v in eval_slice(s, interp, concl):
             acc[idx] = ring.add(acc[idx], v)
     return Matrix(ring, [[x] for x in acc], 1)

@@ -546,29 +546,23 @@ def parse_net(text, cat):
 
 
 def topo_order(slice_):
-    """Links in dependency order, producers first, cuts last, ties by id."""
-    done = set()
-    order = []
-    remaining = {
-        lid for lid, link in slice_.links.items() if not isinstance(link, CutLink)
-    }
-    while remaining:
-        ready = sorted(
-            lid
-            for lid in remaining
-            if all(
-                slice_.wires[(lid, k)][0] in done
-                for k in range(slice_.links[lid].n_in)
-            )
-        )
-        if not ready:
-            raise NetError("cyclic wiring")
-        for lid in ready:
-            order.append(lid)
-            done.add(lid)
-            remaining.discard(lid)
-    order.extend(sorted(lid for lid, l in slice_.links.items() if isinstance(l, CutLink)))
-    return order
+    """Links in dependency order, producers first, cuts last, ties by id; one pass."""
+    links = slice_.links
+    waiting = {lid: link.n_in for lid, link in links.items() if not isinstance(link, CutLink)}
+    consumers = {}
+    for (lid, _), (pid, _) in slice_.wires.items():
+        if lid in waiting:
+            consumers.setdefault(pid, []).append(lid)
+    order, level = [], sorted(lid for lid, n in waiting.items() if n == 0)
+    while level:
+        order += level
+        fed = [lid for pid in level for lid in consumers.get(pid, ())]
+        for lid in fed:
+            waiting[lid] -= 1
+        level = sorted({lid for lid in fed if waiting[lid] == 0})
+    if len(order) != len(waiting):
+        raise NetError("cyclic wiring")
+    return order + sorted(lid for lid, link in links.items() if isinstance(link, CutLink))
 
 
 def _fmt_port(port):

@@ -139,17 +139,44 @@ def step(s, cat, redex):
     return nets.Slice(w.links, w.wires, tuple(w.outs))
 
 
+class _Ranks:
+    """Live ids in sorted order, k-th one in O(log n): a Fenwick tree (Fenwick, 1994)."""
+
+    def __init__(self, ids, live):
+        self.ids = sorted(ids)
+        self.pos = {lid: k + 1 for k, lid in enumerate(self.ids)}
+        self.tree = [0] * (len(self.ids) + 1)
+        for lid in live:
+            self.add(lid, 1)
+
+    def add(self, lid, d):
+        i = self.pos[lid]
+        while i < len(self.tree):
+            self.tree[i] += d
+            i += i & -i
+
+    def kth(self, k):
+        i, step = 0, 1 << len(self.ids).bit_length()
+        while step := step >> 1:
+            if i + step < len(self.tree) and self.tree[i + step] <= k:
+                i += step
+                k -= self.tree[i]
+        return self.ids[i]
+
+
 def normalize_slice(s, cat, strategy="min", rng=None, on_step=None):
     """Reduce one slice to normal form; returns (slice or None, step count).
 
     ``live`` holds the slice's redexes by cut id; after each step only the
     cuts it touched are classified again.  ``min`` pops the least live id off
-    a heap; ``random`` chooses among them sorted, as ``find_redexes`` lists.
+    a heap; ``random`` draws an index into them sorted, as ``find_redexes``
+    lists them, and ``_Ranks`` finds it (a step reuses the slice's ids).
     """
     live = {r.cut: r for r in find_redexes(s, cat)}
     if not live:
         return s, 0  # already normal: nothing to copy
     heap = list(live)  # sorted, so already a heap
+    ranks = _Ranks(s.links, live) if strategy == "random" else None
     w = _Work(s)
     steps = 0
     while live:
@@ -158,7 +185,8 @@ def normalize_slice(s, cat, strategy="min", rng=None, on_step=None):
             if cid not in live:
                 continue  # reduced already, or now a closed loop
         elif strategy == "random":
-            cid = rng.choice(sorted(live))
+            cid = ranks.kth(rng.randrange(len(live)))  # the draw of rng.choice
+            ranks.add(cid, -1)
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
         r = live.pop(cid)
@@ -170,6 +198,8 @@ def normalize_slice(s, cat, strategy="min", rng=None, on_step=None):
             return None, steps
         for t in touched:
             nr = _classify(w, cat, t)
+            if ranks is not None and (t in live) != (nr is not None):
+                ranks.add(t, 1 if nr is not None else -1)
             if nr is None:
                 live.pop(t, None)
             else:

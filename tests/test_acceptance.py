@@ -72,7 +72,7 @@ def wide_corpus(c2, pauli8):
     nets = []
     for i in range(120):
         cat = pauli8 if i % 2 == 0 else c2
-        nets.append(random_net(cat, rng, name=f"w{i}", max_links=32))
+        nets.append(random_net(cat, rng, name=f"w{i}", max_links=48))
     return nets
 
 

@@ -282,13 +282,12 @@ def test_anf_word_limit_exits_two(exdir, tmp_path, capsys, pauli8):
     assert err == f"error: ANF of {2**13} words, more than {MAX_WORDS}"
 
 
-def test_eval_state_limit_exits_two(exdir, tmp_path, capsys, closed_tensor_net):
+def test_eval_closed_tensor_net_exits_zero(exdir, tmp_path, capsys, closed_tensor_net):
     net = tmp_path / "closed16.net"
     net.write_text(closed_tensor_net(16))
     argv = ["eval", "--category", _p(exdir, "pauli8.cat"), "--model", _p(exdir, "pauli8.mod")]
-    assert cli.main(argv + [str(net)]) == 2
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("error: axiom ") and err.endswith(f"more than {MAX_ENTRIES} slots")
+    assert cli.main(argv + [str(net)]) == 0
+    assert capsys.readouterr() == ("[65536]\n", "")
 
 
 def test_non_dual_id_cut_exits_two(exdir, tmp_path, capsys):

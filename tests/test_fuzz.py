@@ -98,7 +98,7 @@ def test_mutants_end_in_a_result_or_a_documented_error():
         seeds.append((net_text, net_pipeline(pauli8)))
     for i in range(5):
         cat = (pauli8, c2)[i % 2]
-        seeds.append((print_net(random_net(cat, rng, max_links=12)), net_pipeline(cat)))
+        seeds.append((print_net(random_net(cat, rng, max_links=24)), net_pipeline(cat)))
     for i in range(5):
         cat = (pauli8, c2)[i % 2]
         seeds.append((fmt_arrow(random_free_arrow(cat, rng)), lambda t, cat=cat: parse_arrow(t, cat)))

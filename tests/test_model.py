@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 
 from cqlnet import fixtures, load_category
-from cqlnet.errors import ModelError, ParseError
+from cqlnet.errors import ModelError, NetError, ParseError
 from cqlnet.formula import Literal, anf, parse_formula
 from cqlnet.freecat import UNIT, denote, embed, eta, identity, scalar, wiring, zero
 from cqlnet.model import (
-    MAX_ENTRIES,
     BoolRing,
     ExactRing,
     Interpretation,
@@ -20,7 +19,7 @@ from cqlnet.model import (
     eval_wiring,
     load_model,
 )
-from cqlnet.net import parse_net, print_net
+from cqlnet.net import AxLink, Net, Slice, TimesLink, parse_net, print_net
 from cqlnet.randgen import random_anf, random_free_arrow, random_net, random_wiring
 
 
@@ -245,7 +244,10 @@ def test_pauli_matrices(pauli8_mod):
 def test_eval_wiring_single_pair(pauli8, pauli8_mod):
     q = Literal("Q")
     t = wiring((q,), (q,), [(0, 1, "X")], (), pauli8)
-    assert eval_wiring(t, pauli8_mod) == pauli8_mod.mat("X")
+    m = Matrix.zeros(ExactRing, 2, 2)
+    for i, j, v in eval_wiring(t, pauli8_mod):
+        m.put(i, j, v)
+    assert m == pauli8_mod.mat("X")
 
 
 def test_eval_scalars(pauli8, pauli8_mod):
@@ -318,14 +320,57 @@ def test_eval_free_size_limit(pauli8, pauli8_mod):
         eval_free(zero(pauli8, wide, wide), pauli8_mod)
 
 
-def test_eval_state_limit(pauli8, pauli8_mod, closed_tensor_net):
-    # 2^12 keys x 24 open edges fit under the bound
-    assert str(eval_net(parse_net(closed_tensor_net(12), pauli8), pauli8_mod)) == "[ [4096] ]"
-    big = parse_net(closed_tensor_net(16), pauli8)
+def test_eval_closed_tensor_net(pauli8, pauli8_mod, closed_tensor_net):
+    # K axioms on one cycle through the formula cut: the value is the trace 2^K
+    for k in (12, 16):
+        net = parse_net(closed_tensor_net(k), pauli8)
+        assert str(eval_net(net, pauli8_mod)) == f"[ [{2**k}] ]"
+    big = parse_net(closed_tensor_net(256), pauli8)
     start = time.perf_counter()
-    with pytest.raises(ModelError, match=f"65536 keys x 32 open edges, more than {MAX_ENTRIES}"):
-        eval_net(big, pauli8_mod)
+    assert eval_net(big, pauli8_mod).column() == [_q(2**256)]
     assert time.perf_counter() - start < 1.0
+
+
+def _parallel_net(n):
+    """n axioms X side by side, conclusions Q* , Q repeated n times."""
+    lines = ["net par", "conclusions " + " , ".join(["Q* , Q"] * n), "slice"]
+    lines += [f"  ax a{k} : X" for k in range(n)]
+    lines += ["  out " + " , ".join(f"a{k}.0 , a{k}.1" for k in range(n)), "end"]
+    return "\n".join(lines) + "\n"
+
+
+def test_eval_free_parallel_axioms_agrees_with_eval_net(pauli8, pauli8_mod):
+    # 2^16 entries, 2^8 of them nonzero
+    net = parse_net(_parallel_net(8), pauli8)
+    fa = denote(net)
+    start = time.perf_counter()
+    free = eval_free(fa, pauli8_mod)
+    assert time.perf_counter() - start < 1.0
+    assert free == eval_net(net, pauli8_mod)
+    assert sum(x != ExactRing.zero for x in free.column()) == 2**8
+
+
+def test_eval_net_rejects_cyclic_wiring_without_validation(pauli8, pauli8_mod):
+    # two times links feeding each other, once off to the side and once under an out
+    links = {"a": AxLink("id Q"), "t": TimesLink(), "w": TimesLink()}
+    wires = {("t", 0): ("w", 0), ("t", 1): ("a", 0), ("w", 0): ("t", 0), ("w", 1): ("a", 1)}
+    for outs, concl in (((), ()), ((("t", 0),), (parse_formula("(Q* x Q)"),))):
+        net = Net("cyc", concl, (Slice(links, wires, outs),), pauli8)
+        with pytest.raises(NetError, match="cyclic wiring"):
+            eval_net(net, pauli8_mod)
+
+
+def test_eval_opposite_injections_under_a_formula_cut_are_zero(pauli8, pauli8_mod):
+    slice_ = (
+        "slice\n  ax a : id Q\n  unit u\n  unit v\n  plus1 p = u.0 | I\n"
+        "  plus{} q = {}\n  cut p.0 , q.0 : id\n  out a.0 , a.1\nend\n"
+    )
+    head = "net n\nconclusions Q* , Q\n"
+    opposite = parse_net(head + slice_.format(2, "I | v.0"), pauli8)
+    assert eval_net(opposite, pauli8_mod) == Matrix.zeros(ExactRing, 4, 1)
+    assert eval_free(denote(opposite), pauli8_mod) == Matrix.zeros(ExactRing, 4, 1)
+    same = parse_net(head + slice_.format(1, "v.0 | I"), pauli8)
+    assert eval_net(same, pauli8_mod).column() == _qcol([1, 0, 0, 1])
 
 
 def test_eval_bell_states(pauli8, pauli8_mod):
@@ -362,6 +407,13 @@ def test_eval_bool_model(c2, c2_bool_mod):
     assert eval_net(bellx, c2_bool_mod).column() == [False, True, True, False]
 
 
+def test_eval_bool_model_agrees_with_free(c2, c2_bool_mod):
+    rng = random.Random(17)
+    for i in range(60):
+        net = random_net(c2, rng, name=f"n{i}", max_links=24)
+        assert eval_net(net, c2_bool_mod) == eval_free(denote(net), c2_bool_mod), print_net(net)
+
+
 def test_eval_category_mismatch(c2, pauli8, pauli8_mod):
     bell_c2 = parse_net(fixtures.BELL_NET, c2)
     with pytest.raises(ValueError, match="different categories"):
@@ -372,9 +424,8 @@ def test_eval_category_mismatch(c2, pauli8, pauli8_mod):
 
 def test_eval_cut_chain_contracts_each_cut_early(c2, c2_bool_mod, monkeypatch):
     # 14 X axioms joined by 13 X cuts compose X 27 times, which is X.
-    # Contracting each cut as soon as both of its axioms are in keeps the
-    # state at a few entries, so the multiplications grow linearly with n
-    # instead of as 2^n.
+    # Following the one path multiplies each matrix into a 2 x 2 product,
+    # so the multiplications grow linearly with n instead of as 2^n.
     n = 14
     lines = ["net chain", "conclusions Q* , Q", "slice"]
     lines += [f"  ax a{k} : X" for k in range(n)]

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -7,6 +8,7 @@ from cqlnet.errors import NetError, ParseError
 from cqlnet import net as net_module
 from cqlnet.formula import Atom, DualAtom, Plus, Tensor, Unit, parse_formula
 from cqlnet.freecat import denote, fmt_arrow
+from cqlnet.randgen import random_net
 from cqlnet.model import eval_net
 from cqlnet.rewrite import normalize
 from cqlnet.net import (
@@ -18,6 +20,7 @@ from cqlnet.net import (
     PlusLink,
     Slice,
     SliceBuilder,
+    TimesLink,
     cut_inputs,
     id_cut,
     labels,
@@ -379,6 +382,34 @@ def test_topo_order_producers_first(pauli8):
         for (lid, _), (pid, _) in s.wires.items():
             if not isinstance(s.links[lid], CutLink):
                 assert pos[pid] < pos[lid]
+
+
+def _levels(slice_):
+    """topo_order as a rescan: each round takes every link whose producers are placed."""
+    order, remaining = [], {lid for lid, l in slice_.links.items() if not isinstance(l, CutLink)}
+    while remaining:
+        ready = sorted(
+            lid for lid in remaining
+            if all(slice_.wires[(lid, k)][0] in order for k in range(slice_.links[lid].n_in))
+        )
+        if not ready:
+            raise NetError("cyclic wiring")
+        order += ready
+        remaining -= set(ready)
+    return order + sorted(lid for lid, l in slice_.links.items() if isinstance(l, CutLink))
+
+
+def test_topo_order_matches_a_level_by_level_rescan(pauli8, c2):
+    rng = random.Random(29)
+    texts = [text for name, text in fixtures.EXAMPLES.items() if name.endswith(".net")]
+    nets = [parse_net(text, pauli8) for text in texts]
+    nets += [random_net(c2 if i % 2 else pauli8, rng, max_links=32) for i in range(60)]
+    for s in (s for net in nets for s in net.slices):
+        assert topo_order(s) == _levels(s)
+    links = {"a": AxLink("id Q"), "t": TimesLink(), "w": TimesLink()}
+    wires = {("t", 0): ("w", 0), ("t", 1): ("a", 0), ("w", 0): ("t", 0), ("w", 1): ("a", 1)}
+    with pytest.raises(NetError, match="cyclic wiring"):
+        topo_order(Slice(links, wires, ()))
 
 
 def test_slice_builder_realizes_components(pauli8):

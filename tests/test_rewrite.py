@@ -187,6 +187,29 @@ def test_random_strategy_confluence_on_a_long_cut_chain(pauli8, cut_chain_net):
         assert normalize(chain, strategy="random", seed=seed) == base
 
 
+def _choice_trace(s, cat, seed):
+    """The random strategy as a rescan: rng.choice over find_redexes, then step."""
+    rng, out = random.Random(seed), []
+    while s is not None and (redexes := find_redexes(s, cat)):
+        r = rng.choice(redexes)
+        s = step(s, cat, r)
+        out.append((r, 0 if s is None else len(s.links)))
+    return out
+
+
+def test_random_strategy_draws_as_rng_choice_over_find_redexes(pauli8, c2, cut_chain_net):
+    rng = random.Random(19)
+    slices = [(s, pauli8) for s in parse_net(cut_chain_net(120), pauli8).slices]
+    for i in range(40):
+        cat = c2 if i % 2 else pauli8
+        slices += [(s, cat) for s in _larger_net(cat, rng, f"r{i}").slices]
+    for s, cat in slices:
+        for seed in (1, 2, 3):
+            trace = []
+            normalize_slice(s, cat, "random", random.Random(seed), lambda *a: trace.append(a))
+            assert trace == _choice_trace(s, cat, seed)
+
+
 def test_normalize_is_linear_on_a_cut_chain(pauli8, cut_chain_net, monkeypatch):
     # a step reclassifies only the cuts it touched; rescanning every cut
     # after every step would classify about n^2 / 2 of them
