@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CategoryError, ParseError
+from .formula import directives
 
 
 @dataclass(frozen=True, order=True)
@@ -230,12 +231,7 @@ def load_category(text):
     arrows = {}
     table = {}
     dagger = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+    for lineno, head, rest in directives(text):
         if head == "category":
             if name is not None:
                 raise ParseError(lineno, "duplicate category line")

@@ -20,11 +20,13 @@ from .model import eval_net, load_model
 from .net import parse_net, print_net, to_dot
 from .rewrite import beta_equal, normalize, to_net
 
-_ERRORS = (ParseError, CategoryError, FormulaError, NetError, ModelError, OSError)
+_ERRORS = (
+    ParseError, CategoryError, FormulaError, NetError, ModelError, OSError, UnicodeDecodeError
+)
 
 
 def _read(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return fh.read()
 
 

@@ -313,20 +313,44 @@ def parse_formula(text, cat=None, lineno=0):
     return node
 
 
-def split_commas(text):
-    """Split on commas at paren depth 0 (for conclusion lists and the like)."""
+# ---------------------------------------------------------------------------
+# the shared line format of category, model, net and arrow files
+
+
+def directives(text):
+    """Each line as ``(lineno, head, rest)``, cut at its first space; no comments, no blanks."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            head, _, rest = line.partition(" ")
+            yield lineno, head, rest.strip()
+
+
+def split_top(text, sep, lineno):
+    """Split on ``sep`` outside ``()`` and ``[]``, stripping each part; ParseError if unbalanced."""
     parts = []
-    depth = 0
-    cur = []
-    for c in text:
-        if c == "(":
-            depth += 1
-        elif c == ")":
-            depth -= 1
-        if c == "," and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(c)
-    parts.append("".join(cur).strip())
+    opened = []  # the closing bracket each open one wants
+    start = 0
+    for k, c in enumerate(text):
+        if c in "([":
+            opened.append(")" if c == "(" else "]")
+        elif c in ")]":
+            if not opened or opened.pop() != c:
+                raise ParseError(lineno, "unbalanced brackets")
+        elif c == sep and not opened:
+            parts.append(text[start:k].strip())
+            start = k + 1
+    if opened:
+        raise ParseError(lineno, "unbalanced brackets")
+    parts.append(text[start:].strip())
     return parts
+
+
+def parse_nat(text, lineno, message):
+    """A natural number written in ASCII digits; else ParseError(lineno, message)."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # a digit run past Python's int-conversion limit
+            pass
+    raise ParseError(lineno, message)

@@ -34,9 +34,11 @@ from .formula import (
     anf_kron,
     anf_kron_all,
     anf_star,
+    directives,
     fmt_anf,
     parse_anf,
-    split_commas,
+    parse_nat,
+    split_top,
 )
 from .rewrite import CanonicalSlice, NormalNet, to_net
 
@@ -643,17 +645,16 @@ def _parse_wiring(text, dom, cod, cat, lineno):
     ptext = ppart[len("pairs:"):].strip()
     if ptext:
         for item in ptext.split(","):
+            item = item.strip()
             pp, colon, label = item.partition(":")
-            a, arrowsym, btxt = pp.partition("<->")
+            a, arrowsym, b = pp.partition("<->")
             if not colon or not arrowsym:
-                raise ParseError(lineno, f"bad pair {item.strip()!r}")
+                raise ParseError(lineno, f"bad pair {item!r}")
             label = " ".join(label.split())
             if label not in cat.arrows:
                 raise ParseError(lineno, f"unknown arrow {label!r}")
-            try:
-                pairs.append((int(a), int(btxt), label))
-            except ValueError:
-                raise ParseError(lineno, f"bad pair {item.strip()!r}") from None
+            a, b = (parse_nat(x.strip(), lineno, f"bad pair {item!r}") for x in (a, b))
+            pairs.append((a, b, label))
     loops = []
     ltext = lpart[len("loops:"):].strip()
     if ltext:
@@ -679,16 +680,11 @@ def parse_arrow(text, cat):
     """Parse the textual form produced by fmt_arrow."""
     dom = cod = None
     entries = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+    for lineno, head, rest in directives(text):
         if head == "arrow":
             if dom is not None:
                 raise ParseError(lineno, "duplicate arrow line")
-            _, colon, sig = rest.partition(":") if not rest.startswith(":") else ("", ":", rest[1:])
+            _, colon, sig = rest.partition(":")
             if not colon:
                 raise ParseError(lineno, "expected 'arrow : dom -> cod'")
             dtext, arr, ctext = sig.partition("->")
@@ -704,18 +700,18 @@ def parse_arrow(text, cat):
             body = body.strip()
             if not colon or not (idx.startswith("(") and idx.endswith(")")):
                 raise ParseError(lineno, "expected 'entry (i,j): { ... }'")
-            try:
-                i, j = (int(p) for p in idx[1:-1].split(","))
-            except ValueError as exc:
-                raise ParseError(lineno, f"bad entry index {idx!r}") from exc
-            if not (0 <= i < len(cod) and 0 <= j < len(dom)):
+            ij = idx[1:-1].split(",")
+            if len(ij) != 2:
+                raise ParseError(lineno, f"bad entry index {idx!r}")
+            i, j = (parse_nat(p.strip(), lineno, f"bad entry index {idx!r}") for p in ij)
+            if not (i < len(cod) and j < len(dom)):
                 raise ParseError(lineno, f"entry index {idx} out of range")
             if not (body.startswith("{") and body.endswith("}")):
                 raise ParseError(lineno, "expected 'entry (i,j): { ... }'")
             inner = body[1:-1].strip()
             c = entries.setdefault((i, j), Counter())
             if inner:
-                for wtext in split_commas(inner):
+                for wtext in split_top(inner, ",", lineno):
                     c[_parse_wiring(wtext, dom[j], cod[i], cat, lineno)] += 1
         else:
             raise ParseError(lineno, f"unknown directive {head!r}")

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 
 from .errors import ModelError, NetError, ParseError
-from .formula import anf
+from .formula import anf, directives, parse_nat, split_top
 from . import net as nets
 
 # Largest number of entries a model may hold in one matrix or vector: an object's
@@ -377,29 +377,6 @@ class Interpretation:
         return self.dim_anf(anf(f))
 
 
-def _split_top(text, sep, lineno):
-    """Split on sep at zero bracket/paren depth."""
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(lineno, "unbalanced brackets")
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise ParseError(lineno, "unbalanced brackets")
-    parts.append("".join(cur))
-    return parts
-
-
 def _parse_matrix(text, ring, lineno):
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
@@ -409,13 +386,12 @@ def _parse_matrix(text, ring, lineno):
         raise ParseError(lineno, "empty matrix literal")
     rows = []
     width = None
-    for rtext in _split_top(inner, ";", lineno):
-        rtext = rtext.strip()
+    for rtext in split_top(inner, ";", lineno):
         if not (rtext.startswith("[") and rtext.endswith("]")):
             raise ParseError(lineno, f"matrix row wants [ ... ]: {rtext!r}")
         body = rtext[1:-1].strip()
         row = [] if not body else [
-            ring.parse(tok, lineno) for tok in _split_top(body, ",", lineno)
+            ring.parse(tok, lineno) for tok in split_top(body, ",", lineno)
         ]
         if width is None:
             width = len(row)
@@ -431,12 +407,7 @@ def load_model(text, cat):
     ring = None
     dims = {}
     raw_mats = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+    for lineno, head, rest in directives(text):
         if head == "model":
             if name is not None:
                 raise ParseError(lineno, "duplicate model line")
@@ -459,17 +430,13 @@ def load_model(text, cat):
                 raise ParseError(lineno, f"unknown scalar kind {rest!r}")
         elif head == "dim":
             obj, eq, val = rest.partition("=")
-            obj, val = obj.strip(), val.strip()
-            if not eq or not (val.isascii() and val.isdigit()):
-                raise ParseError(lineno, "expected 'dim Obj = n'")
+            obj = obj.strip()
+            n = parse_nat(val.strip() if eq else "", lineno, "expected 'dim Obj = n'")
             if obj in dims:
                 raise ParseError(lineno, f"duplicate dim for {obj}")
             if obj not in cat.objects:
                 raise ParseError(lineno, f"unknown object {obj!r}")
-            try:
-                dims[obj] = int(val)
-            except ValueError:  # a digit run past Python's int-conversion limit
-                raise ParseError(lineno, "expected 'dim Obj = n'") from None
+            dims[obj] = n
         elif head == "mat":
             f, eq, val = rest.partition("=")
             f = " ".join(f.split())

@@ -27,9 +27,11 @@ from .formula import (
     Tensor,
     Unit,
     Zero,
+    directives,
     fmt,
     parse_formula,
-    split_commas,
+    parse_nat,
+    split_top,
     star,
     validate,
 )
@@ -377,65 +379,58 @@ class SliceBuilder:
 # parsing
 
 
-def _parse_port(tok, lineno):
+def _link_id(tok, lineno, links):
+    """A new link id for the open slice."""
+    lid = tok.strip()
+    if not lid or any(c.isspace() or c in ".,:|=#" for c in lid):
+        raise ParseError(lineno, f"bad link id {lid!r}")
+    if lid in links:
+        raise ParseError(lineno, f"duplicate link id {lid!r}")
+    return lid
+
+
+def _port(tok, lineno, links):
+    """A port ``lid.slot`` written on line ``lineno``, of a link in ``links``."""
     tok = tok.strip()
     lid, dot, slot = tok.rpartition(".")
-    if not dot or not (slot.isascii() and slot.isdigit()):
-        raise ParseError(lineno, f"bad port {tok!r}")
-    try:
-        return (lid.strip(), int(slot))
-    except ValueError:  # a digit run past Python's int-conversion limit
-        raise ParseError(lineno, f"bad port {tok!r}") from None
+    slot = parse_nat(slot if dot else "", lineno, f"bad port {tok!r}")
+    lid = lid.strip()
+    if lid not in links:
+        raise ParseError(lineno, f"unknown link {lid!r}")
+    return lid, slot
+
+
+def _resolve_slice(cat, links, pending, cuts, outs):
+    """The slice and its labels, once its ``end`` line is read; cut labels resolved."""
+    wires = {}
+    for inp, (tok, ln) in pending.items():
+        port = wires[inp] = _port(tok, ln, links)
+        if port[1] >= links[port[0]].n_out:
+            raise ParseError(ln, f"link {port[0]} has no output {port[1]}")
+    ln, toks = outs
+    s = Slice(links, wires, tuple(_port(tok, ln, links) for tok in toks))
+    labs = labels(s, cat)
+    for cid, label, ln in cuts:
+        p0, p1 = wires[(cid, 0)], wires[(cid, 1)]
+        l0, l1 = labs[p0], labs[p1]
+        if label == "id":
+            if star(l0) != l1:
+                raise ParseError(ln, f"id cut inputs {fmt(l0)}, {fmt(l1)} are not dual")
+            links[cid], wires[(cid, 0)], wires[(cid, 1)] = id_cut(cat, l0, p0, p1)
+            continue
+        links[cid] = CutLink(arrow=label)
+        if (l1, l0) == cut_inputs(links[cid], cat):  # written starred side first
+            wires[(cid, 0)], wires[(cid, 1)] = p1, p0
+    return s, labs
 
 
 def parse_net(text, cat):
     """Parse and validate a net file against a category."""
-    name = None
-    conclusions = None
+    name = conclusions = None
     slices = []  # (slice, its labels), validated once the whole net is read
-    cur = None  # (links, pending wires, cut lines, outs) while inside a slice
+    links = None  # the open slice's links (with its pending wires, cuts and outs), else None
     cut_count = 0
-
-    def resolve_slice(links, pending, cuts, outs_toks):
-        wires = {}
-        for inp, (tok, ln) in pending.items():
-            port = _parse_port(tok, ln)
-            if port[0] not in links:
-                raise ParseError(ln, f"unknown link {port[0]!r}")
-            if port[1] >= links[port[0]].n_out:
-                raise ParseError(ln, f"link {port[0]} has no output {port[1]}")
-            wires[inp] = port
-        outs = []
-        for tok, ln in outs_toks:
-            port = _parse_port(tok, ln)
-            if port[0] not in links:
-                raise ParseError(ln, f"unknown link {port[0]!r}")
-            outs.append(port)
-        s = Slice(links, wires, tuple(outs))
-        labs = labels(s, cat)
-        for cid, label, ln in cuts:
-            p0, p1 = wires[(cid, 0)], wires[(cid, 1)]
-            l0, l1 = labs[p0], labs[p1]
-            if label == "id":
-                if star(l0) != l1:
-                    raise ParseError(ln, f"id cut inputs {fmt(l0)}, {fmt(l1)} are not dual")
-                links[cid], wires[(cid, 0)], wires[(cid, 1)] = id_cut(cat, l0, p0, p1)
-                continue
-            links[cid] = CutLink(arrow=label)
-            if (l1, l0) == cut_inputs(links[cid], cat):  # written starred side first
-                wires[(cid, 0)], wires[(cid, 1)] = p1, p0
-        return s, labs
-
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        lineno = i + 1
-        line = lines[i].split("#", 1)[0].strip()
-        i += 1
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+    for lineno, head, rest in directives(text):
         if head == "net":
             if name is not None:
                 raise ParseError(lineno, "duplicate net line")
@@ -443,94 +438,77 @@ def parse_net(text, cat):
         elif head == "conclusions":
             if conclusions is not None:
                 raise ParseError(lineno, "duplicate conclusions line")
-            if rest:
-                conclusions = tuple(
-                    parse_formula(part, cat, lineno) for part in split_commas(rest)
-                )
-            else:
-                conclusions = ()
-        elif line == "slice":
+            parts = split_top(rest, ",", lineno) if rest else ()
+            conclusions = tuple(parse_formula(part, cat, lineno) for part in parts)
+        elif head == "slice" and not rest:
             if conclusions is None:
                 raise ParseError(lineno, "slice before conclusions")
-            if cur is not None:
+            if links is not None:
                 raise ParseError(lineno, "nested slice")
-            cur = ({}, {}, [], None)
-        elif line == "end":
-            if cur is None:
+            links, pending, cuts, outs = {}, {}, [], None
+        elif head == "end" and not rest:
+            if links is None:
                 raise ParseError(lineno, "end outside slice")
-            links, pending, cuts, outs_toks = cur
-            if outs_toks is None:
+            if outs is None:
                 raise ParseError(lineno, "slice has no out line")
-            slices.append(resolve_slice(links, pending, cuts, outs_toks))
-            cur = None
-        elif head in ("ax", "unit", "times", "plus1", "plus2", "cut", "out"):
-            if cur is None:
-                raise ParseError(lineno, f"{head} outside slice")
-            links, pending, cuts, outs_toks = cur
-
-            def fresh(lid):
-                lid = lid.strip()
-                if not lid or any(c.isspace() or c in ".,:|=#" for c in lid):
-                    raise ParseError(lineno, f"bad link id {lid!r}")
-                if lid in links:
-                    raise ParseError(lineno, f"duplicate link id {lid!r}")
-                return lid
-
-            if head == "ax":
-                lid, colon, arrow = rest.partition(":")
-                if not colon:
-                    raise ParseError(lineno, "expected 'ax id : f'")
-                arrow = " ".join(arrow.split())
-                if arrow not in cat.arrows:
-                    raise ParseError(lineno, f"unknown arrow {arrow!r}")
-                links[fresh(lid)] = AxLink(arrow)
-            elif head == "unit":
-                links[fresh(rest)] = UnitLink()
-            elif head == "times":
-                lid, eq, ports = rest.partition("=")
-                if not eq:
-                    raise ParseError(lineno, "expected 'times id = p q'")
-                toks = ports.split()
-                if len(toks) != 2:
-                    raise ParseError(lineno, "times takes exactly two ports")
-                lid = fresh(lid)
-                links[lid] = TimesLink()
-                pending[(lid, 0)] = (toks[0], lineno)
-                pending[(lid, 1)] = (toks[1], lineno)
-            elif head in ("plus1", "plus2"):
-                lid, eq, body = rest.partition("=")
-                if not eq or "|" not in body:
-                    raise ParseError(lineno, f"expected '{head} id = ... | ...'")
-                lhs, _, rhs = body.partition("|")
-                lid = fresh(lid)
-                kind = Plus2Link if head == "plus2" else Plus1Link
-                other, port_tok = (lhs, rhs) if kind.right else (rhs, lhs)
-                links[lid] = kind(parse_formula(other, cat, lineno))
-                pending[(lid, 0)] = (port_tok, lineno)
-            elif head == "cut":
-                body, colon, label = rest.rpartition(":")
-                if not colon:
-                    raise ParseError(lineno, "expected 'cut p , q : label'")
-                ports = split_commas(body)
-                if len(ports) != 2:
-                    raise ParseError(lineno, "cut takes exactly two ports")
-                label = " ".join(label.split())
-                if label != "id" and label not in cat.arrows:
-                    raise ParseError(lineno, f"unknown cut label {label!r}")
-                cid = f"#c{cut_count}"
-                cut_count += 1
-                cuts.append((cid, label, lineno))
-                pending[(cid, 0)] = (ports[0], lineno)
-                pending[(cid, 1)] = (ports[1], lineno)
-            elif head == "out":
-                if outs_toks is not None:
-                    raise ParseError(lineno, "duplicate out line")
-                outs_toks = [] if not rest else [(tok, lineno) for tok in split_commas(rest)]
-            cur = (links, pending, cuts, outs_toks)
-        else:
+            slices.append(_resolve_slice(cat, links, pending, cuts, outs))
+            links = None
+        elif head not in ("ax", "unit", "times", "plus1", "plus2", "cut", "out"):
             raise ParseError(lineno, f"unknown directive {head!r}")
-    if cur is not None:
-        raise ParseError(len(lines), "unterminated slice")
+        elif links is None:
+            raise ParseError(lineno, f"{head} outside slice")
+        elif head == "ax":
+            lid, colon, arrow = rest.partition(":")
+            if not colon:
+                raise ParseError(lineno, "expected 'ax id : f'")
+            arrow = " ".join(arrow.split())
+            if arrow not in cat.arrows:
+                raise ParseError(lineno, f"unknown arrow {arrow!r}")
+            links[_link_id(lid, lineno, links)] = AxLink(arrow)
+        elif head == "unit":
+            links[_link_id(rest, lineno, links)] = UnitLink()
+        elif head == "times":
+            lid, eq, ports = rest.partition("=")
+            if not eq:
+                raise ParseError(lineno, "expected 'times id = p q'")
+            toks = ports.split()
+            if len(toks) != 2:
+                raise ParseError(lineno, "times takes exactly two ports")
+            lid = _link_id(lid, lineno, links)
+            links[lid] = TimesLink()
+            pending[(lid, 0)] = (toks[0], lineno)
+            pending[(lid, 1)] = (toks[1], lineno)
+        elif head in ("plus1", "plus2"):
+            lid, eq, body = rest.partition("=")
+            if not eq or "|" not in body:
+                raise ParseError(lineno, f"expected '{head} id = ... | ...'")
+            lhs, _, rhs = body.partition("|")
+            lid = _link_id(lid, lineno, links)
+            kind = Plus2Link if head == "plus2" else Plus1Link
+            other, port_tok = (lhs, rhs) if kind.right else (rhs, lhs)
+            links[lid] = kind(parse_formula(other, cat, lineno))
+            pending[(lid, 0)] = (port_tok, lineno)
+        elif head == "cut":
+            body, colon, label = rest.rpartition(":")
+            if not colon:
+                raise ParseError(lineno, "expected 'cut p , q : label'")
+            ports = split_top(body, ",", lineno)
+            if len(ports) != 2:
+                raise ParseError(lineno, "cut takes exactly two ports")
+            label = " ".join(label.split())
+            if label != "id" and label not in cat.arrows:
+                raise ParseError(lineno, f"unknown cut label {label!r}")
+            cid = f"#c{cut_count}"
+            cut_count += 1
+            cuts.append((cid, label, lineno))
+            pending[(cid, 0)] = (ports[0], lineno)
+            pending[(cid, 1)] = (ports[1], lineno)
+        else:  # out
+            if outs is not None:
+                raise ParseError(lineno, "duplicate out line")
+            outs = (lineno, split_top(rest, ",", lineno) if rest else ())
+    if links is not None:
+        raise ParseError(len(text.splitlines()), "unterminated slice")
     if name is None:
         raise ParseError(1, "missing net line")
     if conclusions is None:

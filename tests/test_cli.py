@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from cqlnet import cli, fixtures
@@ -150,6 +155,28 @@ def test_missing_file_is_an_error(exdir, capsys):
     rc = cli.main(["check", "--category", _p(exdir, "pauli8.cat"), "/no/such/file.net"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_non_utf8_input_is_an_error(exdir, tmp_path, capsys):
+    bad_net = tmp_path / "bad.net"
+    bad_net.write_bytes(fixtures.BELL_NET.encode() + b"# \xff\n")
+    bad_cat = tmp_path / "bad.cat"
+    bad_cat.write_bytes(fixtures.C2_CAT.encode() + b"# \xff\n")
+    for category, net in ((_p(exdir, "pauli8.cat"), bad_net), (bad_cat, _p(exdir, "bell.net"))):
+        rc = cli.main(["check", "--category", str(category), str(net)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "internal error" not in err
+
+
+def test_utf8_comments_are_read_whatever_the_locale(exdir, tmp_path):
+    net = tmp_path / "bell.net"
+    net.write_bytes(fixtures.BELL_NET.encode() + "# \u00e9t\u00e9\n".encode())
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+    argv = ["check", "--category", _p(exdir, "pauli8.cat"), str(net)]
+    proc = subprocess.run([sys.executable, "-m", "cqlnet.cli", *argv], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_model_category_mismatch(exdir, capsys):

@@ -19,7 +19,7 @@ from cqlnet.formula import (
     fmt_anf,
     parse_anf,
     parse_formula,
-    split_commas,
+    split_top,
     star,
     validate,
     word_formula,
@@ -183,6 +183,10 @@ def test_double_star_parses():
 
 
 def test_split_commas():
-    assert split_commas("a , b , c") == ["a", "b", "c"]
-    assert split_commas("(a , b) , c") == ["(a , b)", "c"]
-    assert split_commas("x") == ["x"]
+    assert split_top("a , b , c", ",", 1) == ["a", "b", "c"]
+    assert split_top("(a , b) , c", ",", 1) == ["(a , b)", "c"]
+    assert split_top("x", ",", 1) == ["x"]
+    assert split_top("[a , b] , c", ",", 1) == ["[a , b]", "c"]
+    for text in ("(a , b , c", "a ) , (b", "[a , b) , c]"):
+        with pytest.raises(ParseError, match="^line 3: unbalanced brackets$"):
+            split_top(text, ",", 3)

@@ -5,9 +5,12 @@ and printed random arrows) is mutated by deleting or duplicating each line in
 turn, and by seeded token deletions, swaps and duplications.  Every mutant
 must load, and a net that loads must also normalize, denote and evaluate, or
 else fail with one of the five documented errors.  A net that gets through
-must normalize each slice in at most as many steps as it has links, have the
-same denotation as its normal form, and ``eval_net`` must agree with
-``eval_free`` of its denotation.
+must pass ``validate_net`` again with its labels computed from scratch, print
+to a text that parses and prints back to itself, normalize each slice in at
+most as many steps as it has links, have the same denotation as its normal
+form, and ``eval_net`` must agree with ``eval_free`` of its denotation.  An
+arrow that loads must print to a text that parses back to the same arrow and
+prints back to itself.
 """
 
 import random
@@ -18,7 +21,7 @@ from cqlnet.category import load_category
 from cqlnet.errors import CategoryError, FormulaError, ModelError, NetError, ParseError
 from cqlnet.freecat import denote, fa_equal, fmt_arrow, parse_arrow
 from cqlnet.model import eval_free, eval_net, load_model
-from cqlnet.net import parse_net, print_net
+from cqlnet.net import parse_net, print_net, validate_net
 from cqlnet.randgen import random_free_arrow, random_net
 from cqlnet.rewrite import normalize, normalize_slice, to_net
 
@@ -60,6 +63,14 @@ def mutants(text, rng):
     yield from token_mutants(text, rng)
 
 
+def must(check, *args):
+    """``check(*args)``, where a documented error would be a defect, not a rejection."""
+    try:
+        return check(*args)
+    except DOCUMENTED as exc:
+        raise AssertionError(f"{check.__name__} fails on what was accepted: {exc}") from exc
+
+
 def test_mutants_end_in_a_result_or_a_documented_error():
     rng = random.Random(5)
     c2 = load_category(fixtures.C2_CAT)
@@ -72,11 +83,23 @@ def test_mutants_end_in_a_result_or_a_documented_error():
     def net_pipeline(cat):
         def run(text):
             net = parse_net(text, cat)
+            must(validate_net, net)  # no labels passed: each slice's are computed again
+            printed = print_net(net)
+            assert print_net(must(parse_net, printed, cat)) == printed
             for s in net.slices:  # the step budget of a strongly normalising calculus
                 assert normalize_slice(s, cat)[1] <= len(s.links)
             fa = denote(net)
             assert fa_equal(denote(to_net(normalize(net), cat)), fa)
             assert eval_net(net, model_of[cat]) == eval_free(fa, model_of[cat])
+
+        return run
+
+    def arrow_pipeline(cat):
+        def run(text):
+            fa = parse_arrow(text, cat)
+            printed = fmt_arrow(fa)
+            again = must(parse_arrow, printed, cat)
+            assert again == fa and fmt_arrow(again) == printed
 
         return run
 
@@ -101,7 +124,7 @@ def test_mutants_end_in_a_result_or_a_documented_error():
         seeds.append((print_net(random_net(cat, rng, max_links=24)), net_pipeline(cat)))
     for i in range(5):
         cat = (pauli8, c2)[i % 2]
-        seeds.append((fmt_arrow(random_free_arrow(cat, rng)), lambda t, cat=cat: parse_arrow(t, cat)))
+        seeds.append((fmt_arrow(random_free_arrow(cat, rng)), arrow_pipeline(cat)))
 
     tried = 0
     for text, load in seeds:
