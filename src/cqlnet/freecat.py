@@ -644,8 +644,7 @@ def _parse_wiring(text, dom, cod, cat, lineno):
     pairs = []
     ptext = ppart[len("pairs:"):].strip()
     if ptext:
-        for item in ptext.split(","):
-            item = item.strip()
+        for item in split_top(ptext, ",", lineno):
             pp, colon, label = item.partition(":")
             a, arrowsym, b = pp.partition("<->")
             if not colon or not arrowsym:
@@ -658,8 +657,7 @@ def _parse_wiring(text, dom, cod, cat, lineno):
     loops = []
     ltext = lpart[len("loops:"):].strip()
     if ltext:
-        for item in ltext.split(","):
-            item = item.strip()
+        for item in split_top(ltext, ",", lineno):
             if not (item.startswith("[") and item.endswith("]")):
                 raise ParseError(lineno, f"bad loop {item!r}")
             obj, colon, arrow = item[1:-1].partition(":")

@@ -5,10 +5,16 @@ slice is a set of links (axioms, cuts, times, plus, unit) wired output-to-
 input, with every dangling output listed in order on the ``out`` line.
 
 Ports are written ``<link id>.<slot>``; axioms have outputs 0 and 1, the
-other producing links output 0.  Cuts have no outputs and no written id.
+other producing links output 0.  Cuts have no outputs and no written id; a
+link id holds no space, bracket or any of ``.,:|=#``.
 There is one plus kind, ``PlusLink``: its two classes differ only in
 ``right``, the side of the sum that input 0 fills.  There is one builder of
 identity cuts, ``id_cut``, for the parser and for rewriting.
+
+Slices are typed and built producers first, as proof structures are: one
+pass, ``topo_order``, lists the links from the axioms and units up, and
+``labels`` reads each output's formula off its inputs' in that order; a
+``SliceBuilder`` makes each link over ports that already exist.
 """
 
 from __future__ import annotations
@@ -133,58 +139,60 @@ class Net:
         return print_net(self)
 
 
+def topo_order(slice_):
+    """Links in dependency order, producers first, cuts last, ties by id; one pass."""
+    links = slice_.links
+    waiting = {lid: link.n_in for lid, link in links.items() if not isinstance(link, CutLink)}
+    consumers = {}
+    for (lid, _), (pid, _) in slice_.wires.items():
+        if lid in waiting:
+            consumers.setdefault(pid, []).append(lid)
+    order, level = [], sorted(lid for lid, n in waiting.items() if n == 0)
+    while level:
+        order += level
+        fed = [lid for pid in level for lid in consumers.get(pid, ())]
+        for lid in fed:
+            waiting[lid] -= 1
+        level = sorted({lid for lid in fed if waiting[lid] == 0})
+    if len(order) != len(waiting):
+        raise NetError("cyclic wiring")
+    return order + sorted(lid for lid, link in links.items() if isinstance(link, CutLink))
+
+
 def labels(slice_, cat):
-    """Formula label of every output port.
+    """Formula label of every output port, built producers first along ``topo_order``.
 
     Raises NetError on cyclic wiring, and on a label built by more than
     ``MAX_DEPTH`` nested times and plus links: the parser bounds the formulas
     it reads, and this bounds the ones a slice builds, before any recursive
     walker meets them.
     """
-    memo = {}
-    depth = {}  # port -> times and plus links nested under its label
-    state = {}
-
-    def lab(port, frames):
-        if port in memo:
-            return memo[port]
-        if state.get(port) == "open":
-            raise NetError("cyclic wiring")
-        lid, slot = port
-        if frames > MAX_DEPTH:
-            raise NetError(f"link {lid}: label nested deeper than {MAX_DEPTH}")
-        state[port] = "open"
+    labs, depth = {}, {}  # port -> its label, and the times and plus links nested in it
+    wires = slice_.wires
+    for lid in topo_order(slice_):
         link = slice_.links[lid]
-        d = 0
         if isinstance(link, AxLink):
-            a, b = cat.dom(link.arrow), cat.cod(link.arrow)
-            out = DualAtom(a) if slot == 0 else Atom(b)
-        elif isinstance(link, UnitLink):
-            out = Unit()
+            labs[(lid, 0)], labs[(lid, 1)] = DualAtom(cat.dom(link.arrow)), Atom(cat.cod(link.arrow))
+            depth[(lid, 0)] = depth[(lid, 1)] = 0
+            continue
+        if isinstance(link, UnitLink):
+            out, d = Unit(), 0
         elif isinstance(link, TimesLink):
-            p0, p1 = slice_.wires[(lid, 0)], slice_.wires[(lid, 1)]
-            l0, l1 = lab(p0, frames + 1), lab(p1, frames + 1)
+            p0, p1 = wires[(lid, 0)], wires[(lid, 1)]
+            l0, l1 = labs[p0], labs[p1]
             if isinstance(l0, Unit) or isinstance(l1, Unit):
                 raise NetError(f"times {lid}: I may not appear under x")
             out, d = Tensor(l0, l1), 1 + max(depth[p0], depth[p1])
         elif isinstance(link, PlusLink):
-            p = slice_.wires[(lid, 0)]
-            below = lab(p, frames + 1)
-            out = Plus(link.other, below) if link.right else Plus(below, link.other)
+            p = wires[(lid, 0)]
+            out = Plus(link.other, labs[p]) if link.right else Plus(labs[p], link.other)
             d = 1 + depth[p]
         else:
-            raise NetError(f"link {lid} has no outputs")
+            break  # cuts come last and have no outputs
         if d > MAX_DEPTH:
             raise NetError(f"link {lid}: label nested deeper than {MAX_DEPTH}")
-        depth[port] = d
-        state[port] = "done"
-        memo[port] = out
-        return out
-
-    for lid, link in slice_.links.items():
-        for slot in range(link.n_out):
-            lab((lid, slot), 0)
-    return memo
+        labs[(lid, 0)], depth[(lid, 0)] = out, d
+    return labs
 
 
 def cut_inputs(link, cat):
@@ -280,18 +288,18 @@ def validate_net(net, slice_labels=None):
 
 
 class SliceBuilder:
-    """Accumulates links for one slice, leaving holes for axiom outputs.
+    """Accumulates the links and wires of one slice, producers first.
 
-    ``realize_choices`` builds the link tree under one conclusion, picking a
-    branch at every plus; atom leaves become numbered holes in left-to-right
-    order, filled by ``place`` once axioms exist.
+    ``add`` makes a link over ports that already exist, so a slice is built
+    from its axioms up: ``realize_choices`` builds the link tree under one
+    conclusion over the axiom ports it is given, picking a branch at every
+    plus.  Ids count up per prefix: ``a`` axioms, ``#c`` cuts, ``t`` times,
+    ``p`` plus and ``u`` unit links.
     """
 
     def __init__(self):
         self.links = {}
         self.wires = {}
-        self.holes = []
-        self.hole_sites = {}
         self.counts = {}
 
     def fresh(self, prefix):
@@ -299,80 +307,40 @@ class SliceBuilder:
         self.counts[prefix] = n + 1
         return f"{prefix}{n}"
 
-    def _leaf(self):
-        hole = len(self.holes)
-        self.holes.append(None)
-        return ("#hole", hole)
+    def add(self, prefix, link, *inputs):
+        """A link with a fresh id, input k wired from port ``inputs[k]``; returns its id."""
+        lid = self.fresh(prefix)
+        self.links[lid] = link
+        for k, port in enumerate(inputs):
+            self.wires[(lid, k)] = port
+        return lid
 
-    def _attach(self, input_port, below):
-        if below[0] == "#hole":
-            self.hole_sites[below[1]] = input_port
-        else:
-            self.wires[input_port] = below
+    def realize_choices(self, formula, choices, leaves):
+        """The port of a tree for ``formula``, following an iterator of plus bits.
 
-    def _times(self, below_l, below_r):
-        lid = self.fresh("t")
-        self.links[lid] = TimesLink()
-        self._attach((lid, 0), below_l)
-        self._attach((lid, 1), below_r)
-        return (lid, 0)
-
-    def _plus(self, right_chosen, below, other):
-        lid = self.fresh("p")
-        self.links[lid] = (Plus2Link if right_chosen else Plus1Link)(other)
-        self._attach((lid, 0), below)
-        return (lid, 0)
-
-    def _unit(self):
-        lid = self.fresh("u")
-        self.links[lid] = UnitLink()
-        return (lid, 0)
-
-    def realize_choices(self, formula, choices):
-        """Realize branches following an iterator of plus bits (True = right)."""
+        A bit True picks the right side of its sum.  Each atom leaf, left to
+        right, takes the next port of the iterator ``leaves``; links are made
+        bottom-up, so their ids count up in post-order.
+        """
         match formula:
             case Unit():
-                return self._unit()
+                return self.add("u", UnitLink()), 0
             case Atom(_) | DualAtom(_):
-                return self._leaf()
+                return next(leaves)
             case Tensor(l, r):
-                below_l = self.realize_choices(l, choices)
-                below_r = self.realize_choices(r, choices)
-                return self._times(below_l, below_r)
+                below_l = self.realize_choices(l, choices, leaves)
+                below_r = self.realize_choices(r, choices, leaves)
+                return self.add("t", TimesLink(), below_l, below_r), 0
             case Plus(l, r):
-                bit = next(choices)
-                if not bit:
-                    return self._plus(False, self.realize_choices(l, choices), r)
-                return self._plus(True, self.realize_choices(r, choices), l)
+                if next(choices):
+                    return self.add("p", Plus2Link(l), self.realize_choices(r, choices, leaves)), 0
+                return self.add("p", Plus1Link(r), self.realize_choices(l, choices, leaves)), 0
         raise AssertionError(f"cannot realize {formula!r}")
-
-    def place(self, hole, port):
-        """Fill a hole with an axiom output port."""
-        site = self.hole_sites.get(hole)
-        if site is not None:
-            self.wires[site] = port
-        self.holes[hole] = port
 
     def add_loop(self, cat, loop):
         """A closed loop: an axiom for the endo plus an identity cut."""
-        lid = self.fresh("a")
-        self.links[lid] = AxLink(loop.arrow)
-        cid = self.fresh("#c")
-        self.links[cid] = CutLink(arrow=cat.identity(loop.obj))
-        self.wires[(cid, 0)] = (lid, 1)
-        self.wires[(cid, 1)] = (lid, 0)
-
-    def build(self, tops):
-        outs = []
-        for top in tops:
-            if top[0] == "#hole":
-                port = self.holes[top[1]]
-                if port is None:
-                    raise AssertionError("unfilled hole")
-                outs.append(port)
-            else:
-                outs.append(top)
-        return Slice(self.links, self.wires, tuple(outs))
+        lid = self.add("a", AxLink(loop.arrow))
+        self.add("#c", CutLink(arrow=cat.identity(loop.obj)), (lid, 1), (lid, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +350,7 @@ class SliceBuilder:
 def _link_id(tok, lineno, links):
     """A new link id for the open slice."""
     lid = tok.strip()
-    if not lid or any(c.isspace() or c in ".,:|=#" for c in lid):
+    if not lid or any(c.isspace() or c in ".,:|=#()[]" for c in lid):
         raise ParseError(lineno, f"bad link id {lid!r}")
     if lid in links:
         raise ParseError(lineno, f"duplicate link id {lid!r}")
@@ -521,26 +489,6 @@ def parse_net(text, cat):
 
 # ---------------------------------------------------------------------------
 # printing
-
-
-def topo_order(slice_):
-    """Links in dependency order, producers first, cuts last, ties by id; one pass."""
-    links = slice_.links
-    waiting = {lid: link.n_in for lid, link in links.items() if not isinstance(link, CutLink)}
-    consumers = {}
-    for (lid, _), (pid, _) in slice_.wires.items():
-        if lid in waiting:
-            consumers.setdefault(pid, []).append(lid)
-    order, level = [], sorted(lid for lid, n in waiting.items() if n == 0)
-    while level:
-        order += level
-        fed = [lid for pid in level for lid in consumers.get(pid, ())]
-        for lid in fed:
-            waiting[lid] -= 1
-        level = sorted({lid for lid in fed if waiting[lid] == 0})
-    if len(order) != len(waiting):
-        raise NetError("cyclic wiring")
-    return order + sorted(lid for lid, link in links.items() if isinstance(link, CutLink))
 
 
 def _fmt_port(port):

@@ -13,7 +13,7 @@ from collections import Counter
 from .category import Loop
 from .formula import Atom, DualAtom, Literal, Plus, Tensor, Unit, star
 from .freecat import FreeArrow, wiring
-from .net import AxLink, CutLink, Net, SliceBuilder, validate_net
+from .net import AxLink, CutLink, Net, Slice, SliceBuilder, validate_net
 
 
 def _endos(cat, obj):
@@ -72,81 +72,64 @@ def _chain_ports(b, cat, rng, f):
             if not ks:
                 continue
             k = rng.choice(sorted(ks))
-            a1 = b.fresh("a")
-            b.links[a1] = AxLink(g)
-            a2 = b.fresh("a")
-            b.links[a2] = AxLink(k)
-            cid = b.fresh("#c")
-            b.links[cid] = CutLink(arrow=h)
-            b.wires[(cid, 0)] = (a1, 1)
-            b.wires[(cid, 1)] = (a2, 0)
+            a1 = b.add("a", AxLink(g))
+            a2 = b.add("a", AxLink(k))
+            b.add("#c", CutLink(arrow=h), (a1, 1), (a2, 0))
             return (a1, 0), (a2, 1)
-    lid = b.fresh("a")
-    b.links[lid] = AxLink(f)
+    lid = b.add("a", AxLink(f))
     return (lid, 0), (lid, 1)
-
-
-def _add_tower(b, cat, rng, leaves):
-    """An identity cut joining two freshly realized dual trees."""
-    x = balanced_formula(cat, rng, depth=1)
-    bits0, l0 = _branch(x, rng)
-    bits1, l1 = _branch(star(x), rng)
-    t0 = b.realize_choices(x, iter(bits0))
-    t1 = b.realize_choices(star(x), iter(bits1))
-    cid = b.fresh("#c")
-    b.links[cid] = CutLink(formula=x)
-    b._attach((cid, 0), t0)
-    b._attach((cid, 1), t1)
-    leaves.extend(l0)
-    leaves.extend(l1)
 
 
 def _add_ring(b, cat, rng):
     """A closed ring of two axioms joined by two labelled cuts."""
     obj = rng.choice(cat.objects)
     endos = _endos(cat, obj)
-    a1 = b.fresh("a")
-    b.links[a1] = AxLink(rng.choice(endos))
-    a2 = b.fresh("a")
-    b.links[a2] = AxLink(rng.choice(endos))
-    c1 = b.fresh("#c")
-    b.links[c1] = CutLink(arrow=rng.choice(endos))
-    b.wires[(c1, 0)] = (a1, 1)
-    b.wires[(c1, 1)] = (a2, 0)
-    c2 = b.fresh("#c")
-    b.links[c2] = CutLink(arrow=rng.choice(endos))
-    b.wires[(c2, 0)] = (a2, 1)
-    b.wires[(c2, 1)] = (a1, 0)
+    a1 = b.add("a", AxLink(rng.choice(endos)))
+    a2 = b.add("a", AxLink(rng.choice(endos)))
+    b.add("#c", CutLink(arrow=rng.choice(endos)), (a1, 1), (a2, 0))
+    b.add("#c", CutLink(arrow=rng.choice(endos)), (a2, 1), (a1, 0))
 
 
 def random_slice(cat, rng, conclusions):
+    """A random slice over ``conclusions``, built from its axioms up.
+
+    The trees' plus bits are drawn first, then the tower, ring and loop, then
+    the axioms that pair the trees' leaves; last the trees are realized over
+    the axioms' ports.  The tower's cut id is taken when it is drawn.
+    """
     b = SliceBuilder()
-    leaves = []
-    tops = []
-    for f in conclusions:
-        bits, ls = _branch(f, rng)
-        tops.append(b.realize_choices(f, iter(bits)))
-        leaves.extend(ls)
+    # (formula, plus bits, leaf literals) per tree: the conclusions', then the tower's
+    trees = [(f, *_branch(f, rng)) for f in conclusions]
+    tower = None  # an identity cut joining two dual trees
     if rng.random() < 0.5:
-        _add_tower(b, cat, rng, leaves)
+        x = balanced_formula(cat, rng, depth=1)
+        trees += [(g, *_branch(g, rng)) for g in (x, star(x))]
+        tower = x, b.fresh("#c")
     if rng.random() < 0.4:
         _add_ring(b, cat, rng)
     if rng.random() < 0.3:
         obj = rng.choice(cat.objects)
         b.add_loop(cat, Loop(obj, rng.choice(_endos(cat, obj))))
+    leaves = [lit for _, _, lits in trees for lit in lits]
     byobj = {}
-    for hole, lit in enumerate(leaves):
-        byobj.setdefault(lit.name, ([], []))[0 if lit.star else 1].append(hole)
+    for k, lit in enumerate(leaves):
+        byobj.setdefault(lit.name, ([], []))[0 if lit.star else 1].append(k)
+    ports = [None] * len(leaves)
     for obj, (stars, plains) in sorted(byobj.items()):
         if len(stars) != len(plains):
             raise AssertionError(f"unbalanced leaves for {obj}")
         rng.shuffle(stars)
         endos = _endos(cat, obj)
-        for hs, hp in zip(stars, plains):
-            p_star, p_plain = _chain_ports(b, cat, rng, rng.choice(endos))
-            b.place(hs, p_star)
-            b.place(hp, p_plain)
-    return b.build(tops)
+        for ks, kp in zip(stars, plains):
+            ports[ks], ports[kp] = _chain_ports(b, cat, rng, rng.choice(endos))
+    leaf_ports = iter(ports)
+    tops = [b.realize_choices(f, iter(bits), leaf_ports) for f, bits, _ in trees]
+    if tower is not None:
+        x, cid = tower
+        *tops, t0, t1 = tops
+        b.links[cid] = CutLink(formula=x)
+        b.wires[(cid, 0)], b.wires[(cid, 1)] = t0, t1
+    return Slice(b.links, b.wires, tuple(tops))
 
 
 def _conclusion(cat, rng):

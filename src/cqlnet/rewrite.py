@@ -274,19 +274,17 @@ def canonicalize_slice(s, cat):
 def reconstruct_slice(cs, conclusions, cat):
     """The normal slice denoted by a canonical form, with deterministic ids."""
     b = nets.SliceBuilder()
-    bits = iter(cs.choices)
-    tops = [b.realize_choices(f, bits) for f in conclusions]
-    leftover = next(bits, None)
-    if leftover is not None:
-        raise ValueError("too many plus choices for these conclusions")
+    leaves = [None] * (2 * len(cs.pairs))
     for neg, pos, f in cs.pairs:
-        lid = b.fresh("a")
-        b.links[lid] = nets.AxLink(f)
-        b.place(neg, (lid, 0))
-        b.place(pos, (lid, 1))
+        lid = b.add("a", nets.AxLink(f))
+        leaves[neg], leaves[pos] = (lid, 0), (lid, 1)
+    bits, ports = iter(cs.choices), iter(leaves)
+    outs = [b.realize_choices(f, bits, ports) for f in conclusions]
+    if next(bits, None) is not None:
+        raise ValueError("too many plus choices for these conclusions")
     for lp in cs.loops:
         b.add_loop(cat, lp)
-    return b.build(tops)
+    return nets.Slice(b.links, b.wires, tuple(outs))
 
 
 def normalize(net, strategy="min", seed=0, trace=None):

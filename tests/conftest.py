@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from cqlnet import load_category
 from cqlnet import fixtures
 from cqlnet.model import load_model
+from cqlnet.randgen import random_net
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +31,28 @@ def c2_bool_mod(c2):
 @pytest.fixture(scope="session")
 def pauli8_mod(pauli8):
     return load_model(fixtures.PAULI8_MOD, pauli8)
+
+
+@pytest.fixture(scope="session")
+def corpus(c2, pauli8):
+    """200 seeded random nets of at most 12 links per slice, pauli8 and c2 alternating."""
+    rng = random.Random(2024)
+    nets = []
+    for i in range(200):
+        cat = pauli8 if i % 2 == 0 else c2
+        nets.append(random_net(cat, rng, name=f"n{i}", max_links=12))
+    return nets
+
+
+@pytest.fixture(scope="session")
+def wide_corpus(c2, pauli8):
+    """120 seeded random nets of at most 48 links per slice."""
+    rng = random.Random(2024)
+    nets = []
+    for i in range(120):
+        cat = pauli8 if i % 2 == 0 else c2
+        nets.append(random_net(cat, rng, name=f"w{i}", max_links=48))
+    return nets
 
 
 @pytest.fixture(scope="session")

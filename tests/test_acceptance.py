@@ -56,26 +56,6 @@ def _q(n):
     return Qi2(Fraction(n))
 
 
-@pytest.fixture(scope="module")
-def corpus(c2, pauli8):
-    rng = random.Random(2024)
-    nets = []
-    for i in range(200):
-        cat = pauli8 if i % 2 == 0 else c2
-        nets.append(random_net(cat, rng, name=f"n{i}", max_links=12))
-    return nets
-
-
-@pytest.fixture(scope="module")
-def wide_corpus(c2, pauli8):
-    rng = random.Random(2024)
-    nets = []
-    for i in range(120):
-        cat = pauli8 if i % 2 == 0 else c2
-        nets.append(random_net(cat, rng, name=f"w{i}", max_links=48))
-    return nets
-
-
 def _mod_for(net, c2, pauli8, c2_mod, pauli8_mod):
     return pauli8_mod if net.cat is pauli8 else c2_mod
 

@@ -98,6 +98,11 @@ NET_CASES = [
     ("conclusions\n", "line 1: missing net line"),
     ("# a comment\nnet a\n", "line 1: missing conclusions line"),
     (NET + "  ax a.b : X\n", "line 4: bad link id 'a.b'"),
+    # a bracket in an id would split a port list in the wrong place
+    (NET + "  ax a[ : X\n", "line 4: bad link id 'a['"),
+    (NET + "  unit u(\n", "line 4: bad link id 'u('"),
+    (NET + "  times )t = a.0 a.1\n", "line 4: bad link id ')t'"),
+    (NET + "  plus1 p] = a.0 | I\n", "line 4: bad link id 'p]'"),
     (NET + "  unit\n", "line 4: bad link id ''"),
     (NET + "  ax a : X\n  unit a\n", "line 5: duplicate link id 'a'"),
     (NET + "  ax a : X\n  out a.x , a.1\nend\n", "line 5: bad port 'a.x'"),
@@ -138,6 +143,10 @@ ARROW_CASES = [
     (entry("(pairs: 0<->1 : X; loops:) , (pairs: 0<->1 : X; loops:"),
      "line 2: unbalanced brackets"),
     (entry("(pairs: 0<->1 : X; loops: [Q X])"), "line 2: bad loop '[Q X]'"),
+    # the pairs and loops lists split outside brackets too
+    (entry("(pairs: 0<->1 : X; loops: [Q , X])"), "line 2: bad loop '[Q , X]'"),
+    (entry("(pairs: 0<->1 : X; loops: [Q : X , Q : X])"), "line 2: bad loop '[Q : X , Q : X]'"),
+    (entry("(pairs: [0<->1 : X; loops: ])"), "line 2: unbalanced brackets"),
     (entry("(pairs: 0<->1 : X; loops: Q : X)"), "line 2: bad loop 'Q : X'"),
     (entry("(pairs: 0<->5 : X; loops:)"), "line 2: pair (0, 5) out of range"),
     (entry("(pairs: 1<->0 : X; loops:)"), "line 2: pair (1, 0) has wrong polarity"),
