@@ -7,7 +7,8 @@ under ``+``; ``0`` only as a whole formula.
 
 The additive normal form (ANF) of a formula is the tuple of its tensor words:
 distributing every ``+`` out of every ``x`` left-to-right.  A word is a tuple
-of literals, the empty word being ``I``; the empty ANF is ``0``.
+of literals, the empty word being ``I``; the empty ANF is ``0``.  ``anf`` caches
+a node's ANF on the node, outside ``==``, ``hash``, ``repr`` and ``fmt``.
 """
 
 from __future__ import annotations
@@ -118,21 +119,26 @@ def validate(f, cat=None):
 
 
 def anf(f):
-    """The additive normal form: a tuple of tensor words."""
+    """The additive normal form: a tuple of tensor words, computed once per node."""
+    if (out := getattr(f, "_anf", None)) is not None:
+        return out
     match f:
         case Zero():
-            return ()
+            out = ()
         case Unit():
-            return ((),)
+            out = ((),)
         case Atom(name):
-            return ((Literal(name, False),),)
+            out = ((Literal(name, False),),)
         case DualAtom(name):
-            return ((Literal(name, True),),)
+            out = ((Literal(name, True),),)
         case Plus(l, r):
-            return anf(l) + anf(r)
+            out = anf(l) + anf(r)
         case Tensor(l, r):
-            return anf_kron(anf(l), anf(r))
-    raise TypeError(f"not a formula: {f!r}")
+            out = anf_kron(anf(l), anf(r))  # a FormulaError here leaves f without a cache
+        case _:
+            raise TypeError(f"not a formula: {f!r}")
+    object.__setattr__(f, "_anf", out)  # past the frozen dataclass's guard
+    return out
 
 
 def anf_star(a):

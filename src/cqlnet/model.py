@@ -212,8 +212,15 @@ class Matrix:
             self.ncols = ncols
 
     @classmethod
+    def _adopt(cls, ring, rows, ncols):
+        """A matrix over ``rows`` as they are, uncopied and unchecked: rows built here."""
+        m = cls.__new__(cls)
+        m.ring, m.rows, m.ncols = ring, rows, ncols
+        return m
+
+    @classmethod
     def zeros(cls, ring, nrows, ncols):
-        return cls(ring, [[ring.zero] * ncols for _ in range(nrows)], ncols)
+        return cls._adopt(ring, [[ring.zero] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, ring, n):
@@ -639,4 +646,4 @@ def eval_net(net, interp):
     for s in net.slices:
         for idx, v in eval_slice(s, interp, concl):
             acc[idx] = ring.add(acc[idx], v)
-    return Matrix(ring, [[x] for x in acc], 1)
+    return Matrix._adopt(ring, [[x] for x in acc], 1)

@@ -392,9 +392,21 @@ def _resolve_slice(cat, links, pending, cuts, outs):
     return s, labs
 
 
+def _formula(text, cat, lineno, read):
+    """The formula ``text`` names; ``read`` maps each text already parsed to its node."""
+    text = text.strip()
+    if text not in read:
+        read[text] = parse_formula(text, cat, lineno)
+    return read[text]
+
+
 def parse_net(text, cat):
-    """Parse and validate a net file against a category."""
+    """Parse and validate a net file against a category.
+
+    Each distinct formula text is parsed once per call; all that write it share its node.
+    """
     name = conclusions = None
+    read = {}  # formula text -> its node, for this call only
     slices = []  # (slice, its labels), validated once the whole net is read
     links = None  # the open slice's links (with its pending wires, cuts and outs), else None
     cut_count = 0
@@ -407,7 +419,7 @@ def parse_net(text, cat):
             if conclusions is not None:
                 raise ParseError(lineno, "duplicate conclusions line")
             parts = split_top(rest, ",", lineno) if rest else ()
-            conclusions = tuple(parse_formula(part, cat, lineno) for part in parts)
+            conclusions = tuple(_formula(part, cat, lineno, read) for part in parts)
         elif head == "slice" and not rest:
             if conclusions is None:
                 raise ParseError(lineno, "slice before conclusions")
@@ -454,7 +466,7 @@ def parse_net(text, cat):
             lid = _link_id(lid, lineno, links)
             kind = Plus2Link if head == "plus2" else Plus1Link
             other, port_tok = (lhs, rhs) if kind.right else (rhs, lhs)
-            links[lid] = kind(parse_formula(other, cat, lineno))
+            links[lid] = kind(_formula(other, cat, lineno, read))
             pending[(lid, 0)] = (port_tok, lineno)
         elif head == "cut":
             body, colon, label = rest.rpartition(":")

@@ -111,3 +111,36 @@ def closed_tensor_net():
         return "\n".join(lines) + "\n"
 
     return build
+
+
+@pytest.fixture(scope="session")
+def swap_tree_net():
+    """Net text with 2^depth slices: slice k selects leaf k of a sum tree, then cuts each pair.
+
+    Every slice writes the sum tree of depth ``level`` as the other side of
+    its plus link at that level, so the same few formula texts recur.
+    """
+
+    def sum_tree(depth):
+        return "I" if depth == 0 else f"({sum_tree(depth - 1)} + {sum_tree(depth - 1)})"
+
+    def build(depth, pairs, arrows):
+        lines = ["net swap_tree", "conclusions " + " , ".join([sum_tree(depth)] + ["Q* , Q"] * pairs)]
+        for leaf in range(2**depth):
+            lines += ["slice", "  unit u"]
+            below = "u.0"
+            for level in range(depth):
+                if (leaf >> level) & 1:
+                    lines.append(f"  plus2 p{level} = {sum_tree(level)} | {below}")
+                else:
+                    lines.append(f"  plus1 p{level} = {below} | {sum_tree(level)}")
+                below = f"p{level}.0"
+            outs = [below]
+            for k in range(pairs):
+                g = arrows[(3 * leaf + k) % len(arrows)]
+                lines += [f"  ax a{k} : id Q", f"  ax b{k} : id Q", f"  cut a{k}.1 , b{k}.0 : {g}"]
+                outs += [f"a{k}.0", f"b{k}.1"]
+            lines += ["  out " + " , ".join(outs), "end"]
+        return "\n".join(lines) + "\n"
+
+    return build

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from cqlnet import fixtures
 from cqlnet.errors import FormulaError, ParseError
 from cqlnet.formula import (
     MAX_DEPTH,
@@ -24,6 +27,8 @@ from cqlnet.formula import (
     validate,
     word_formula,
 )
+from cqlnet.net import PlusLink, parse_net
+from cqlnet.randgen import random_anf, random_net
 
 
 def test_parse_and_fmt_round_trip():
@@ -73,6 +78,52 @@ def test_anf_nested_oracle():
         (Literal("B"), Literal("C")),
         (Literal("B"), Literal("D")),
     )
+
+
+def _anf_by_recursion(f):
+    """anf as a plain recursive walk, with no cache: the reference for the cached one."""
+    match f:
+        case Zero():
+            return ()
+        case Unit():
+            return ((),)
+        case Atom(name):
+            return ((Literal(name, False),),)
+        case DualAtom(name):
+            return ((Literal(name, True),),)
+        case Plus(l, r):
+            return _anf_by_recursion(l) + _anf_by_recursion(r)
+        case Tensor(l, r):
+            return anf_kron(_anf_by_recursion(l), _anf_by_recursion(r))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def test_cached_anf_matches_a_recursive_walk(pauli8, c2, corpus, wide_corpus):
+    rng = random.Random(47)
+    texts = [text for name, text in fixtures.EXAMPLES.items() if name.endswith(".net")]
+    nets = [parse_net(text, pauli8) for text in texts] + corpus + wide_corpus
+    nets += [random_net(c2 if i % 2 else pauli8, rng, max_links=32) for i in range(60)]
+    formulas = [f for net in nets for f in net.conclusions]
+    formulas += [link.other for net in nets for s in net.slices for link in s.links.values()
+                 if isinstance(link, PlusLink)]
+    for i in range(200):
+        a = random_anf(c2 if i % 2 else pauli8, rng)
+        b = random_anf(c2 if i % 2 else pauli8, rng)
+        formulas += [anf_formula(a), Tensor(anf_formula(a), anf_formula(b)),
+                     Plus(anf_formula(b), anf_formula(a))]
+    assert len(formulas) > 2000
+    for f in formulas:
+        assert anf(f) == _anf_by_recursion(f)
+        assert anf(f) is anf(f)
+
+
+def test_cached_anf_is_invisible():
+    text = "((Q* x (Q + I)) + (Q x Q))"
+    f, g = parse_formula(text), parse_formula(text)
+    before = (repr(f), hash(f), fmt(f), str(f))
+    anf(f)
+    assert (repr(f), hash(f), fmt(f), str(f)) == before
+    assert f == g and g == f and hash(f) == hash(g)
 
 
 def test_anf_star_commutes_with_star():
@@ -141,8 +192,10 @@ def test_anf_kron_word_limit():
     sums = "(Q + Q)"
     for _ in range(15):
         sums = f"({sums} x (Q + Q))"
-    with pytest.raises(FormulaError):
-        anf(parse_formula(sums))
+    f = parse_formula(sums)
+    for _ in range(2):  # the error is raised again, never cached
+        with pytest.raises(FormulaError, match=f"ANF of {2 * MAX_WORDS} words"):
+            anf(f)
 
 
 def test_validate_unit_restriction():

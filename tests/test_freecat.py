@@ -430,33 +430,8 @@ def test_denote_ignores_link_ids(c2, pauli8):
     assert permuted > 10
 
 
-def _sum_tree(depth):
-    return "I" if depth == 0 else f"({_sum_tree(depth - 1)} + {_sum_tree(depth - 1)})"
-
-
-def _swap_tree_net(depth, pairs, arrows):
-    """2^depth slices; slice k selects leaf k of the sum tree, then cuts each pair."""
-    lines = ["net swap_tree", "conclusions " + " , ".join([_sum_tree(depth)] + ["Q* , Q"] * pairs)]
-    for leaf in range(2**depth):
-        lines += ["slice", "  unit u"]
-        below = "u.0"
-        for level in range(depth):
-            if (leaf >> level) & 1:
-                lines.append(f"  plus2 p{level} = {_sum_tree(level)} | {below}")
-            else:
-                lines.append(f"  plus1 p{level} = {below} | {_sum_tree(level)}")
-            below = f"p{level}.0"
-        outs = [below]
-        for k in range(pairs):
-            g = arrows[(3 * leaf + k) % len(arrows)]
-            lines += [f"  ax a{k} : id Q", f"  ax b{k} : id Q", f"  cut a{k}.1 , b{k}.0 : {g}"]
-            outs += [f"a{k}.0", f"b{k}.1"]
-        lines += ["  out " + " , ".join(outs), "end"]
-    return "\n".join(lines) + "\n"
-
-
-def test_denote_deep_sum_tree(pauli8, pauli8_mod):
-    net = parse_net(_swap_tree_net(5, 2, sorted(pauli8.arrows)), pauli8)
+def test_denote_deep_sum_tree(pauli8, pauli8_mod, swap_tree_net):
+    net = parse_net(swap_tree_net(5, 2, sorted(pauli8.arrows)), pauli8)
     assert len(net.slices) == 32
     fa = denote(net)
     assert len(fa.entries) == 32

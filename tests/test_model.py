@@ -156,6 +156,19 @@ def test_matrix_shape_errors():
     assert Matrix.zeros(ExactRing, 0, 0) != Matrix.zeros(BoolRing, 0, 0)
 
 
+def test_matrix_copies_its_rows():
+    rows = [[_q(1), _q(2)], [_q(3), _q(4)]]
+    m = Matrix(ExactRing, rows)
+    rows[0][0] = _q(9)
+    rows.append([_q(5), _q(6)])
+    assert m == _qm([[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        Matrix(ExactRing, iter([[_q(1)], [_q(2), _q(3)]]))
+    z = Matrix.zeros(ExactRing, 2, 2)  # its own rows, one list each
+    z.put(0, 1, _q(7))
+    assert z == _qm([[0, 7], [0, 0]])
+
+
 def test_load_model_basics(c2, c2_mod):
     assert c2_mod.name == "flip"
     assert c2_mod.ring is ExactRing

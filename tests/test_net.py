@@ -7,7 +7,7 @@ import pytest
 from cqlnet import fixtures
 from cqlnet.errors import NetError, ParseError
 from cqlnet import net as net_module
-from cqlnet.formula import MAX_DEPTH, Atom, DualAtom, Plus, Tensor, Unit, parse_formula
+from cqlnet.formula import MAX_DEPTH, Atom, DualAtom, Plus, Tensor, Unit, fmt, parse_formula
 from cqlnet.freecat import complete, denote, fmt_arrow
 from cqlnet.randgen import random_free_arrow, random_net
 from cqlnet.model import eval_net
@@ -225,6 +225,30 @@ def test_parse_runs_labels_once_per_slice(pauli8, monkeypatch):
     net = parse_net(fixtures.SWAPPING_NET, pauli8)
     assert len(net.slices) == 4
     assert len(calls) == 4
+
+
+def test_parse_shares_one_node_per_formula_text(pauli8, swap_tree_net):
+    net = parse_net(swap_tree_net(4, 2, sorted(pauli8.arrows)), pauli8)
+    by_text = {}
+    for s in net.slices:
+        for link in s.links.values():
+            if isinstance(link, PlusLink):
+                assert by_text.setdefault(fmt(link.other), link.other) is link.other
+    assert len(by_text) == 4  # the sum trees of depth 0 to 3, over 16 slices
+    assert net.conclusions[1] is net.conclusions[3] and net.conclusions[2] is net.conclusions[4]
+
+
+def test_parse_reads_each_formula_text_once(pauli8, swap_tree_net, monkeypatch):
+    calls = []
+
+    def counted(text, cat, lineno):
+        calls.append(text)
+        return parse_formula(text, cat, lineno)
+
+    monkeypatch.setattr(net_module, "parse_formula", counted)
+    parse_net(swap_tree_net(4, 2, sorted(pauli8.arrows)), pauli8)
+    # the sum trees of depth 0 to 3 under plus links, the depth-4 one, Q* and Q
+    assert len(calls) == len(set(calls)) == 7
 
 
 def test_id_cut_inference_on_compounds(pauli8):
