@@ -224,7 +224,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, ring, n):
-        return cls(
+        return cls._adopt(
             ring,
             [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)],
             n,
@@ -263,7 +263,7 @@ class Matrix:
     def add(self, other):
         if self.shape != other.shape:
             raise ValueError("matrix shapes differ")
-        return Matrix(
+        return Matrix._adopt(
             self.ring,
             [
                 [self.ring.add(x, y) for x, y in zip(r1, r2)]

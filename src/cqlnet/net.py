@@ -14,7 +14,8 @@ identity cuts, ``id_cut``, for the parser and for rewriting.
 Slices are typed and built producers first, as proof structures are: one
 pass, ``topo_order``, lists the links from the axioms and units up, and
 ``labels`` reads each output's formula off its inputs' in that order; a
-``SliceBuilder`` makes each link over ports that already exist.
+``SliceBuilder`` makes each link over ports that already exist.  Only
+``parse_net`` and ``validate_net`` check a net; what a builder makes is not.
 """
 
 from __future__ import annotations

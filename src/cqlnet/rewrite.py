@@ -15,6 +15,11 @@ the side both plus links chose.
 A normal slice is determined by its plus choices, the pairing of its
 conclusion leaves, and its loop classes; nets compare equal when their
 normal slices match as multisets over equal conclusion lists.
+
+Nets are checked where they enter, by ``net.parse_net`` or ``net.validate_net``.
+Here only what a caller picks is checked: ``step``'s redex, ``normalize_slice``'s
+strategy and ``canonicalize_slice``'s slice.  ``to_net`` trusts its normal form:
+cut elimination and completeness give only well-formed nets.
 """
 
 from __future__ import annotations
@@ -172,6 +177,8 @@ def normalize_slice(s, cat, strategy="min", rng=None, on_step=None):
     a heap; ``random`` draws an index into them sorted, as ``find_redexes``
     lists them, and ``_Ranks`` finds it (a step reuses the slice's ids).
     """
+    if strategy not in ("min", "random"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     live = {r.cut: r for r in find_redexes(s, cat)}
     if not live:
         return s, 0  # already normal: nothing to copy
@@ -184,11 +191,9 @@ def normalize_slice(s, cat, strategy="min", rng=None, on_step=None):
             cid = heapq.heappop(heap)
             if cid not in live:
                 continue  # reduced already, or now a closed loop
-        elif strategy == "random":
+        else:
             cid = ranks.kth(rng.randrange(len(live)))  # the draw of rng.choice
             ranks.add(cid, -1)
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
         r = live.pop(cid)
         touched = _rewrite(w, cat, cid, r.rule)
         steps += 1
@@ -302,11 +307,9 @@ def normalize(net, strategy="min", seed=0, trace=None):
 
 
 def to_net(nn, cat, name="normal"):
-    """Rebuild a Net from a normal form."""
+    """Rebuild a Net, unchecked, from a normal form made by ``normalize`` or ``complete``."""
     slices = tuple(reconstruct_slice(cs, nn.conclusions, cat) for cs in nn.slices)
-    net = nets.Net(name, nn.conclusions, slices, cat)
-    nets.validate_net(net)
-    return net
+    return nets.Net(name, nn.conclusions, slices, cat)
 
 
 def beta_equal(n1, n2, strategy="min", seed=0):

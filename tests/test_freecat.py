@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from cqlnet import fixtures, freecat
+from cqlnet import net as nets
 from cqlnet.category import Loop
 from cqlnet.errors import ParseError
 from cqlnet.formula import anf, anf_star, parse_formula
@@ -37,6 +38,7 @@ from cqlnet.freecat import (
 from cqlnet.model import eval_free, eval_net
 from cqlnet.net import AxLink, Net, Slice, parse_net, validate_net
 from cqlnet.randgen import random_anf, random_free_arrow, random_net, random_wiring
+from cqlnet.rewrite import normalize, to_net
 
 
 def _anf(text, cat):
@@ -440,12 +442,12 @@ def test_denote_deep_sum_tree(pauli8, pauli8_mod, swap_tree_net):
     assert fa_equal(denote(back), fa)
 
 
-def _count_calls(monkeypatch, *names):
-    """Count calls to the named ``freecat`` functions from inside the module."""
+def _count_calls(monkeypatch, *names, module=freecat):
+    """Count calls to the named functions of ``module`` that look them up there."""
     calls = Counter()
 
     def counted(name):
-        real = getattr(freecat, name)
+        real = getattr(module, name)
 
         def call(*args):
             calls[name] += 1
@@ -454,8 +456,19 @@ def _count_calls(monkeypatch, *names):
         return call
 
     for name in names:
-        monkeypatch.setattr(freecat, name, counted(name))
+        monkeypatch.setattr(module, name, counted(name))
     return calls
+
+
+def test_to_net_and_complete_check_nothing(pauli8, monkeypatch):
+    # what they rebuild is well formed by construction: no validate_net, no labels
+    swap = parse_net(fixtures.SWAPPING_NET, pauli8)
+    nf = normalize(swap)
+    assert nf.slices
+    calls = _count_calls(monkeypatch, "validate_net", "labels", module=nets)
+    back = complete(denote(to_net(nf, pauli8)))
+    assert calls == {}
+    assert fa_equal(denote(back), name_of(denote(swap)))
 
 
 def test_denote_plus_chain_checks_nothing_and_composes_a_fixed_number_of_times(
@@ -499,3 +512,27 @@ def test_denote_composes_once_per_nonzero_slice_and_builds_one_arrow(
         assert calls == {"wiring_compose": nonzero, "_arrow": 1}
         assert sum(sum(c.values()) for c in fa.entries.values()) == nonzero
     assert fa_equal(fa, denote(parse_net(fixtures.BELL_NET, pauli8)))
+
+
+def test_what_the_library_builds_passes_the_checks_it_skips(
+    c2, pauli8, corpus, wide_corpus, swap_tree_net, plus_chain_net
+):
+    # to_net, complete, denote and parse_arrow do not check what they return;
+    # validate_net and the checking FreeArrow(...) accept all of it
+    def rebuilt(fa):
+        return FreeArrow(fa.cat, fa.dom, fa.cod, fa.entries)
+
+    texts = [fixtures.BELL_NET, fixtures.BELLX_NET, fixtures.CHAIN_NET, fixtures.RING_NET,
+             fixtures.SWAPPING_NET, swap_tree_net(5, 2, sorted(pauli8.arrows)), plus_chain_net(64)]
+    arrows = []
+    for net in [parse_net(t, pauli8) for t in texts] + corpus + wide_corpus:
+        validate_net(to_net(normalize(net), net.cat))
+        fa = denote(net)
+        assert rebuilt(fa) == fa
+        arrows.append(fa)
+    rng = random.Random(15)
+    arrows += [random_free_arrow((pauli8, c2)[i % 2], rng) for i in range(300)]
+    for fa in arrows:
+        validate_net(complete(fa))
+        again = parse_arrow(fmt_arrow(fa), fa.cat)
+        assert rebuilt(again) == again == fa

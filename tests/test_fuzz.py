@@ -8,9 +8,12 @@ else fail with one of the five documented errors.  A net that gets through
 must pass ``validate_net`` again with its labels computed from scratch, print
 to a text that parses and prints back to itself, normalize each slice in at
 most as many steps as it has links, have the same denotation as its normal
-form, and ``eval_net`` must agree with ``eval_free`` of its denotation.  An
-arrow that loads must print to a text that parses back to the same arrow and
-prints back to itself.
+form, and ``eval_net`` must agree with ``eval_free`` of its denotation.  Its
+normal form rebuilt by ``to_net`` and the completion of its denotation must
+pass ``validate_net``, which neither runs itself.  An arrow that loads must
+print to a text that parses back to the same arrow and prints back to itself,
+equal the arrow the checking ``FreeArrow(...)`` builds from its parts, and
+complete to a net that passes ``validate_net``.
 """
 
 import random
@@ -19,7 +22,7 @@ import re
 from cqlnet import fixtures
 from cqlnet.category import load_category
 from cqlnet.errors import CategoryError, FormulaError, ModelError, NetError, ParseError
-from cqlnet.freecat import denote, fa_equal, fmt_arrow, parse_arrow
+from cqlnet.freecat import FreeArrow, complete, denote, fa_equal, fmt_arrow, parse_arrow
 from cqlnet.model import eval_free, eval_net, load_model
 from cqlnet.net import parse_net, print_net, validate_net
 from cqlnet.randgen import random_free_arrow, random_net
@@ -88,8 +91,11 @@ def test_mutants_end_in_a_result_or_a_documented_error():
             assert print_net(must(parse_net, printed, cat)) == printed
             for s in net.slices:  # the step budget of a strongly normalising calculus
                 assert normalize_slice(s, cat)[1] <= len(s.links)
+            nf_net = to_net(normalize(net), cat)
+            must(validate_net, nf_net)
             fa = denote(net)
-            assert fa_equal(denote(to_net(normalize(net), cat)), fa)
+            assert fa_equal(denote(nf_net), fa)
+            must(validate_net, complete(fa))
             assert eval_net(net, model_of[cat]) == eval_free(fa, model_of[cat])
 
         return run
@@ -100,6 +106,8 @@ def test_mutants_end_in_a_result_or_a_documented_error():
             printed = fmt_arrow(fa)
             again = must(parse_arrow, printed, cat)
             assert again == fa and fmt_arrow(again) == printed
+            assert FreeArrow(cat, fa.dom, fa.cod, fa.entries) == fa
+            must(validate_net, complete(fa))
 
         return run
 

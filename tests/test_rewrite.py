@@ -47,6 +47,13 @@ def test_beta_equal_needs_shared_conclusions(pauli8):
         beta_equal(bell, ring)
 
 
+def test_unknown_strategy_is_rejected_with_or_without_a_redex(pauli8):
+    # bell is already normal and chain has two redexes: both reject the strategy
+    for text in (fixtures.BELL_NET, fixtures.CHAIN_NET):
+        with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+            normalize(parse_net(text, pauli8), strategy="bogus")
+
+
 def test_ring_reduces_to_loop_class(pauli8):
     ring = parse_net(fixtures.RING_NET, pauli8)
     nn = normalize(ring)
