@@ -190,27 +190,9 @@ class Category:
             raise CategoryError(f"loop of non-endo arrow {f}")
         return self._loop_rep[f]
 
-    def loop_of_word(self, base, word):
-        """The loop class of a cyclically composable word of arrows at ``base``.
-
-        ``word`` lists arrows f1, ..., fn with dom(f1) = base, cod(fi) =
-        dom(f(i+1)), cod(fn) = base; the class is that of fn...f1.  An empty
-        word gives the identity loop at ``base``.
-        """
-        cur = self.identity(base)
-        for f in word:
-            cur = self.compose(cur, f)
-        if self.cod(cur) != base:
-            raise CategoryError(f"loop word at {base} does not close")
-        return self._loop_rep[cur]
-
     def loop_dagger(self, loop):
         """Dagger descends to loop classes."""
         return self._loop_rep[self._dagger[loop.arrow]]
-
-    def loop_classes(self):
-        """All loop classes, as a sorted tuple of representatives."""
-        return tuple(sorted(set(self._loop_rep.values())))
 
 
 def _arrow_name(tok, lineno, what="arrow"):

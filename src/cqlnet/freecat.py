@@ -14,13 +14,14 @@ back, rebuilding a net from any arrow, one slice per wiring.
 Only the public entry points check what they are given: ``FreeArrow(...)``,
 ``wiring`` and ``parse_arrow``.  The operations on arrows and wirings this
 module built (composition, tensor, dagger, dual, sums, names, identities,
-injections and permutations) do not re-check them; each ends in the
-unchecked ``_arrow`` or ``_wiring``.
+injections and the symmetry) do not re-check them; each ends in the
+unchecked ``_arrow`` or ``_wiring``.  Conames and the counit ``epsilon``
+are not built on their own: each is the dual of a name, as the dual
+functor of a compact closed category gives.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -185,16 +186,6 @@ def wiring_dual(t):
 
     pairs = [(shift(neg), shift(pos), f) for neg, pos, f in t.pairs]
     return _wiring(tuple(l.dual() for l in t.cod), tuple(l.dual() for l in t.dom), pairs, t.loops)
-
-
-def wiring_name(t):
-    """Reinterpret u -> v as I -> star(u) ++ v; same boundary, same pairing."""
-    return Wiring((), boundary(t.dom, t.cod), t.pairs, t.loops)
-
-
-def wiring_coname(t):
-    """Reinterpret u -> v as u ++ star(v) -> I; same boundary, same pairing."""
-    return Wiring(t.dom + tuple(l.dual() for l in t.cod), (), t.pairs, t.loops)
 
 
 # ---------------------------------------------------------------------------
@@ -384,28 +375,24 @@ def eta(cat, a):
 
 
 def epsilon(cat, a):
-    """A x star(A) -> I, the codiagonal of cups."""
-    return coname_of(identity(cat, a))
+    """A x star(A) -> I, the codiagonal of cups: the dual of eta."""
+    return eta(cat, a).dual()
 
 
 def name_of(fa):
-    """A -> B into I -> star(A) x B by bending the domain up."""
+    """A -> B into I -> star(A) x B by bending the domain up; same boundary, same pairs."""
     cod = anf_kron(anf_star(fa.dom), fa.cod)
     out = {}
     for (i, j), c in fa.entries.items():
-        row = j * len(fa.cod) + i
-        out[(row, 0)] = Counter({wiring_name(t): m for t, m in c.items()})
+        out[(j * len(fa.cod) + i, 0)] = Counter(
+            {Wiring((), boundary(t.dom, t.cod), t.pairs, t.loops): m for t, m in c.items()}
+        )
     return _arrow(fa.cat, UNIT, cod, out)
 
 
 def coname_of(fa):
-    """A -> B into A x star(B) -> I by bending the codomain down."""
-    dom = anf_kron(fa.dom, anf_star(fa.cod))
-    out = {}
-    for (i, j), c in fa.entries.items():
-        col = j * len(fa.cod) + i
-        out[(0, col)] = Counter({wiring_coname(t): m for t, m in c.items()})
-    return _arrow(fa.cat, dom, UNIT, out)
+    """A -> B into A x star(B) -> I: the dual of its name."""
+    return name_of(fa).dual()
 
 
 def _inject(fa, parts, k):
@@ -431,44 +418,18 @@ def projection(cat, parts, k):
     return injection(cat, parts, k).dagger()
 
 
-def permutation(cat, factors, perm):
-    """Permute tensor factors: codomain position t holds factors[perm[t]]."""
-    factors = [tuple(tuple(w) for w in f) for f in factors]
-    if sorted(perm) != list(range(len(factors))):
-        raise ValueError(f"not a permutation: {perm}")
-    dom = anf_kron_all(factors)
-    cod = anf_kron_all([factors[p] for p in perm])
-    lens = [len(f) for f in factors]
-    entries = {}
-    for multi in itertools.product(*[range(n) for n in lens]):
-        words = [factors[s][multi[s]] for s in range(len(factors))]
-        dom_word = tuple(lit for w in words for lit in w)
-        cod_word = tuple(lit for p in perm for lit in words[p])
-        j = 0
-        for s, n in zip(multi, lens):
-            j = j * n + s
-        i = 0
-        for t in range(len(perm)):
-            i = i * lens[perm[t]] + multi[perm[t]]
-        dom_off = [0]
-        for w in words:
-            dom_off.append(dom_off[-1] + len(w))
-        cod_off = {}
-        run = len(dom_word)
-        for p in perm:
-            cod_off[p] = run
-            run += len(words[p])
-        pairs = [
-            pair
-            for s, w in enumerate(words)
-            for pair in _id_pairs(cat, w, dom_off[s], cod_off[s])
-        ]
-        entries[(i, j)] = Counter({_wiring(dom_word, cod_word, pairs, ()): 1})
-    return _arrow(cat, dom, cod, entries)
-
-
 def symmetry(cat, a, b):
-    return permutation(cat, [a, b], [1, 0])
+    """The symmetry A x B -> B x A: each word u ++ v goes to v ++ u by identities."""
+    a, b = tuple(tuple(w) for w in a), tuple(tuple(w) for w in b)
+    dom, cod = anf_kron(a, b), anf_kron(b, a)
+    entries = {}
+    for x, u in enumerate(a):
+        for y, v in enumerate(b):
+            n = len(u) + len(v)
+            pairs = _id_pairs(cat, u, 0, n + len(v)) + _id_pairs(cat, v, len(u), n)
+            t = _wiring(u + v, v + u, pairs, ())
+            entries[(y * len(a) + x, x * len(b) + y)] = Counter({t: 1})
+    return _arrow(cat, dom, cod, entries)
 
 
 def scalar(cat, loops, mult=1):

@@ -260,32 +260,6 @@ class Matrix:
                     out.add_at(i, j, self.ring.mul(x, other.rows[k][j]))
         return out
 
-    def add(self, other):
-        if self.shape != other.shape:
-            raise ValueError("matrix shapes differ")
-        return Matrix._adopt(
-            self.ring,
-            [
-                [self.ring.add(x, y) for x, y in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-            self.ncols,
-        )
-
-    def kron(self, other):
-        out = Matrix.zeros(self.ring, self.nrows * other.nrows, self.ncols * other.ncols)
-        for i1 in range(self.nrows):
-            for j1 in range(self.ncols):
-                x = self.rows[i1][j1]
-                for i2 in range(other.nrows):
-                    for j2 in range(other.ncols):
-                        out.put(
-                            i1 * other.nrows + i2,
-                            j1 * other.ncols + j2,
-                            self.ring.mul(x, other.rows[i2][j2]),
-                        )
-        return out
-
     def dagger(self):
         out = Matrix.zeros(self.ring, self.ncols, self.nrows)
         for i in range(self.nrows):
@@ -376,12 +350,6 @@ class Interpretation:
         for lit in w:
             n *= self.dims[lit.name]
         return n
-
-    def dim_anf(self, a):
-        return sum(self.dim_word(w) for w in a)
-
-    def dim_formula(self, f):
-        return self.dim_anf(anf(f))
 
 
 def _parse_matrix(text, ring, lineno):

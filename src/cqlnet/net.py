@@ -141,7 +141,7 @@ class Net:
 
 
 def topo_order(slice_):
-    """Links in dependency order, producers first, cuts last, ties by id; one pass."""
+    """The producing links (all but cuts) in dependency order, ties by id; one pass."""
     links = slice_.links
     waiting = {lid: link.n_in for lid, link in links.items() if not isinstance(link, CutLink)}
     consumers = {}
@@ -157,7 +157,7 @@ def topo_order(slice_):
         level = sorted({lid for lid in fed if waiting[lid] == 0})
     if len(order) != len(waiting):
         raise NetError("cyclic wiring")
-    return order + sorted(lid for lid, link in links.items() if isinstance(link, CutLink))
+    return order
 
 
 def labels(slice_, cat):
@@ -184,12 +184,10 @@ def labels(slice_, cat):
             if isinstance(l0, Unit) or isinstance(l1, Unit):
                 raise NetError(f"times {lid}: I may not appear under x")
             out, d = Tensor(l0, l1), 1 + max(depth[p0], depth[p1])
-        elif isinstance(link, PlusLink):
+        else:  # a plus link, the last kind of producer
             p = wires[(lid, 0)]
             out = Plus(link.other, labs[p]) if link.right else Plus(labs[p], link.other)
             d = 1 + depth[p]
-        else:
-            break  # cuts come last and have no outputs
         if d > MAX_DEPTH:
             raise NetError(f"link {lid}: label nested deeper than {MAX_DEPTH}")
         labs[(lid, 0)], depth[(lid, 0)] = out, d
@@ -523,14 +521,14 @@ def print_net(net):
             elif isinstance(link, TimesLink):
                 p0, p1 = s.wires[(lid, 0)], s.wires[(lid, 1)]
                 out.append(f"  times {lid} = {_fmt_port(p0)} {_fmt_port(p1)}")
-            elif isinstance(link, PlusLink):
+            else:  # plus
                 port, other = _fmt_port(s.wires[(lid, 0)]), fmt(link.other)
                 body = f"{other} | {port}" if link.right else f"{port} | {other}"
                 out.append(f"  plus{1 + link.right} {lid} = {body}")
-            elif isinstance(link, CutLink):
-                p0, p1 = s.wires[(lid, 0)], s.wires[(lid, 1)]
-                label = link.arrow if link.arrow is not None else "id"
-                out.append(f"  cut {_fmt_port(p0)} , {_fmt_port(p1)} : {label}")
+        cuts = [lid for lid, link in s.links.items() if isinstance(link, CutLink)]
+        for lid in sorted(sorted(cuts), key=len):  # in number order: #c9 before #c10
+            p0, p1, f = s.wires[(lid, 0)], s.wires[(lid, 1)], s.links[lid].arrow
+            out.append(f"  cut {_fmt_port(p0)} , {_fmt_port(p1)} : {'id' if f is None else f}")
         ports = " , ".join(_fmt_port(p) for p in s.outs)
         out.append(f"  out {ports}".rstrip())
         out.append("end")

@@ -17,8 +17,9 @@ conclusion leaves, and its loop classes; nets compare equal when their
 normal slices match as multisets over equal conclusion lists.
 
 Nets are checked where they enter, by ``net.parse_net`` or ``net.validate_net``.
-Here only what a caller picks is checked: ``step``'s redex, ``normalize_slice``'s
-strategy and ``canonicalize_slice``'s slice.  ``to_net`` trusts its normal form:
+Here only what a caller picks is checked: ``step``'s redex and ``normalize``'s
+strategy.  ``canonicalize_slice`` trusts its slice to be normal (``normalize``
+hands it what ``normalize_slice`` returns), and ``to_net`` its normal form:
 cut elimination and completeness give only well-formed nets.
 """
 
@@ -176,9 +177,8 @@ def normalize_slice(s, cat, strategy="min", rng=None, on_step=None):
     cuts it touched are classified again.  ``min`` pops the least live id off
     a heap; ``random`` draws an index into them sorted, as ``find_redexes``
     lists them, and ``_Ranks`` finds it (a step reuses the slice's ids).
+    ``strategy`` is one of the two; ``normalize`` checks it.
     """
-    if strategy not in ("min", "random"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     live = {r.cut: r for r in find_redexes(s, cat)}
     if not live:
         return s, 0  # already normal: nothing to copy
@@ -240,9 +240,7 @@ class NormalNet:
 
 
 def canonicalize_slice(s, cat):
-    """Extract the canonical form of a normal slice."""
-    if find_redexes(s, cat):
-        raise ValueError("slice is not normal")
+    """The canonical form of a slice ``normalize_slice`` made normal; unchecked."""
     loops = []
     loop_axioms = set()
     for cid, link in s.links.items():
@@ -294,6 +292,8 @@ def reconstruct_slice(cs, conclusions, cat):
 
 def normalize(net, strategy="min", seed=0, trace=None):
     """The normal form of a net: reduce every slice, canonicalize, sort."""
+    if strategy not in ("min", "random"):
+        raise ValueError(f"unknown strategy {strategy!r}")
     rng = random.Random(seed)
     canon = []
     for k, s in enumerate(net.slices):

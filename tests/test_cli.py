@@ -340,3 +340,16 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+def test_readme_library_block_runs(tmp_path):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    (block,) = [part.split("```")[0] for part in readme.split("```python\n")[1:]]
+    fixtures.write_examples(tmp_path / "ex")
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", block], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[ [1] ; [0] ; [0] ; [1] ]\n"

@@ -25,7 +25,6 @@ from cqlnet.freecat import (
     injection,
     name_of,
     parse_arrow,
-    permutation,
     projection,
     scalar,
     symmetry,
@@ -287,10 +286,10 @@ def test_wiring_dagger_and_dual_involutive(pauli8):
         assert wiring_dual(wiring_dual(t)) == t
 
 
-def test_permutation_composes(pauli8):
+def test_symmetry_composes(pauli8):
     q = _anf("Q", pauli8)
     qq = _anf("(Q* x Q)", pauli8)
-    both = permutation(pauli8, [q, qq], [1, 0]) >> permutation(pauli8, [qq, q], [1, 0])
+    both = symmetry(pauli8, q, qq) >> symmetry(pauli8, qq, q)
     from cqlnet.formula import anf_kron
 
     assert fa_equal(both, identity(pauli8, anf_kron(q, qq)))
@@ -298,11 +297,23 @@ def test_permutation_composes(pauli8):
     listed = [list(w) for w in qq]
     assert fa_equal(identity(pauli8, listed), identity(pauli8, qq))
     assert fa_equal(injection(pauli8, [listed, q], 0), injection(pauli8, [qq, q], 0))
-    assert fa_equal(
-        permutation(pauli8, [q, listed], [1, 0]), permutation(pauli8, [q, qq], [1, 0])
-    )
+    assert fa_equal(symmetry(pauli8, q, listed), symmetry(pauli8, q, qq))
     sym = symmetry(pauli8, q, q)
     assert fa_equal(sym >> sym, identity(pauli8, anf_kron(q, q)))
+
+
+def test_symmetry_is_natural_and_involutive(pauli8):
+    from cqlnet.formula import anf_kron
+
+    rng = random.Random(89)
+    for _ in range(60):
+        f, g = random_free_arrow(pauli8, rng), random_free_arrow(pauli8, rng)
+        lhs = (f @ g) >> symmetry(pauli8, f.cod, g.cod)
+        rhs = symmetry(pauli8, f.dom, g.dom) >> (g @ f)
+        assert fa_equal(lhs, rhs)
+        a, b = f.dom, g.cod
+        back = symmetry(pauli8, a, b) >> symmetry(pauli8, b, a)
+        assert fa_equal(back, identity(pauli8, anf_kron(a, b)))
 
 
 def test_trace_of_tensor_with_identity(pauli8):

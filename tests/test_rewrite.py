@@ -48,8 +48,9 @@ def test_beta_equal_needs_shared_conclusions(pauli8):
 
 
 def test_unknown_strategy_is_rejected_with_or_without_a_redex(pauli8):
-    # bell is already normal and chain has two redexes: both reject the strategy
-    for text in (fixtures.BELL_NET, fixtures.CHAIN_NET):
+    # bell is already normal, chain has two redexes and the empty sum has no
+    # slice at all: each rejects the strategy
+    for text in (fixtures.BELL_NET, fixtures.CHAIN_NET, "net z\nconclusions 0\n"):
         with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
             normalize(parse_net(text, pauli8), strategy="bogus")
 
