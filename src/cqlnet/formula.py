@@ -175,18 +175,43 @@ def word_formula(w):
     return out
 
 
+def plus_path(n, k):
+    """Word k's plus bits in ``anf_formula`` of n words, outermost sum first.
+
+    True picks the right summand.  The path has at most ceil(log2 n) bits.
+    """
+    bits = []
+    while n > 1:
+        half = (n + 1) // 2
+        bits.append(k >= half)
+        if k >= half:
+            k, n = k - half, n - half
+        else:
+            n = half
+    return bits
+
+
 def anf_formula(a):
-    """The canonical formula of an ANF, left-nested sums of words; FormulaError if too deep."""
+    """The canonical formula of an ANF; FormulaError if nested deeper than MAX_DEPTH.
+
+    Sums are balanced: the words split in halves, recursively, with the larger
+    half on the left, so word k lies under ``len(plus_path(n, k))`` sums.  One
+    to three words give the left-nested sum.  Tensors in a word nest to the left.
+    """
     if not a:
         return Zero()
-    # word k lies under len(a) - max(k, 1) sums
-    depth = max(len(a) - max(k, 1) + max(len(w) - 1, 0) for k, w in enumerate(a))
+    n = len(a)
+    depth = max(len(plus_path(n, k)) + max(len(w) - 1, 0) for k, w in enumerate(a))
     if depth > MAX_DEPTH:
         raise FormulaError(f"formula nested {depth} deep, deeper than {MAX_DEPTH}")
-    out = word_formula(a[0])
-    for w in a[1:]:
-        out = Plus(out, word_formula(w))
-    return out
+
+    def sums(lo, hi):
+        if hi - lo == 1:
+            return word_formula(a[lo])
+        mid = (lo + hi + 1) // 2
+        return Plus(sums(lo, mid), sums(mid, hi))
+
+    return sums(0, n)
 
 
 def fmt_word(w):

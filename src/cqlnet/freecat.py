@@ -39,6 +39,7 @@ from .formula import (
     fmt_anf,
     parse_anf,
     parse_nat,
+    plus_path,
     split_top,
 )
 from .rewrite import CanonicalSlice, NormalNet, to_net
@@ -532,7 +533,8 @@ def complete(fa, name="completed"):
     omitting a side that is bare I.  Each wiring becomes the normal slice
     ``rewrite.reconstruct_slice`` builds from its matrix entry's plus
     branches, its pairs and its loops: one axiom per pair and one closed
-    loop per loop class.
+    loop per loop class.  Sums are balanced, so an entry's plus branches are
+    ``plus_path`` of its row and column: at most ceil(log2 n) per n-word side.
     """
     cat = fa.cat
     concl = []
@@ -545,18 +547,14 @@ def complete(fa, name="completed"):
     if keep_cod:
         concl.append(cod_f)
 
-    def word(n, k):
-        # anf_formula nests sums to the left: word k of n is n-1-k lefts, then right if k > 0
-        return [False] * (n - 1 - k) + [True] * (k > 0)
-
     slices = []
     for (i, j) in sorted(fa.entries):
         # plus bits in boundary order: star(dom word j), then cod word i
         bits = []
         if keep_dom:
-            bits += word(len(fa.dom), j)
+            bits += plus_path(len(fa.dom), j)
         if keep_cod:
-            bits += word(len(fa.cod), i)
+            bits += plus_path(len(fa.cod), i)
         by_key = sorted(
             fa.entries[(i, j)].items(), key=lambda kv: (kv[0].pairs, kv[0].loops)
         )

@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -22,6 +23,7 @@ from cqlnet.formula import (
     fmt_anf,
     parse_anf,
     parse_formula,
+    plus_path,
     split_top,
     star,
     validate,
@@ -137,16 +139,55 @@ def test_anf_formula_round_trip():
         assert anf(anf_formula(a)) == a
 
 
+def _depth(f):
+    """Binary links on the longest path from the root of ``f`` to a leaf."""
+    return 1 + max(_depth(f.left), _depth(f.right)) if isinstance(f, (Plus, Tensor)) else 0
+
+
 def test_anf_formula_depth_limit():
-    # word k of n words nests under n - max(k, 1) sums and len - 1 tensors
+    # word k of n words nests under len(plus_path(n, k)) sums and len - 1 tensors
     q = Literal("Q")
     assert anf(anf_formula(((q,) * (MAX_DEPTH + 1),))) == ((q,) * (MAX_DEPTH + 1),)
     deep = ((q,) * 2, (q,) * MAX_DEPTH, ())
     msg = f"formula nested {MAX_DEPTH + 1} deep, deeper than {MAX_DEPTH}"
     with pytest.raises(FormulaError, match=msg):
         anf_formula(deep)
-    with pytest.raises(FormulaError, match=f"nested {MAX_DEPTH + 1} deep"):
-        anf_formula(((),) * (MAX_DEPTH + 2))
+    many = ((),) * (MAX_DEPTH + 2)
+    f = anf_formula(many)
+    assert anf(f) == many and _depth(f) == 9
+
+
+def test_plus_path_leads_to_word_k_under_at_most_ceil_log2_n_sums():
+    for n in range(1, 70):
+        a = tuple((Literal(f"A{k}"),) for k in range(n))
+        f = anf_formula(a)
+        for k in range(n):
+            path = plus_path(n, k)
+            assert len(path) <= (n - 1).bit_length()
+            g = f
+            for right in path:
+                assert isinstance(g, Plus)
+                g = g.right if right else g.left
+            assert g == word_formula(a[k])
+
+
+def test_anf_formula_of_max_words_nests_twelve_deep():
+    a = tuple((Literal("Q", k % 3 == 0),) for k in range(MAX_WORDS))
+    f = anf_formula(a)
+    assert anf(f) == a
+    assert _depth(f) == (MAX_WORDS - 1).bit_length() == 12
+
+
+def test_anf_formula_prints_balanced_sums():
+    words = [(Literal("A"),), (Literal("B", True),), (), (Literal("C"), Literal("D")),
+             (Literal("E"),)]
+    texts = ["A", "(A + B*)", "((A + B*) + I)", "((A + B*) + (I + (C x D)))",
+             "(((A + B*) + I) + ((C x D) + E))"]
+    for n, text in enumerate(texts, 1):
+        assert fmt(anf_formula(tuple(words[:n]))) == text
+    # one to three words: the formula that nests sums to the left
+    for n in (1, 2, 3):
+        assert anf_formula(tuple(words[:n])) == reduce(Plus, map(word_formula, words[:n]))
 
 
 def test_word_formula():

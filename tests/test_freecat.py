@@ -35,7 +35,7 @@ from cqlnet.freecat import (
     zero,
 )
 from cqlnet.model import eval_free, eval_net
-from cqlnet.net import AxLink, Net, Slice, parse_net, validate_net
+from cqlnet.net import AxLink, Net, Slice, parse_net, print_net, validate_net
 from cqlnet.randgen import random_anf, random_free_arrow, random_net, random_wiring
 from cqlnet.rewrite import normalize, to_net
 
@@ -547,3 +547,33 @@ def test_what_the_library_builds_passes_the_checks_it_skips(
         validate_net(complete(fa))
         again = parse_arrow(fmt_arrow(fa), fa.cat)
         assert rebuilt(again) == again == fa
+
+
+def _links(net, kind=object):
+    return sum(isinstance(link, kind) for s in net.slices for link in s.links.values())
+
+
+def test_completed_sum_trees_round_trip_with_d_times_2_to_the_d_plus_links(
+    pauli8, swap_tree_net
+):
+    # each of the 2^d slices picks its word under d balanced sums; at depth 8,
+    # sums nested to the left over words of 3 tensors would be 258 deep
+    for d in range(1, 9):
+        net = parse_net(swap_tree_net(d, 2, sorted(pauli8.arrows)), pauli8)
+        fa = denote(net)
+        back = complete(fa)
+        validate_net(back)
+        assert fa_equal(denote(back), name_of(fa))
+        assert _links(back, nets.PlusLink) == d * 2**d
+        assert _links(back) <= _links(net)
+
+
+def test_every_net_denote_accepts_completes(corpus, wide_corpus, inclusion, hy):
+    rng = random.Random(17)
+    two_objects = [random_net(cat, rng, name=f"n{i}", max_links=16)
+                   for cat in (inclusion, hy) for i in range(60)]
+    for net in corpus + wide_corpus + two_objects:
+        fa = denote(net)
+        back = complete(fa)
+        validate_net(back)
+        assert fa_equal(denote(back), name_of(fa)), print_net(net)

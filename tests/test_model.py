@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cqlnet import fixtures, load_category
+from cqlnet import fixtures
 from cqlnet.errors import ModelError, NetError, ParseError
 from cqlnet.formula import Literal, anf, parse_formula
 from cqlnet.freecat import UNIT, denote, embed, eta, identity, scalar, wiring, zero
@@ -466,77 +466,20 @@ def test_eval_cut_chain_contracts_each_cut_early(c2, c2_bool_mod, monkeypatch):
     assert len(calls) <= 16 * n
 
 
-# A 2-dimensional A included in a 3-dimensional B: f is the inclusion, g = f†
-# its projection back, and e = g;f the projection of B onto the image of A.
-# Every other model in the suite is square, so this one catches mix-ups
-# between an arrow's row and column sizes.
-INCLUSION_CAT = """\
-category inclusion
-object A
-object B
-arrow f : A -> B
-arrow g : B -> A
-arrow e : B -> B
-compose f ; g = id A
-compose g ; f = e
-compose e ; e = e
-compose f ; e = f
-compose e ; g = g
-dagger f = g
-dagger g = f
-dagger e = e
-"""
-
-INCLUSION_MOD = """\
-model inclusion23 over inclusion
-dim A = 2
-dim B = 3
-mat f = [ [1, 0] ; [0, 1] ; [0, 0] ]
-mat g = [ [1, 0, 0] ; [0, 1, 0] ]
-mat e = [ [1, 0, 0] ; [0, 1, 0] ; [0, 0, 0] ]
-"""
-
-
-def test_eval_non_square_model_agrees_with_free():
-    cat = load_category(INCLUSION_CAT)
-    interp = load_model(INCLUSION_MOD, cat)
-    assert interp.mat("f").shape == (3, 2)
+def test_eval_non_square_model_agrees_with_free(inclusion, inclusion_mod):
+    assert inclusion_mod.mat("f").shape == (3, 2)
     rng = random.Random(11)
     for i in range(40):
-        net = random_net(cat, rng, name=f"n{i}", max_links=16)
-        assert eval_net(net, interp) == eval_free(denote(net), interp), print_net(net)
+        net = random_net(inclusion, rng, name=f"n{i}", max_links=16)
+        free = eval_free(denote(net), inclusion_mod)
+        assert eval_net(net, inclusion_mod) == free, print_net(net)
 
 
-# Entries with denominators and sqrt2 and i parts: H = (1/sqrt2) [[1, 1], [1, -1]]
-# on Q and Y = [[0, -i], [i, 0]] on P.
-HY_CAT = """\
-category hy
-object Q
-object P
-arrow H : Q -> Q
-arrow Y : P -> P
-compose H ; H = id Q
-compose Y ; Y = id P
-dagger H = H
-dagger Y = Y
-"""
-
-HY_MOD = """\
-model hy over hy
-scalars exact
-dim Q = 2
-dim P = 2
-mat H = [ [(0, 1/2, 0, 0), (0, 1/2, 0, 0)] ; [(0, 1/2, 0, 0), (0, -1/2, 0, 0)] ]
-mat Y = [ [0, (0, 0, -1, 0)] ; [(0, 0, 1, 0), 0] ]
-"""
-
-
-def test_eval_irrational_model_agrees_with_free():
-    cat = load_category(HY_CAT)
-    interp = load_model(HY_MOD, cat)
-    h = interp.mat("H").at(0, 0)
+def test_eval_irrational_model_agrees_with_free(hy, hy_mod):
+    h = hy_mod.mat("H").at(0, 0)
     assert h * h == Qi2(Fraction(1, 2))
     rng = random.Random(13)
     for i in range(40):
-        net = random_net(cat, rng, name=f"n{i}", max_links=16)
-        assert eval_net(net, interp) == eval_free(denote(net), interp), print_net(net)
+        net = random_net(hy, rng, name=f"n{i}", max_links=16)
+        free = eval_free(denote(net), hy_mod)
+        assert eval_net(net, hy_mod) == free, print_net(net)
