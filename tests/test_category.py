@@ -184,3 +184,25 @@ def test_comments_and_blank_lines():
     cat = load_category("# header\n\ncategory c\nobject Q  # trailing\n")
     assert cat.objects == ("Q",)
     assert set(cat.arrows) == {"id Q"}
+
+
+def test_lookup_errors_pinned():
+    cat = load_category(
+        "category two\nobject A\nobject B\narrow f : A -> B\narrow g : B -> A\n"
+        "compose f ; g = id A\ncompose g ; f = id B\ndagger f = g\ndagger g = f\n"
+    )
+    assert (cat.dom("f"), cat.cod("f"), cat.compose("f", "g")) == ("A", "B", "id A")
+    cases = [
+        (lambda: cat.dom("h"), "unknown arrow 'h'"),
+        (lambda: cat.cod("h"), "unknown arrow 'h'"),
+        (lambda: cat.dagger("h"), "unknown arrow 'h'"),
+        (lambda: cat.compose("h", "f"), "unknown arrow 'h'"),
+        (lambda: cat.compose("f", "h"), "unknown arrow 'h'"),
+        (lambda: cat.compose("h", "k"), "unknown arrow 'h'"),
+        (lambda: cat.compose("f", "f"), "compose f ; f: not composable"),
+        (lambda: cat.compose("id A", "g"), "compose id A ; g: not composable"),
+    ]
+    for call, message in cases:
+        with pytest.raises(CategoryError) as exc:
+            call()
+        assert str(exc.value) == message

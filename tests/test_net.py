@@ -562,3 +562,159 @@ def test_to_dot_escapes_quotes_and_backslashes(pauli8):
 def test_net_str_is_printable(pauli8):
     net = parse_net(fixtures.BELL_NET, pauli8)
     assert str(net) == print_net(net)
+
+
+# every NetError parse_net raises, with its exact text; one fault per net
+# unless a case says otherwise
+def _slice(body):
+    return "slice\n" + "".join(f"  {line}\n" for line in body) + "end\n"
+
+
+def _net(conclusions, *body):
+    return f"net n\nconclusions {conclusions}\n" + _slice(body)
+
+
+NET_ERROR_CASES = [
+    (_net("Q*", "ax a : id Q", "out a.0"), "port a.1 used 0 times, want exactly 1"),
+    (_net("Q* , Q*", "ax a : id Q", "out a.0 , a.0"), "port a.0 used 2 times, want exactly 1"),
+    (_net("(Q* x Q) , Q*", "ax a : id Q", "times t = a.0 a.1", "out t.0 , a.0"),
+     "port a.0 used 2 times, want exactly 1"),
+    (_net("Q* , Q", "ax a : id Q", "out a.0 , a.2"), "out lists unknown port ('a', 2)"),
+    (_net("Q*", "ax a : id Q", "out a.0 , a.1"), "slice has 2 conclusions, net declares 1"),
+    (_net("Q , Q", "ax a : id Q", "out a.0 , a.1"), "conclusion mismatch: Q* at a.0, want Q"),
+    (_net("Q* , Q*", "ax a : id Q", "ax b : id Q", "cut a.1 , b.1 : X", "out a.0 , b.0"),
+     "cut X: inputs Q, Q do not match"),
+    # written starred side first and still wrong: reported as written
+    (_net("Q , Q", "ax a : Z", "ax b : id Q", "cut b.0 , a.0 : X", "out a.1 , b.1"),
+     "cut X: inputs Q*, Q* do not match"),
+    (_net("I", "unit u", "out u.0"), "unit u feeds a conclusion; I must meet a plus or id cut"),
+    # the cut is wrong too: the unit is reported first
+    (_net("Q", "unit u", "ax a : id Q", "cut u.0 , a.0 : X", "out a.1"),
+     "unit u must feed a plus link or an id cut on I"),
+    (_net("0", "ax a : id Q", "out a.0 , a.1"), "a net with conclusion 0 must have no slices"),
+    (_net("", "ax a : id Q", "times t = w.0 a.0", "times w = t.0 a.1", "out"), "cyclic wiring"),
+    (_net("Q* , Q", "unit u", "unit v", "ax a : id Q", "ax b : id Q", "times t = a.1 u.0",
+          "times w = b.0 v.0", "cut t.0 , w.0 : id", "out b.1 , a.0"),
+     "times t: I may not appear under x"),
+]
+
+
+@pytest.mark.parametrize("text,message", NET_ERROR_CASES)
+def test_parse_net_errors_pinned(pauli8, text, message):
+    with pytest.raises(NetError) as exc:
+        parse_net(text, pauli8)
+    assert str(exc.value) == message
+
+
+def test_label_nested_too_deep_pinned(pauli8, plus_chain_net):
+    with pytest.raises(NetError) as exc:
+        parse_net(plus_chain_net(MAX_DEPTH + 1), pauli8)
+    assert str(exc.value) == f"link l{MAX_DEPTH}: label nested deeper than {MAX_DEPTH}"
+
+
+def _two_slices(first, second):
+    return "net n\nconclusions Q* , Q*\n" + _slice(first) + _slice(second)
+
+
+def test_fault_reported_from_two_faulty_slices(pauli8):
+    wrong_cut = ("ax a : X", "ax b : X", "cut a.1 , b.1 : Z", "out a.0 , b.0")
+    twice = ("ax a : X", "out a.0 , a.0")
+    cyclic = ("ax a : id Q", "times t = w.0 a.0", "times w = t.0 a.1", "out a.0 , a.0")
+    cases = [
+        # the typed checks run slice by slice once the whole net is read
+        ((wrong_cut, twice), "cut Z: inputs Q, Q do not match"),
+        ((twice, wrong_cut), "port a.0 used 2 times, want exactly 1"),
+        # labels are built at each slice's end line, before any slice is checked
+        ((twice, cyclic), "cyclic wiring"),
+        ((cyclic, twice), "cyclic wiring"),
+    ]
+    for (first, second), message in cases:
+        with pytest.raises(NetError) as exc:
+            parse_net(_two_slices(first, second), pauli8)
+        assert str(exc.value) == message, (first, second)
+
+
+def _built(links, wires, outs, conclusions, cat):
+    return Net("built", tuple(parse_formula(f) for f in conclusions), (Slice(links, wires, outs),), cat)
+
+
+def test_validate_net_errors_pinned(pauli8):
+    b = SliceBuilder()
+    a = b.add("a", AxLink("id Q"))
+    t = b.add("t", TimesLink(), (a, 0), (a, 1))
+    u = b.add("u", UnitLink())
+    # the same faults as NET_ERROR_CASES, on slices built in code
+    cases = [
+        ((b.links, b.wires, ((t, 0),), ["(Q* x Q)"]), "port u0.0 used 0 times, want exactly 1"),
+        ((b.links, b.wires, ((t, 0), (a, 0), (u, 0)), ["(Q* x Q)", "Q*", "I"]),
+         "port a0.0 used 2 times, want exactly 1"),
+        ((b.links, b.wires, ((t, 0), (u, 1)), ["(Q* x Q)", "I"]), "out lists unknown port ('u0', 1)"),
+        ((b.links, b.wires, ((t, 0), (u, 0)), ["(Q* x Q)"]), "slice has 2 conclusions, net declares 1"),
+        ((b.links, b.wires, ((t, 0), (u, 0)), ["(Q x Q)", "I"]),
+         "conclusion mismatch: (Q* x Q) at t0.0, want (Q x Q)"),
+        ((b.links, b.wires, ((t, 0), (u, 0)), ["(Q* x Q)", "I"]),
+         "unit u0 feeds a conclusion; I must meet a plus or id cut"),
+        (({"u": UnitLink(), "a": AxLink("id Q"), "#c0": CutLink(arrow="X")},
+          {("#c0", 0): ("u", 0), ("#c0", 1): ("a", 0)}, (("a", 1),), ["Q"]),
+         "unit u must feed a plus link or an id cut on I"),
+        (({"a": AxLink("id Q"), "b": AxLink("id Q"), "#c0": CutLink(arrow="X")},
+          {("#c0", 0): ("a", 1), ("#c0", 1): ("b", 1)}, (("a", 0), ("b", 0)), ["Q*", "Q*"]),
+         "cut X: inputs Q, Q do not match"),
+        (({"a": AxLink("id Q"), "b": AxLink("id Q"), "#c0": CutLink(formula=parse_formula("(Q x Q)"))},
+          {("#c0", 0): ("a", 1), ("#c0", 1): ("b", 1)}, (("a", 0), ("b", 0)), ["Q*", "Q*"]),
+         "cut id (Q x Q): inputs Q, Q do not match"),
+        (({"a": AxLink("id Q"), "t": TimesLink(), "w": TimesLink()},
+          {("t", 0): ("w", 0), ("t", 1): ("a", 0), ("w", 0): ("t", 0), ("w", 1): ("a", 1)},
+          (), []), "cyclic wiring"),
+        # wiring faults only a slice built in code can have
+        (({"a": AxLink("id Q"), "t": TimesLink()}, {("t", 0): ("a", 0)}, (("t", 0),), ["Q*"]),
+         "bad wiring: missing inputs [('t', 1)], stray []"),
+        (({"a": AxLink("id Q")}, {("b", 0): ("a", 0)}, (("a", 1),), ["Q"]),
+         "bad wiring: missing inputs [], stray [('b', 0)]"),
+        (({"a": AxLink("id Q"), "t": TimesLink()}, {("t", 0): ("a", 0), ("t", 1): ("a", 2)},
+          (("t", 0),), ["(Q* x Q)"]), "wire into ('t', 1) from unknown port ('a', 2)"),
+    ]
+    for (links, wires, outs, conclusions), message in cases:
+        with pytest.raises(NetError) as exc:
+            validate_net(_built(links, wires, outs, conclusions, pauli8))
+        assert str(exc.value) == message
+    zero = Net("built", (parse_formula("0"),), (Slice(b.links, b.wires, ((t, 0), (u, 0))),), pauli8)
+    with pytest.raises(NetError) as exc:
+        validate_net(zero)
+    assert str(exc.value) == "a net with conclusion 0 must have no slices"
+    deep = SliceBuilder()
+    a = deep.add("a", AxLink("id Q"))
+    below, f = (a, 1), Atom("Q")
+    for _ in range(MAX_DEPTH + 1):
+        below, f = (deep.add("p", Plus1Link(Unit()), below), 0), Plus(f, Unit())
+    net = Net("built", (DualAtom("Q"), f), (Slice(deep.links, deep.wires, (("a0", 0), below)),), pauli8)
+    with pytest.raises(NetError) as exc:
+        validate_net(net)
+    assert str(exc.value) == f"link p{MAX_DEPTH}: label nested deeper than {MAX_DEPTH}"
+
+
+def test_unusual_port_spellings(pauli8):
+    # a space before the dot and a leading zero are read as they always were,
+    # on the out line and on wires; a space after the dot is a bad port
+    plain = _net("(Q* + I) , Q", "ax a : id Q", "plus1 p = a.0 | I", "out p.0 , a.1")
+    spelled = _net("(Q* + I) , Q", "ax a : id Q", "plus1 p = a .0 | I", "out p .0 , a.01")
+    assert print_net(parse_net(spelled, pauli8)) == print_net(parse_net(plain, pauli8))
+    for bad in ("a . 1", "a. 1"):
+        with pytest.raises(ParseError) as exc:
+            parse_net(_net("Q* , Q", "ax a : id Q", f"out a.0 , {bad}"), pauli8)
+        assert str(exc.value) == f"line 5: bad port {bad!r}"
+    with pytest.raises(ParseError) as exc:
+        parse_net(_net("(Q* + I) , Q", "ax a : id Q", "plus1 p = a . 0 | I", "out p.0 , a.1"), pauli8)
+    assert str(exc.value) == "line 5: bad port 'a . 0'"
+
+
+def test_parsing_twice_shares_no_slice(pauli8):
+    first, second = (parse_net(fixtures.SWAPPING_NET, pauli8) for _ in range(2))
+    printed = print_net(second)
+    for s, t in zip(first.slices, second.slices):
+        assert s is not t and s.links is not t.links and s.wires is not t.wires
+    s = first.slices[0]
+    s.links.clear()
+    s.wires.clear()
+    first.slices[1].outs = ()
+    assert print_net(second) == printed
