@@ -131,22 +131,20 @@ class Category:
         return f == self.identity(self.dom(f))
 
     def dom(self, f):
-        self._require_arrow(f)
-        return self.arrows[f][0]
+        return (self.arrows.get(f) or self._require_arrow(f))[0]  # a miss raises there
 
     def cod(self, f):
-        self._require_arrow(f)
-        return self.arrows[f][1]
+        return (self.arrows.get(f) or self._require_arrow(f))[1]
 
     def compose(self, f, g):
-        """The composite g.f for f: A -> B, g: B -> C."""
-        if self.cod(f) != self.dom(g):
+        """The composite g.f for f: A -> B, g: B -> C; the table holds every composable pair."""
+        h = self._table.get((f, g))
+        if h is None and self.cod(f) != self.dom(g):
             raise CategoryError(f"compose {f} ; {g}: not composable")
-        return self._table[(f, g)]
+        return h
 
     def dagger(self, f):
-        self._require_arrow(f)
-        return self._dagger[f]
+        return self._dagger.get(f) or self._require_arrow(f)
 
     def endos(self):
         """All endomorphism arrow names, identities included."""
@@ -183,12 +181,9 @@ class Category:
 
     def loop_of(self, endo):
         """The loop class of a single endomorphism."""
-        f = endo
-        self._require_arrow(f)
-        a, b = self.arrows[f]
-        if a != b:
-            raise CategoryError(f"loop of non-endo arrow {f}")
-        return self._loop_rep[f]
+        if self.dom(endo) != self.cod(endo):
+            raise CategoryError(f"loop of non-endo arrow {endo}")
+        return self._loop_rep[endo]
 
     def loop_dagger(self, loop):
         """Dagger descends to loop classes."""

@@ -359,6 +359,8 @@ def directives(text):
 
 def split_top(text, sep, lineno):
     """Split on ``sep`` outside ``()`` and ``[]``, stripping each part; ParseError if unbalanced."""
+    if "(" not in text and "[" not in text and ")" not in text and "]" not in text:
+        return [part.strip() for part in text.split(sep)]
     parts = []
     opened = []  # the closing bracket each open one wants
     start = 0

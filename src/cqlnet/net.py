@@ -16,10 +16,14 @@ pass, ``topo_order``, lists the links from the axioms and units up, and
 ``labels`` reads each output's formula off its inputs' in that order; a
 ``SliceBuilder`` makes each link over ports that already exist.  Only
 ``parse_net`` and ``validate_net`` check a net; what a builder makes is not.
+The parser reads the wiring line by line and compares arrow cuts as it orients
+them, ``validate_wiring`` checks a built net's; both then run the typed pass,
+``validate_slice``: outs, output uses, conclusions, units and unchecked cuts.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -44,6 +48,7 @@ from .formula import (
 )
 
 Port = tuple[str, int]
+_BAD_ID = re.compile(r"[\s.,:|=#()\[\]]")  # what a link id may not hold; \s is str.isspace
 
 
 @dataclass(frozen=True)
@@ -123,10 +128,7 @@ class Slice:
 
     def consumers(self):
         """Reverse wire map: producing output port -> consuming input port."""
-        rev = {}
-        for inp, outp in self.wires.items():
-            rev[outp] = inp
-        return rev
+        return {outp: inp for inp, outp in self.wires.items()}
 
 
 @dataclass
@@ -166,15 +168,17 @@ def labels(slice_, cat):
     Raises NetError on cyclic wiring, and on a label built by more than
     ``MAX_DEPTH`` nested times and plus links: the parser bounds the formulas
     it reads, and this bounds the ones a slice builds, before any recursive
-    walker meets them.
+    walker meets them.  Axioms for one arrow share its pair of atoms.
     """
-    labs, depth = {}, {}  # port -> its label, and the times and plus links nested in it
+    labs, depth = {}, {}  # port -> its label, and the times and plus links nested in it (absent: 0)
+    pairs = {}  # arrow -> the labels of its axioms' outputs 0 and 1
     wires = slice_.wires
     for lid in topo_order(slice_):
         link = slice_.links[lid]
         if isinstance(link, AxLink):
-            labs[(lid, 0)], labs[(lid, 1)] = DualAtom(cat.dom(link.arrow)), Atom(cat.cod(link.arrow))
-            depth[(lid, 0)] = depth[(lid, 1)] = 0
+            if link.arrow not in pairs:
+                pairs[link.arrow] = DualAtom(cat.dom(link.arrow)), Atom(cat.cod(link.arrow))
+            labs[(lid, 0)], labs[(lid, 1)] = pairs[link.arrow]
             continue
         if isinstance(link, UnitLink):
             out, d = Unit(), 0
@@ -183,11 +187,11 @@ def labels(slice_, cat):
             l0, l1 = labs[p0], labs[p1]
             if isinstance(l0, Unit) or isinstance(l1, Unit):
                 raise NetError(f"times {lid}: I may not appear under x")
-            out, d = Tensor(l0, l1), 1 + max(depth[p0], depth[p1])
+            out, d = Tensor(l0, l1), 1 + max(depth.get(p0, 0), depth.get(p1, 0))
         else:  # a plus link, the last kind of producer
             p = wires[(lid, 0)]
             out = Plus(link.other, labs[p]) if link.right else Plus(labs[p], link.other)
-            d = 1 + depth[p]
+            d = 1 + depth.get(p, 0)
         if d > MAX_DEPTH:
             raise NetError(f"link {lid}: label nested deeper than {MAX_DEPTH}")
         labs[(lid, 0)], depth[(lid, 0)] = out, d
@@ -215,26 +219,28 @@ def id_cut(cat, formula, port_f, port_fstar):
     return CutLink(formula=formula), port_f, port_fstar
 
 
-def validate_slice(slice_, cat, conclusions, labs=None):
-    """Well-formedness of one slice against the conclusions; ``labs``: its labels if known."""
-    seen_out = {}
-    for lid, link in slice_.links.items():
-        for slot in range(link.n_out):
-            seen_out[(lid, slot)] = 0
-    want_in = set()
-    for lid, link in slice_.links.items():
-        for slot in range(link.n_in):
-            want_in.add((lid, slot))
-    if set(slice_.wires.keys()) != want_in:
-        missing = want_in - set(slice_.wires.keys())
-        extra = set(slice_.wires.keys()) - want_in
+def validate_wiring(slice_):
+    """Each input of a slice built in code is wired once, from an output that exists."""
+    links, wires = slice_.links, slice_.wires
+    want_in = {(lid, slot) for lid, link in links.items() for slot in range(link.n_in)}
+    if wires.keys() != want_in:
+        missing, extra = want_in - wires.keys(), wires.keys() - want_in
         raise NetError(f"bad wiring: missing inputs {sorted(missing)}, stray {sorted(extra)}")
-    for inp, outp in slice_.wires.items():
-        if outp not in seen_out:
+    ports = {(lid, slot) for lid, link in links.items() for slot in range(link.n_out)}
+    for inp, outp in wires.items():
+        if outp not in ports:
             raise NetError(f"wire into {inp} from unknown port {outp}")
-        seen_out[outp] += 1
-    for port in slice_.outs:
-        if port not in seen_out:
+
+
+def validate_slice(slice_, cat, conclusions, labs=None, cuts=None):
+    """The typed checks of a slice with sound wiring; ``labs``: its labels if known.
+
+    Outs name outputs, each used once, that carry the conclusions; each unit feeds a plus
+    or an id cut on I; each cut in ``cuts`` (all if None) gets what it takes."""
+    links, wires = slice_.links, slice_.wires
+    seen_out = {(lid, slot): 0 for lid, link in links.items() for slot in range(link.n_out)}
+    for port in (*wires.values(), *slice_.outs):
+        if port not in seen_out:  # only an out can name no output: the wiring is sound
             raise NetError(f"out lists unknown port {port}")
         seen_out[port] += 1
     for port, n in seen_out.items():
@@ -245,41 +251,44 @@ def validate_slice(slice_, cat, conclusions, labs=None):
         labs = labels(slice_, cat)
 
     if len(slice_.outs) != len(conclusions):
-        raise NetError(
-            f"slice has {len(slice_.outs)} conclusions, net declares {len(conclusions)}"
-        )
+        raise NetError(f"slice has {len(slice_.outs)} conclusions, net declares {len(conclusions)}")
     for port, want in zip(slice_.outs, conclusions):
         got = labs[port]
         if got != want:
             raise NetError(f"conclusion mismatch: {fmt(got)} at {port[0]}.{port[1]}, want {fmt(want)}")
 
-    rev = slice_.consumers()
-    for lid, link in slice_.links.items():
-        if isinstance(link, CutLink):
-            got = labs[slice_.wires[(lid, 0)]], labs[slice_.wires[(lid, 1)]]
-            if got != cut_inputs(link, cat):
-                label = link.arrow if link.arrow is not None else f"id {fmt(link.formula)}"
-                raise NetError(f"cut {label}: inputs {fmt(got[0])}, {fmt(got[1])} do not match")
-        if isinstance(link, UnitLink):
-            consumer = rev.get((lid, 0))
-            if consumer is None:
-                raise NetError(f"unit {lid} feeds a conclusion; I must meet a plus or id cut")
-            clink = slice_.links[consumer[0]]
-            ok = isinstance(clink, PlusLink) or (
-                isinstance(clink, CutLink) and clink.formula == Unit()
-            )
-            if not ok:
-                raise NetError(f"unit {lid} must feed a plus link or an id cut on I")
+    units = [lid for lid, link in links.items() if isinstance(link, UnitLink)]
+    rev = slice_.consumers() if units else None
+    for lid in units:
+        consumer = rev.get((lid, 0))
+        if consumer is None:
+            raise NetError(f"unit {lid} feeds a conclusion; I must meet a plus or id cut")
+        clink = links[consumer[0]]
+        if not (isinstance(clink, PlusLink) or isinstance(clink, CutLink) and clink.formula == Unit()):
+            raise NetError(f"unit {lid} must feed a plus link or an id cut on I")
+    if cuts is None:
+        cuts = [lid for lid, link in links.items() if isinstance(link, CutLink)]
+    for cid in cuts:
+        link = links[cid]
+        got = labs[wires[(cid, 0)]], labs[wires[(cid, 1)]]
+        if got != cut_inputs(link, cat):
+            label = link.arrow if link.arrow is not None else f"id {fmt(link.formula)}"
+            raise NetError(f"cut {label}: inputs {fmt(got[0])}, {fmt(got[1])} do not match")
 
 
-def validate_net(net, slice_labels=None):
-    """Well-formedness of a net; ``slice_labels`` holds each slice's ``labels``."""
+def _no_slice_under_zero(net):
+    if net.slices and Zero() in net.conclusions:
+        raise NetError("a net with conclusion 0 must have no slices")
+
+
+def validate_net(net):
+    """Well-formedness of a net built in code: every check ``parse_net`` makes, and the wiring."""
     for f in net.conclusions:
         validate(f, net.cat)
-        if f == Zero() and net.slices:
-            raise NetError("a net with conclusion 0 must have no slices")
-    for k, s in enumerate(net.slices):
-        validate_slice(s, net.cat, net.conclusions, slice_labels and slice_labels[k])
+    _no_slice_under_zero(net)
+    for s in net.slices:
+        validate_wiring(s)
+        validate_slice(s, net.cat, net.conclusions)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +358,7 @@ class SliceBuilder:
 def _link_id(tok, lineno, links):
     """A new link id for the open slice."""
     lid = tok.strip()
-    if not lid or any(c.isspace() or c in ".,:|=#()[]" for c in lid):
+    if not lid or _BAD_ID.search(lid):
         raise ParseError(lineno, f"bad link id {lid!r}")
     if lid in links:
         raise ParseError(lineno, f"duplicate link id {lid!r}")
@@ -368,27 +377,36 @@ def _port(tok, lineno, links):
 
 
 def _resolve_slice(cat, links, pending, cuts, outs):
-    """The slice and its labels, once its ``end`` line is read; cut labels resolved."""
+    """The slice, its labels and its arrow cuts that match in neither order, at its ``end`` line.
+
+    Ports spelled ``lid.slot`` come from one table, others from ``_port``.  An arrow cut comes
+    as (link, ``cut_inputs``), an id cut as None; each is stored plain side first."""
+    named = {f"{lid}.{slot}": (lid, slot) for lid, link in links.items() for slot in range(link.n_out)}
     wires = {}
     for inp, (tok, ln) in pending.items():
-        port = wires[inp] = _port(tok, ln, links)
-        if port[1] >= links[port[0]].n_out:
-            raise ParseError(ln, f"link {port[0]} has no output {port[1]}")
+        if (port := named.get(tok)) is None:
+            port = _port(tok, ln, links)
+            if port[1] >= links[port[0]].n_out:
+                raise ParseError(ln, f"link {port[0]} has no output {port[1]}")
+        wires[inp] = port
     ln, toks = outs
-    s = Slice(links, wires, tuple(_port(tok, ln, links) for tok in toks))
+    s = Slice(links, wires, tuple(named.get(tok) or _port(tok, ln, links) for tok in toks))
     labs = labels(s, cat)
-    for cid, label, ln in cuts:
+    unmatched = []
+    for cid, arrow_cut, ln in cuts:
         p0, p1 = wires[(cid, 0)], wires[(cid, 1)]
         l0, l1 = labs[p0], labs[p1]
-        if label == "id":
+        if arrow_cut is None:  # labelled id
             if star(l0) != l1:
                 raise ParseError(ln, f"id cut inputs {fmt(l0)}, {fmt(l1)} are not dual")
             links[cid], wires[(cid, 0)], wires[(cid, 1)] = id_cut(cat, l0, p0, p1)
             continue
-        links[cid] = CutLink(arrow=label)
-        if (l1, l0) == cut_inputs(links[cid], cat):  # written starred side first
+        links[cid], want = arrow_cut
+        if (l0, l1) != want and (l1, l0) == want:  # written starred side first
             wires[(cid, 0)], wires[(cid, 1)] = p1, p0
-    return s, labs
+        elif (l0, l1) != want:
+            unmatched.append(cid)
+    return s, labs, unmatched
 
 
 def _formula(text, cat, lineno, read):
@@ -400,17 +418,84 @@ def _formula(text, cat, lineno, read):
 
 
 def parse_net(text, cat):
-    """Parse and validate a net file against a category.
+    """Parse and check a net file against a category.
 
     Each distinct formula text is parsed once per call; all that write it share its node.
     """
     name = conclusions = None
     read = {}  # formula text -> its node, for this call only
-    slices = []  # (slice, its labels), validated once the whole net is read
+    arrow_cuts = {}  # cut label -> its CutLink and what that takes, shared by its cuts
+    slices = []  # (slice, its labels, its unmatched arrow cuts), checked once the whole net is read
     links = None  # the open slice's links (with its pending wires, cuts and outs), else None
     cut_count = 0
     for lineno, head, rest in directives(text):
-        if head == "net":
+        if head in ("ax", "cut", "times", "plus1", "plus2", "unit", "out"):
+            if links is None:
+                raise ParseError(lineno, f"{head} outside slice")
+            if head == "ax":
+                lid, colon, arrow = rest.partition(":")
+                if not colon:
+                    raise ParseError(lineno, "expected 'ax id : f'")
+                arrow = " ".join(arrow.split())
+                if arrow not in cat.arrows:
+                    raise ParseError(lineno, f"unknown arrow {arrow!r}")
+                links[_link_id(lid, lineno, links)] = AxLink(arrow)
+            elif head == "cut":
+                body, colon, label = rest.rpartition(":")
+                if not colon:
+                    raise ParseError(lineno, "expected 'cut p , q : label'")
+                ports = split_top(body, ",", lineno)
+                if len(ports) != 2:
+                    raise ParseError(lineno, "cut takes exactly two ports")
+                label = " ".join(label.split())
+                if label != "id" and label not in arrow_cuts:
+                    if label not in cat.arrows:
+                        raise ParseError(lineno, f"unknown cut label {label!r}")
+                    arrow_cuts[label] = (link := CutLink(arrow=label)), cut_inputs(link, cat)
+                cid = f"#c{cut_count}"
+                cut_count += 1
+                cuts.append((cid, arrow_cuts.get(label), lineno))
+                pending[(cid, 0)], pending[(cid, 1)] = (ports[0], lineno), (ports[1], lineno)
+            elif head == "times":
+                lid, eq, ports = rest.partition("=")
+                if not eq:
+                    raise ParseError(lineno, "expected 'times id = p q'")
+                toks = ports.split()
+                if len(toks) != 2:
+                    raise ParseError(lineno, "times takes exactly two ports")
+                lid = _link_id(lid, lineno, links)
+                links[lid] = TimesLink()
+                pending[(lid, 0)], pending[(lid, 1)] = (toks[0], lineno), (toks[1], lineno)
+            elif head in ("plus1", "plus2"):
+                lid, eq, body = rest.partition("=")
+                if not eq or "|" not in body:
+                    raise ParseError(lineno, f"expected '{head} id = ... | ...'")
+                lhs, _, rhs = body.partition("|")
+                lid = _link_id(lid, lineno, links)
+                kind = Plus2Link if head == "plus2" else Plus1Link
+                other, port_tok = (lhs, rhs) if kind.right else (rhs, lhs)
+                links[lid] = kind(_formula(other, cat, lineno, read))
+                pending[(lid, 0)] = (port_tok.strip(), lineno)
+            elif head == "unit":
+                links[_link_id(rest, lineno, links)] = UnitLink()
+            else:  # out
+                if outs is not None:
+                    raise ParseError(lineno, "duplicate out line")
+                outs = (lineno, split_top(rest, ",", lineno) if rest else ())
+        elif head == "end" and not rest:
+            if links is None:
+                raise ParseError(lineno, "end outside slice")
+            if outs is None:
+                raise ParseError(lineno, "slice has no out line")
+            slices.append(_resolve_slice(cat, links, pending, cuts, outs))
+            links = None
+        elif head == "slice" and not rest:
+            if conclusions is None:
+                raise ParseError(lineno, "slice before conclusions")
+            if links is not None:
+                raise ParseError(lineno, "nested slice")
+            links, pending, cuts, outs = {}, {}, [], None
+        elif head == "net":
             if name is not None:
                 raise ParseError(lineno, "duplicate net line")
             name = rest
@@ -419,73 +504,8 @@ def parse_net(text, cat):
                 raise ParseError(lineno, "duplicate conclusions line")
             parts = split_top(rest, ",", lineno) if rest else ()
             conclusions = tuple(_formula(part, cat, lineno, read) for part in parts)
-        elif head == "slice" and not rest:
-            if conclusions is None:
-                raise ParseError(lineno, "slice before conclusions")
-            if links is not None:
-                raise ParseError(lineno, "nested slice")
-            links, pending, cuts, outs = {}, {}, [], None
-        elif head == "end" and not rest:
-            if links is None:
-                raise ParseError(lineno, "end outside slice")
-            if outs is None:
-                raise ParseError(lineno, "slice has no out line")
-            slices.append(_resolve_slice(cat, links, pending, cuts, outs))
-            links = None
-        elif head not in ("ax", "unit", "times", "plus1", "plus2", "cut", "out"):
+        else:
             raise ParseError(lineno, f"unknown directive {head!r}")
-        elif links is None:
-            raise ParseError(lineno, f"{head} outside slice")
-        elif head == "ax":
-            lid, colon, arrow = rest.partition(":")
-            if not colon:
-                raise ParseError(lineno, "expected 'ax id : f'")
-            arrow = " ".join(arrow.split())
-            if arrow not in cat.arrows:
-                raise ParseError(lineno, f"unknown arrow {arrow!r}")
-            links[_link_id(lid, lineno, links)] = AxLink(arrow)
-        elif head == "unit":
-            links[_link_id(rest, lineno, links)] = UnitLink()
-        elif head == "times":
-            lid, eq, ports = rest.partition("=")
-            if not eq:
-                raise ParseError(lineno, "expected 'times id = p q'")
-            toks = ports.split()
-            if len(toks) != 2:
-                raise ParseError(lineno, "times takes exactly two ports")
-            lid = _link_id(lid, lineno, links)
-            links[lid] = TimesLink()
-            pending[(lid, 0)] = (toks[0], lineno)
-            pending[(lid, 1)] = (toks[1], lineno)
-        elif head in ("plus1", "plus2"):
-            lid, eq, body = rest.partition("=")
-            if not eq or "|" not in body:
-                raise ParseError(lineno, f"expected '{head} id = ... | ...'")
-            lhs, _, rhs = body.partition("|")
-            lid = _link_id(lid, lineno, links)
-            kind = Plus2Link if head == "plus2" else Plus1Link
-            other, port_tok = (lhs, rhs) if kind.right else (rhs, lhs)
-            links[lid] = kind(_formula(other, cat, lineno, read))
-            pending[(lid, 0)] = (port_tok, lineno)
-        elif head == "cut":
-            body, colon, label = rest.rpartition(":")
-            if not colon:
-                raise ParseError(lineno, "expected 'cut p , q : label'")
-            ports = split_top(body, ",", lineno)
-            if len(ports) != 2:
-                raise ParseError(lineno, "cut takes exactly two ports")
-            label = " ".join(label.split())
-            if label != "id" and label not in cat.arrows:
-                raise ParseError(lineno, f"unknown cut label {label!r}")
-            cid = f"#c{cut_count}"
-            cut_count += 1
-            cuts.append((cid, label, lineno))
-            pending[(cid, 0)] = (ports[0], lineno)
-            pending[(cid, 1)] = (ports[1], lineno)
-        else:  # out
-            if outs is not None:
-                raise ParseError(lineno, "duplicate out line")
-            outs = (lineno, split_top(rest, ",", lineno) if rest else ())
     if links is not None:
         raise ParseError(len(text.splitlines()), "unterminated slice")
     if name is None:
@@ -493,8 +513,10 @@ def parse_net(text, cat):
     if conclusions is None:
         raise ParseError(1, "missing conclusions line")
 
-    net = Net(name, conclusions, tuple(s for s, _ in slices), cat)
-    validate_net(net, [labs for _, labs in slices])
+    net = Net(name, conclusions, tuple(s for s, _, _ in slices), cat)
+    _no_slice_under_zero(net)
+    for s, labs, unmatched in slices:
+        validate_slice(s, cat, conclusions, labs, unmatched)
     return net
 
 
