@@ -17,8 +17,8 @@ pass, ``topo_order``, lists the links from the axioms and units up, and
 ``SliceBuilder`` makes each link over ports that already exist.  Only
 ``parse_net`` and ``validate_net`` check a net; what a builder makes is not.
 The parser reads the wiring line by line and compares arrow cuts as it orients
-them, ``validate_wiring`` checks a built net's; both then run the typed pass,
-``validate_slice``: outs, output uses, conclusions, units and unchecked cuts.
+them; ``validate_wiring`` checks a built net's wiring.  Both then run the typed
+pass ``validate_slice``: outs, output uses, conclusions, units, unchecked cuts.
 """
 
 from __future__ import annotations
