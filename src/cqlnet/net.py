@@ -232,11 +232,12 @@ def validate_wiring(slice_):
             raise NetError(f"wire into {inp} from unknown port {outp}")
 
 
-def validate_slice(slice_, cat, conclusions, labs=None, cuts=None):
-    """The typed checks of a slice with sound wiring; ``labs``: its labels if known.
+def validate_slice(slice_, cat, conclusions, labs, cuts=None):
+    """The typed checks of a slice with sound wiring and labels ``labs``.
 
     Outs name outputs, each used once, that carry the conclusions; each unit feeds a plus
-    or an id cut on I; each cut in ``cuts`` (all if None) gets what it takes."""
+    or an id cut on I; each cut in ``cuts`` (all if None) gets what it takes.
+    """
     links, wires = slice_.links, slice_.wires
     seen_out = {(lid, slot): 0 for lid, link in links.items() for slot in range(link.n_out)}
     for port in (*wires.values(), *slice_.outs):
@@ -246,9 +247,6 @@ def validate_slice(slice_, cat, conclusions, labs=None, cuts=None):
     for port, n in seen_out.items():
         if n != 1:
             raise NetError(f"port {port[0]}.{port[1]} used {n} times, want exactly 1")
-
-    if labs is None:
-        labs = labels(slice_, cat)
 
     if len(slice_.outs) != len(conclusions):
         raise NetError(f"slice has {len(slice_.outs)} conclusions, net declares {len(conclusions)}")
@@ -288,7 +286,7 @@ def validate_net(net):
     _no_slice_under_zero(net)
     for s in net.slices:
         validate_wiring(s)
-        validate_slice(s, net.cat, net.conclusions)
+        validate_slice(s, net.cat, net.conclusions, labels(s, net.cat))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +378,8 @@ def _resolve_slice(cat, links, pending, cuts, outs):
     """The slice, its labels and its arrow cuts that match in neither order, at its ``end`` line.
 
     Ports spelled ``lid.slot`` come from one table, others from ``_port``.  An arrow cut comes
-    as (link, ``cut_inputs``), an id cut as None; each is stored plain side first."""
+    as (link, ``cut_inputs``), an id cut as None; each is stored plain side first.
+    """
     named = {f"{lid}.{slot}": (lid, slot) for lid, link in links.items() for slot in range(link.n_out)}
     wires = {}
     for inp, (tok, ln) in pending.items():
