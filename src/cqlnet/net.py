@@ -401,9 +401,11 @@ def _resolve_slice(cat, links, pending, cuts, outs):
             links[cid], wires[(cid, 0)], wires[(cid, 1)] = id_cut(cat, l0, p0, p1)
             continue
         links[cid], want = arrow_cut
-        if (l0, l1) != want and (l1, l0) == want:  # written starred side first
+        if (l0, l1) == want:
+            continue
+        if (l1, l0) == want:  # written starred side first
             wires[(cid, 0)], wires[(cid, 1)] = p1, p0
-        elif (l0, l1) != want:
+        else:
             unmatched.append(cid)
     return s, labs, unmatched
 

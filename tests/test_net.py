@@ -635,7 +635,8 @@ def test_fault_reported_from_two_faulty_slices(pauli8):
 
 
 def _built(links, wires, outs, conclusions, cat):
-    return Net("built", tuple(parse_formula(f) for f in conclusions), (Slice(links, wires, outs),), cat)
+    concl = tuple(parse_formula(f) for f in conclusions)
+    return Net("built", concl, (Slice(links, wires, outs),), cat)
 
 
 def test_validate_net_errors_pinned(pauli8):
@@ -648,8 +649,10 @@ def test_validate_net_errors_pinned(pauli8):
         ((b.links, b.wires, ((t, 0),), ["(Q* x Q)"]), "port u0.0 used 0 times, want exactly 1"),
         ((b.links, b.wires, ((t, 0), (a, 0), (u, 0)), ["(Q* x Q)", "Q*", "I"]),
          "port a0.0 used 2 times, want exactly 1"),
-        ((b.links, b.wires, ((t, 0), (u, 1)), ["(Q* x Q)", "I"]), "out lists unknown port ('u0', 1)"),
-        ((b.links, b.wires, ((t, 0), (u, 0)), ["(Q* x Q)"]), "slice has 2 conclusions, net declares 1"),
+        ((b.links, b.wires, ((t, 0), (u, 1)), ["(Q* x Q)", "I"]),
+         "out lists unknown port ('u0', 1)"),
+        ((b.links, b.wires, ((t, 0), (u, 0)), ["(Q* x Q)"]),
+         "slice has 2 conclusions, net declares 1"),
         ((b.links, b.wires, ((t, 0), (u, 0)), ["(Q x Q)", "I"]),
          "conclusion mismatch: (Q* x Q) at t0.0, want (Q x Q)"),
         ((b.links, b.wires, ((t, 0), (u, 0)), ["(Q* x Q)", "I"]),
@@ -660,7 +663,8 @@ def test_validate_net_errors_pinned(pauli8):
         (({"a": AxLink("id Q"), "b": AxLink("id Q"), "#c0": CutLink(arrow="X")},
           {("#c0", 0): ("a", 1), ("#c0", 1): ("b", 1)}, (("a", 0), ("b", 0)), ["Q*", "Q*"]),
          "cut X: inputs Q, Q do not match"),
-        (({"a": AxLink("id Q"), "b": AxLink("id Q"), "#c0": CutLink(formula=parse_formula("(Q x Q)"))},
+        (({"a": AxLink("id Q"), "b": AxLink("id Q"),
+           "#c0": CutLink(formula=parse_formula("(Q x Q)"))},
           {("#c0", 0): ("a", 1), ("#c0", 1): ("b", 1)}, (("a", 0), ("b", 0)), ["Q*", "Q*"]),
          "cut id (Q x Q): inputs Q, Q do not match"),
         (({"a": AxLink("id Q"), "t": TimesLink(), "w": TimesLink()},
@@ -687,7 +691,8 @@ def test_validate_net_errors_pinned(pauli8):
     below, f = (a, 1), Atom("Q")
     for _ in range(MAX_DEPTH + 1):
         below, f = (deep.add("p", Plus1Link(Unit()), below), 0), Plus(f, Unit())
-    net = Net("built", (DualAtom("Q"), f), (Slice(deep.links, deep.wires, (("a0", 0), below)),), pauli8)
+    s = Slice(deep.links, deep.wires, (("a0", 0), below))
+    net = Net("built", (DualAtom("Q"), f), (s,), pauli8)
     with pytest.raises(NetError) as exc:
         validate_net(net)
     assert str(exc.value) == f"link p{MAX_DEPTH}: label nested deeper than {MAX_DEPTH}"
@@ -704,7 +709,8 @@ def test_unusual_port_spellings(pauli8):
             parse_net(_net("Q* , Q", "ax a : id Q", f"out a.0 , {bad}"), pauli8)
         assert str(exc.value) == f"line 5: bad port {bad!r}"
     with pytest.raises(ParseError) as exc:
-        parse_net(_net("(Q* + I) , Q", "ax a : id Q", "plus1 p = a . 0 | I", "out p.0 , a.1"), pauli8)
+        parse_net(_net("(Q* + I) , Q", "ax a : id Q", "plus1 p = a . 0 | I", "out p.0 , a.1"),
+                  pauli8)
     assert str(exc.value) == "line 5: bad port 'a . 0'"
 
 
