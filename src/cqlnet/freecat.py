@@ -8,8 +8,8 @@ generating arrow whose domain sits at the starred end, and carries a multiset
 of loop classes.  Composition traces paths through the shared interface;
 cycles that close up inside the interface become loops.
 
-``denote`` reads one wiring off each slice of a proof net; ``complete`` goes
-back, rebuilding a net from any arrow, one slice per wiring.
+``denote`` reads one wiring off each slice of a proof net by following its
+axiom-cut strands; ``complete`` goes back, one slice per wiring.
 
 Only the public entry points check what they are given: ``FreeArrow(...)``,
 ``wiring`` and ``parse_arrow``.  The operations on arrows and wirings this
@@ -463,19 +463,22 @@ def denote_slice(s, cat):
     ``row`` of the conclusions' ANF, or zero when a formula cut joins two
     different words.  Its links form trees rooted at the outs and the cuts.
     One walk lays their leaves out in ``word``, outs first, and tracks which
-    word of its label each tree spells.  ``names`` pairs each axiom's outputs
-    in ``word``; ``roots`` joins each cut's two sides and passes the outs'
-    leaves through.  The slice denotes ``names`` followed by ``roots``.
+    word of its label each tree spells.  Each cut joins output-1 leaves to
+    output-0 leaves.  A strand from an out leaf composes axiom, cut, axiom, ...
+    up to an out leaf: one pair.  The axioms left over close into loops.
     """
     word = []
-    axioms = {}  # axiom id -> [position of its output 0, of its output 1, its arrow]
+    at = []  # position in word -> [position of its axiom's output 0, of its output 1, arrow]
+    axioms = {}
 
     def tree(port):
         # (row, words): the leaves below port spell word row of a words-word ANF
         lid, slot = port
         match s.links[lid]:
             case nets.AxLink(arrow=f):
-                axioms.setdefault(lid, [0, 0, f])[slot] = len(word)
+                ax = axioms.setdefault(lid, [0, 0, f])
+                ax[slot] = len(word)
+                at.append(ax)
                 word.append(Literal(cat.cod(f)) if slot else Literal(cat.dom(f), True))
                 return 0, 1
             case nets.UnitLink():
@@ -493,19 +496,40 @@ def denote_slice(s, cat):
     for port in s.outs:
         r, n = tree(port)
         row = row * n + r
-    out_word = tuple(word)
-    pairs = []
+    n_out = len(word)
+    join = {}  # position of an output 1 -> (position of the output 0 it is cut to, arrow)
     for lid in sorted(lid for lid, link in s.links.items() if isinstance(link, nets.CutLink)):
         a, (r0, _) = len(word), tree(s.wires[(lid, 0)])
         b, (r1, _) = len(word), tree(s.wires[(lid, 1)])
         g = s.links[lid].arrow
-        if g is None and r0 != r1:
+        if g is not None:
+            join[a] = (b, g)
+        elif r0 != r1:
             return None
-        pairs += [(a, b, g)] if g is not None else _id_pairs(cat, word[a:b], a, b)
-    word = tuple(word)
-    pairs += _id_pairs(cat, out_word, 0, len(word))
-    names = _wiring((), word, map(tuple, axioms.values()), ())
-    return row, wiring_compose(cat, names, _wiring(word, out_word, pairs, ()))
+        else:
+            for i, j in zip(range(a, b), range(b, len(word))):
+                i, j = (j, i) if word[i].star else (i, j)
+                join[i] = (j, cat.identity(word[i].name))
+    seen = set()
+
+    def strand(ax):
+        # compose from ax's output 0 on: (the output 1 where it leaves, arrow)
+        start, acc = ax[0], ax[2]
+        while True:
+            seen.add(ax[0])
+            if ax[1] < n_out:
+                return ax[1], acc
+            q, g = join[ax[1]]
+            acc = cat.compose(acc, g)
+            if q == start:
+                return None, acc
+            ax = at[q]
+            acc = cat.compose(acc, ax[2])
+
+    pairs = [(q, *strand(at[q])) for q in range(n_out) if word[q].star]
+    cycles = sorted(axioms) if len(seen) < len(axioms) else ()  # from their least axiom id
+    loops = [cat.loop_of(strand(axioms[lid])[1]) for lid in cycles if axioms[lid][0] not in seen]
+    return row, _wiring((), tuple(word[:n_out]), pairs, loops)
 
 
 def denote(net):

@@ -461,7 +461,7 @@ def parse_net(text, cat):
                 lid, eq, ports = rest.partition("=")
                 if not eq:
                     raise ParseError(lineno, "expected 'times id = p q'")
-                toks = ports.split()
+                toks = re.sub(r"\s+(?=\.\S)", "", ports).split()  # `a .0` is `a.0`, as in _port
                 if len(toks) != 2:
                     raise ParseError(lineno, "times takes exactly two ports")
                 lid = _link_id(lid, lineno, links)

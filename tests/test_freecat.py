@@ -7,7 +7,7 @@ from cqlnet import fixtures, freecat
 from cqlnet import net as nets
 from cqlnet.category import Loop
 from cqlnet.errors import ParseError
-from cqlnet.formula import anf, anf_star, parse_formula
+from cqlnet.formula import Literal, anf, anf_kron_all, anf_star, parse_formula
 from cqlnet.freecat import (
     UNIT,
     FreeArrow,
@@ -482,19 +482,14 @@ def test_to_net_and_complete_check_nothing(pauli8, monkeypatch):
     assert fa_equal(denote(back), name_of(denote(swap)))
 
 
-def test_denote_plus_chain_checks_nothing_and_composes_a_fixed_number_of_times(
-    pauli8, plus_chain_net, monkeypatch
-):
-    # a plus link shifts the rows of the arrow below it instead of composing
+def test_denote_plus_chain_checks_and_composes_no_wiring(pauli8, plus_chain_net, monkeypatch):
+    # a plus link moves the slice's row; it adds no wiring to check or compose
     calls = _count_calls(monkeypatch, "wiring", "wiring_compose")
-    made = {}
     for n in (64, 256):
         net = parse_net(plus_chain_net(n), pauli8)
         calls.clear()
         denote(net)
-        made[n] = (calls["wiring"], calls["wiring_compose"])
-    assert made[64][0] == made[256][0] == 0
-    assert made[64][1] == made[256][1]
+        assert calls == {}
 
 
 def _tower_slice(second):
@@ -505,14 +500,15 @@ def _tower_slice(second):
     )
 
 
-def test_denote_composes_once_per_nonzero_slice_and_builds_one_arrow(
+def test_denote_builds_one_wiring_per_nonzero_slice_and_one_arrow(
     pauli8, monkeypatch, cut_chain_net
 ):
-    # each slice denotes one wiring, read off its trees; only the sum is a FreeArrow
+    # each slice's wiring is read off its strands, with no composite of wirings;
+    # only the sum is a FreeArrow
     tower = "net tower\nconclusions Q* , Q\n" + _tower_slice("plus2 q = I | v.0")
     tower += _tower_slice("plus1 q = v.0 | I")
     swap = parse_net(fixtures.SWAPPING_NET, pauli8)
-    calls = _count_calls(monkeypatch, "wiring_compose", "_arrow")
+    calls = _count_calls(monkeypatch, "wiring_compose", "_wiring", "_arrow")
     for net, nonzero in (
         (parse_net(cut_chain_net(800), pauli8), 1),
         (swap, len(swap.slices)),
@@ -520,9 +516,118 @@ def test_denote_composes_once_per_nonzero_slice_and_builds_one_arrow(
     ):
         calls.clear()
         fa = denote(net)
-        assert calls == {"wiring_compose": nonzero, "_arrow": 1}
+        assert calls == {"_wiring": nonzero, "_arrow": 1}
         assert sum(sum(c.values()) for c in fa.entries.values()) == nonzero
     assert fa_equal(fa, denote(parse_net(fixtures.BELL_NET, pauli8)))
+
+
+def _slice_by_compose(s, cat):
+    """A slice's ``(row, wiring)`` as ``names`` followed by ``roots``, or None for zero.
+
+    ``names`` pairs each axiom's two outputs by its arrow; ``roots`` joins each
+    cut's two sides and passes the outs' leaves through.  ``wiring_compose``
+    traces their composite.  This is how ``denote_slice`` was first written.
+    """
+    word, axioms = [], {}
+
+    def tree(port):
+        lid, slot = port
+        match s.links[lid]:
+            case nets.AxLink(arrow=f):
+                axioms.setdefault(lid, [0, 0, f])[slot] = len(word)
+                word.append(Literal(cat.cod(f)) if slot else Literal(cat.dom(f), True))
+                return 0, 1
+            case nets.UnitLink():
+                return 0, 1
+            case nets.TimesLink():
+                r0, n0 = tree(s.wires[(lid, 0)])
+                r1, n1 = tree(s.wires[(lid, 1)])
+                return r0 * n1 + r1, n0 * n1
+            case nets.PlusLink(other, right=right):
+                r, n = tree(s.wires[(lid, 0)])
+                return r + len(anf(other)) * right, n + len(anf(other))
+
+    row = 0
+    for port in s.outs:
+        r, n = tree(port)
+        row = row * n + r
+    out_word, pairs = tuple(word), []
+    for lid in sorted(lid for lid, link in s.links.items() if isinstance(link, nets.CutLink)):
+        a, (r0, _) = len(word), tree(s.wires[(lid, 0)])
+        b, (r1, _) = len(word), tree(s.wires[(lid, 1)])
+        g = s.links[lid].arrow
+        if g is None and r0 != r1:
+            return None
+        pairs += [(a, b, g)] if g is not None else freecat._id_pairs(cat, word[a:b], a, b)
+    pairs += freecat._id_pairs(cat, out_word, 0, len(word))
+    names = wiring((), word, [tuple(ax) for ax in axioms.values()], (), cat)
+    roots = wiring(word, out_word, pairs, (), cat)
+    return row, freecat.wiring_compose(cat, names, roots)
+
+
+def _denote_by_compose(net):
+    entries = {}
+    for d in (_slice_by_compose(s, net.cat) for s in net.slices):
+        if d is not None:
+            entries.setdefault((d[0], 0), Counter())[d[1]] += 1
+    cod = anf_kron_all([anf(f) for f in net.conclusions])
+    return FreeArrow(net.cat, UNIT, cod, entries)
+
+
+def _cycle_net(cat, arrows, joins, ids):
+    """A closed slice: axiom ``ids[i] : arrows[i]``, its output 1 cut to the next one's output 0.
+
+    ``joins[i]`` labels that cut.  The two joins that are None go through one
+    formula cut on ``(Q x Q)`` instead, one leaf each.
+    """
+    k = len(arrows)
+    lines = ["net cycle", "conclusions", "slice"]
+    lines += [f"  ax {ids[i]} : {f}" for i, f in enumerate(arrows)]
+    via = [i for i, g in enumerate(joins) if g is None]
+    if via:
+        lines += [f"  times t = {ids[via[0]]}.1 {ids[via[1]]}.1",
+                  f"  times u = {ids[(via[0] + 1) % k]}.0 {ids[(via[1] + 1) % k]}.0",
+                  "  cut t.0 , u.0 : id"]
+    lines += [f"  cut {ids[i]}.1 , {ids[(i + 1) % k]}.0 : {g}"
+              for i, g in enumerate(joins) if g is not None]
+    return parse_net("\n".join(lines + ["  out", "end"]) + "\n", cat)
+
+
+def test_denote_matches_composing_names_with_roots(
+    c2, pauli8, inclusion, hy, corpus, wide_corpus, swap_tree_net, cut_chain_net
+):
+    # the strand walk against the wiring_compose construction it replaced
+    cases = [parse_net(t, pauli8) for name, t in fixtures.EXAMPLES.items() if name.endswith(".net")]
+    cases += corpus + wide_corpus
+    cases += [parse_net(swap_tree_net(d, 2, sorted(pauli8.arrows)), pauli8) for d in range(1, 7)]
+    cases += [parse_net(cut_chain_net(n), pauli8) for n in (1, 2, 3, 40)]
+    cases += [_cycle_net(pauli8, ["X"] * k, ["Z"] * k, [f"a{i}" for i in range(k)]) for k in (1, 2, 7)]
+    cases.append(_cycle_net(pauli8, ["X", "Z", "XZ", "mX", "Z"], [None, "X", None, "Z", "XZ"],
+                            [f"a{i}" for i in range(5)]))
+    rng = random.Random(19)
+    cases += [random_net(cat, rng, name=f"r{i}") for cat in (c2, pauli8, inclusion, hy)
+              for i in range(150)]
+    for net in cases:
+        assert fmt_arrow(denote(net)) == fmt_arrow(_denote_by_compose(net)), print_net(net)
+
+
+def test_a_loop_class_does_not_depend_on_where_its_cycle_starts(pauli8):
+    # five axioms in one cycle, joined by three arrow cuts and one formula cut on (Q x Q)
+    arrows, joins = ["X", "Z", "XZ", "mX", "Z"], [None, "X", None, "Z", "XZ"]
+    steps = [a for f, g in zip(arrows, joins) for a in (f, g or "id Q")]
+    composites = set()
+    for start in range(0, len(steps), 2):
+        composite = "id Q"
+        for a in steps[start:] + steps[:start]:
+            composite = pauli8.compose(composite, a)
+        composites.add(composite)
+    loops = {pauli8.loop_of(c) for c in composites}
+    assert len(composites) > 1 and len(loops) == 1
+    want = fmt_arrow(scalar(pauli8, loops))
+    for r in range(len(arrows)):
+        # the axiom at position i gets id x{i + r mod 5}: axiom -r mod 5 sorts first
+        net = _cycle_net(pauli8, arrows, joins, [f"x{(i + r) % 5}" for i in range(5)])
+        assert fmt_arrow(denote(net)) == want
 
 
 def test_what_the_library_builds_passes_the_checks_it_skips(

@@ -714,6 +714,20 @@ def test_unusual_port_spellings(pauli8):
     assert str(exc.value) == "line 5: bad port 'a . 0'"
 
 
+def test_times_reads_its_ports_as_the_other_directives_do(pauli8):
+    # a token that starts with a dot belongs to the one before it; a lone dot does not
+    plain = _net("(Q* x Q)", "ax a : id Q", "times t = a.0 a.1", "out t.0")
+    for ports in ("a .0 a .1", "a .0 a.1", "a.0   a .1"):
+        spelled = plain.replace("a.0 a.1", ports)
+        assert print_net(parse_net(spelled, pauli8)) == print_net(parse_net(plain, pauli8))
+    assert "  times t = a.0 a.1\n" in print_net(parse_net(plain, pauli8))
+    # a space after the dot is still an error
+    for ports in ("a . 0 a.1", "a . 0", "a. 0 a.1", "a.0 a . 1"):
+        with pytest.raises(ParseError) as exc:
+            parse_net(plain.replace("a.0 a.1", ports), pauli8)
+        assert str(exc.value) == "line 5: times takes exactly two ports"
+
+
 def test_parsing_twice_shares_no_slice(pauli8):
     first, second = (parse_net(fixtures.SWAPPING_NET, pauli8) for _ in range(2))
     printed = print_net(second)
