@@ -58,7 +58,7 @@ def _dispatch(args):
         return 0
     if args.cmd == "denote":
         net = _net(args, cat)
-        print(fmt_arrow(denote(net)))
+        sys.stdout.write(fmt_arrow(denote(net)))
         return 0
     if args.cmd == "eval":
         interp = load_model(_read(args.model), cat)

@@ -456,60 +456,58 @@ def trace_arrow(f, a, b, c):
 # denotation of nets
 
 
-def denote_slice(s, cat):
+def denote_slice(s, cat, cod):
     """The one wiring a slice denotes, as ``(row, wiring)``, or ``None`` for zero.
 
     A slice has made every sum choice, so it denotes one wiring I -> word
-    ``row`` of the conclusions' ANF, or zero when a formula cut joins two
-    different words.  Its links form trees rooted at the outs and the cuts.
-    One walk lays their leaves out in ``word``, outs first, and tracks which
-    word of its label each tree spells.  Each cut joins output-1 leaves to
+    ``cod[row]`` of the conclusions' ANF ``cod``, or zero when a formula cut
+    joins two different words.  One walk numbers the axiom leaves of the trees
+    at the outs, then at the cuts, and tracks which word each tree spells; a
+    leaf on an axiom's output 0 is starred.  Each cut joins output-1 leaves to
     output-0 leaves.  A strand from an out leaf composes axiom, cut, axiom, ...
     up to an out leaf: one pair.  The axioms left over close into loops.
     """
-    word = []
-    at = []  # position in word -> [position of its axiom's output 0, of its output 1, arrow]
+    links, wires = s.links, s.wires
+    at = []  # leaf position -> [position of its axiom's output 0, of its output 1, arrow]
     axioms = {}
 
     def tree(port):
         # (row, words): the leaves below port spell word row of a words-word ANF
         lid, slot = port
-        match s.links[lid]:
-            case nets.AxLink(arrow=f):
-                ax = axioms.setdefault(lid, [0, 0, f])
-                ax[slot] = len(word)
-                at.append(ax)
-                word.append(Literal(cat.cod(f)) if slot else Literal(cat.dom(f), True))
-                return 0, 1
-            case nets.UnitLink():
-                return 0, 1
-            case nets.TimesLink():
-                r0, n0 = tree(s.wires[(lid, 0)])
-                r1, n1 = tree(s.wires[(lid, 1)])
-                return r0 * n1 + r1, n0 * n1
-            case nets.PlusLink(other, right=right):
-                r, n = tree(s.wires[(lid, 0)])
-                k = len(anf(other))
-                return r + k * right, n + k
+        link = links[lid]
+        if isinstance(link, nets.AxLink):
+            ax = axioms.setdefault(lid, [None, None, link.arrow])
+            ax[slot] = len(at)
+            at.append(ax)
+            return 0, 1
+        if isinstance(link, nets.TimesLink):
+            r0, n0 = tree(wires[(lid, 0)])
+            r1, n1 = tree(wires[(lid, 1)])
+            return r0 * n1 + r1, n0 * n1
+        if isinstance(link, nets.PlusLink):
+            r, n = tree(wires[(lid, 0)])
+            k = len(anf(link.other))
+            return r + k * link.right, n + k
+        return 0, 1  # a unit
 
     row = 0
     for port in s.outs:
         r, n = tree(port)
         row = row * n + r
-    n_out = len(word)
+    n_out = len(at)
     join = {}  # position of an output 1 -> (position of the output 0 it is cut to, arrow)
-    for lid in sorted(lid for lid, link in s.links.items() if isinstance(link, nets.CutLink)):
-        a, (r0, _) = len(word), tree(s.wires[(lid, 0)])
-        b, (r1, _) = len(word), tree(s.wires[(lid, 1)])
-        g = s.links[lid].arrow
+    for lid in sorted(lid for lid, link in links.items() if isinstance(link, nets.CutLink)):
+        a, (r0, _) = len(at), tree(wires[(lid, 0)])
+        b, (r1, _) = len(at), tree(wires[(lid, 1)])
+        g = links[lid].arrow
         if g is not None:
             join[a] = (b, g)
         elif r0 != r1:
             return None
         else:
-            for i, j in zip(range(a, b), range(b, len(word))):
-                i, j = (j, i) if word[i].star else (i, j)
-                join[i] = (j, cat.identity(word[i].name))
+            for i, j in zip(range(a, b), range(b, len(at))):
+                i, j = (j, i) if at[i][0] == i else (i, j)  # now i is on an output 1
+                join[i] = (j, cat.identity(cat.cod(at[i][2])))
     seen = set()
 
     def strand(ax):
@@ -526,10 +524,10 @@ def denote_slice(s, cat):
             ax = at[q]
             acc = cat.compose(acc, ax[2])
 
-    pairs = [(q, *strand(at[q])) for q in range(n_out) if word[q].star]
+    pairs = [(q, *strand(at[q])) for q in range(n_out) if at[q][0] == q]
     cycles = sorted(axioms) if len(seen) < len(axioms) else ()  # from their least axiom id
     loops = [cat.loop_of(strand(axioms[lid])[1]) for lid in cycles if axioms[lid][0] not in seen]
-    return row, _wiring((), tuple(word[:n_out]), pairs, loops)
+    return row, _wiring((), cod[row], pairs, loops)
 
 
 def denote(net):
@@ -538,7 +536,7 @@ def denote(net):
     cod = anf_kron_all([anf(f) for f in net.conclusions])
     entries = {}
     for s in net.slices:
-        d = denote_slice(s, cat)
+        d = denote_slice(s, cat, cod)
         if d is None:
             continue
         row, t = d

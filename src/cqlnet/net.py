@@ -11,11 +11,12 @@ There is one plus kind, ``PlusLink``: its two classes differ only in
 ``right``, the side of the sum that input 0 fills.  There is one builder of
 identity cuts, ``id_cut``, for the parser and for rewriting.
 
-Slices are typed and built producers first, as proof structures are: one
-pass, ``topo_order``, lists the links from the axioms and units up, and
-``labels`` reads each output's formula off its inputs' in that order; a
-``SliceBuilder`` makes each link over ports that already exist.  Only
-``parse_net`` and ``validate_net`` check a net; what a builder makes is not.
+Slices are typed and built producers first, as proof structures are:
+``labels`` reads each output's formula off its inputs' in the order the links
+are written, holding a link back only until its inputs have labels, and a
+``SliceBuilder`` makes each link over ports that already exist.  ``topo_order``
+sorts the links producers first for ``print_net``.  Only ``parse_net`` and
+``validate_net`` check a net; what a builder makes is not.
 The parser reads the wiring line by line and compares arrow cuts as it orients
 them; ``validate_wiring`` checks a built net's wiring.  Both then run the typed
 pass ``validate_slice``: outs, output uses, conclusions, units, unchecked cuts.
@@ -143,7 +144,7 @@ class Net:
 
 
 def topo_order(slice_):
-    """The producing links (all but cuts) in dependency order, ties by id; one pass."""
+    """The producing links (all but cuts) in dependency order, ties by id: ``print_net``'s order."""
     links = slice_.links
     waiting = {lid: link.n_in for lid, link in links.items() if not isinstance(link, CutLink)}
     consumers = {}
@@ -163,38 +164,49 @@ def topo_order(slice_):
 
 
 def labels(slice_, cat):
-    """Formula label of every output port, built producers first along ``topo_order``.
+    """Formula label of every output port, built producers first in written order.
 
-    Raises NetError on cyclic wiring, and on a label built by more than
-    ``MAX_DEPTH`` nested times and plus links: the parser bounds the formulas
-    it reads, and this bounds the ones a slice builds, before any recursive
-    walker meets them.  Axioms for one arrow share its pair of atoms.
+    A link waits on the link of an input with no label yet, until that is labelled;
+    one still waiting at the end lies on a cycle.  Raises NetError on cyclic wiring,
+    and on a label built by more than ``MAX_DEPTH`` nested times and plus links: the
+    parser bounds the formulas it reads, and this bounds the ones a slice builds,
+    before any recursive walker meets them.  Axioms for one arrow share its atoms.
     """
     labs, depth = {}, {}  # port -> its label, and the times and plus links nested in it (absent: 0)
     pairs = {}  # arrow -> the labels of its axioms' outputs 0 and 1
-    wires = slice_.wires
-    for lid in topo_order(slice_):
-        link = slice_.links[lid]
-        if isinstance(link, AxLink):
-            if link.arrow not in pairs:
-                pairs[link.arrow] = DualAtom(cat.dom(link.arrow)), Atom(cat.cod(link.arrow))
-            labs[(lid, 0)], labs[(lid, 1)] = pairs[link.arrow]
-            continue
-        if isinstance(link, UnitLink):
-            out, d = Unit(), 0
-        elif isinstance(link, TimesLink):
-            p0, p1 = wires[(lid, 0)], wires[(lid, 1)]
-            l0, l1 = labs[p0], labs[p1]
-            if isinstance(l0, Unit) or isinstance(l1, Unit):
-                raise NetError(f"times {lid}: I may not appear under x")
-            out, d = Tensor(l0, l1), 1 + max(depth.get(p0, 0), depth.get(p1, 0))
-        else:  # a plus link, the last kind of producer
-            p = wires[(lid, 0)]
-            out = Plus(link.other, labs[p]) if link.right else Plus(labs[p], link.other)
-            d = 1 + depth.get(p, 0)
-        if d > MAX_DEPTH:
-            raise NetError(f"link {lid}: label nested deeper than {MAX_DEPTH}")
-        labs[(lid, 0)], depth[(lid, 0)] = out, d
+    waiting = {}  # a link not labelled yet -> the links that wait on it
+    links, wires, todo = slice_.links, slice_.wires, []
+    for lid in links:
+        todo.append(lid)
+        while todo:
+            link = links[lid := todo.pop()]
+            if isinstance(link, AxLink):
+                if link.arrow not in pairs:
+                    pairs[link.arrow] = DualAtom(cat.dom(link.arrow)), Atom(cat.cod(link.arrow))
+                labs[(lid, 0)], labs[(lid, 1)] = pairs[link.arrow]
+            elif isinstance(link, UnitLink):
+                labs[(lid, 0)] = Unit()
+            elif not isinstance(link, CutLink):  # a times or plus link
+                p0 = wires[(lid, 0)]
+                p1 = wires[(lid, 1)] if link.n_in == 2 else p0
+                if p0 not in labs or p1 not in labs:
+                    waiting.setdefault((p1 if p0 in labs else p0)[0], []).append(lid)
+                    continue
+                if isinstance(link, TimesLink):
+                    l0, l1 = labs[p0], labs[p1]
+                    if isinstance(l0, Unit) or isinstance(l1, Unit):
+                        raise NetError(f"times {lid}: I may not appear under x")
+                    out, d = Tensor(l0, l1), 1 + max(depth.get(p0, 0), depth.get(p1, 0))
+                else:  # a plus link
+                    out = Plus(link.other, labs[p0]) if link.right else Plus(labs[p0], link.other)
+                    d = 1 + depth.get(p0, 0)
+                if d > MAX_DEPTH:
+                    raise NetError(f"link {lid}: label nested deeper than {MAX_DEPTH}")
+                labs[(lid, 0)], depth[(lid, 0)] = out, d
+            if waiting:
+                todo += waiting.pop(lid, ())
+    if waiting:
+        raise NetError("cyclic wiring")
     return labs
 
 

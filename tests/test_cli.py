@@ -92,6 +92,16 @@ def test_denote_round_trips(exdir, capsys, pauli8):
     assert fa_equal(parse_arrow(out, pauli8), denote(bell))
 
 
+def test_denote_prints_the_readme_block(exdir, capsys):
+    # the arrow text and nothing after it: no blank line at the end
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    command = "$ cqlnet denote --category ex/pauli8.cat ex/ring.net\n"
+    want = readme.split(command)[1].split("```")[0]
+    assert want.count("\n") == 2
+    assert cli.main(["denote", "--category", _p(exdir, "pauli8.cat"), _p(exdir, "ring.net")]) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_eval_command(exdir, capsys):
     base = ["eval", "--category", _p(exdir, "pauli8.cat"), "--model", _p(exdir, "pauli8.mod")]
     assert cli.main(base + [_p(exdir, "bell.net")]) == 0

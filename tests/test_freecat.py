@@ -5,9 +5,9 @@ import pytest
 
 from cqlnet import fixtures, freecat
 from cqlnet import net as nets
-from cqlnet.category import Loop
+from cqlnet.category import Category, Loop
 from cqlnet.errors import ParseError
-from cqlnet.formula import Literal, anf, anf_kron_all, anf_star, parse_formula
+from cqlnet.formula import MAX_WORDS, Literal, anf, anf_kron_all, anf_star, parse_formula
 from cqlnet.freecat import (
     UNIT,
     FreeArrow,
@@ -609,6 +609,56 @@ def test_denote_matches_composing_names_with_roots(
               for i in range(150)]
     for net in cases:
         assert fmt_arrow(denote(net)) == fmt_arrow(_denote_by_compose(net)), print_net(net)
+
+
+def test_denote_reads_each_out_word_off_the_conclusions(
+    c2, pauli8, inclusion, hy, corpus, swap_tree_net, monkeypatch
+):
+    # each wiring's codomain is the very word of the conclusions' ANF, not a rebuilt copy
+    cases = [parse_net(swap_tree_net(d, 2, sorted(pauli8.arrows)), pauli8) for d in range(1, 6)]
+    rng = random.Random(23)
+    cases += [random_net(cat, rng) for cat in (c2, pauli8, inclusion, hy) for _ in range(30)]
+    built = []
+
+    def recorded(parts):
+        built.append(anf_kron_all(parts))
+        return built[-1]
+
+    monkeypatch.setattr(freecat, "anf_kron_all", recorded)
+    for net in cases + corpus:
+        built.clear()
+        fa = denote(net)
+        (cod,) = built
+        assert fa.cod is cod
+        for (row, _), c in fa.entries.items():
+            for t in c:
+                assert t.cod is cod[row]
+
+
+def test_denote_of_a_cut_chain_looks_up_no_domain_or_codomain(pauli8, cut_chain_net, monkeypatch):
+    net = parse_net(cut_chain_net(3200), pauli8)
+    want = fmt_arrow(denote(net))
+    calls = _count_calls(monkeypatch, "dom", "cod", module=Category)
+    assert fmt_arrow(denote(net)) == want
+    assert calls == {}
+
+
+def test_denote_formula_cut_on_more_words_than_an_anf_holds(pauli8):
+    # the cut's formula has 2^13 words, past MAX_WORDS, while the net's conclusions
+    # have one: denote reads the cut's literals off its leaves, not off its ANF
+    k = 13
+    lines = ["net big", "conclusions Q* , Q", "slice", "  ax a : id Q"]
+    for side in "lr":
+        for i in range(k):
+            lines += [f"  unit {side}u{i}", f"  plus1 {side}p{i} = {side}u{i}.0 | I"]
+        below = f"{side}p0.0"
+        for i in range(1, k):
+            lines.append(f"  times {side}t{i} = {below} {side}p{i}.0")
+            below = f"{side}t{i}.0"
+    lines += [f"  cut lt{k - 1}.0 , rt{k - 1}.0 : id", "  out a.0 , a.1", "end"]
+    net = parse_net("\n".join(lines) + "\n", pauli8)
+    assert 2**k > MAX_WORDS
+    assert fa_equal(denote(net), name_of(identity(pauli8, anf(parse_formula("Q")))))
 
 
 def test_a_loop_class_does_not_depend_on_where_its_cycle_starts(pauli8):

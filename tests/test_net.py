@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import re
 
@@ -504,6 +505,98 @@ def test_labels_match_a_recursive_walk(pauli8, c2, corpus, wide_corpus):
     for net in nets:
         for s in net.slices:
             assert labels(s, net.cat) == _labels_by_dfs(s, net.cat)
+
+
+def _labels_along_topo_order(slice_, cat):
+    """labels as it was first written: every producer in turn along ``topo_order``."""
+    labs, depth, pairs = {}, {}, {}
+    for lid in topo_order(slice_):
+        link = slice_.links[lid]
+        if isinstance(link, AxLink):
+            if link.arrow not in pairs:
+                pairs[link.arrow] = DualAtom(cat.dom(link.arrow)), Atom(cat.cod(link.arrow))
+            labs[(lid, 0)], labs[(lid, 1)] = pairs[link.arrow]
+            continue
+        if isinstance(link, UnitLink):
+            out, d = Unit(), 0
+        elif isinstance(link, TimesLink):
+            p0, p1 = slice_.wires[(lid, 0)], slice_.wires[(lid, 1)]
+            l0, l1 = labs[p0], labs[p1]
+            if isinstance(l0, Unit) or isinstance(l1, Unit):
+                raise NetError(f"times {lid}: I may not appear under x")
+            out, d = Tensor(l0, l1), 1 + max(depth.get(p0, 0), depth.get(p1, 0))
+        else:
+            p = slice_.wires[(lid, 0)]
+            out = Plus(link.other, labs[p]) if link.right else Plus(labs[p], link.other)
+            d = 1 + depth.get(p, 0)
+        if d > MAX_DEPTH:
+            raise NetError(f"link {lid}: label nested deeper than {MAX_DEPTH}")
+        labs[(lid, 0)], depth[(lid, 0)] = out, d
+    return labs
+
+
+_LINK_HEADS = {"ax", "cut", "times", "plus1", "plus2", "unit"}
+
+
+def _permute_link_lines(text, permute):
+    """``text`` with each slice's link lines, in their places, in the order ``permute`` gives."""
+    lines, block = text.splitlines(keepends=True), []
+    for k, line in enumerate(lines):
+        head = line.partition("#")[0].split()[:1]
+        if head and head[0] in _LINK_HEADS:
+            block.append(k)
+        elif head == ["end"]:
+            for at, moved in zip(block, permute([lines[i] for i in block])):
+                lines[at] = moved
+            block = []
+    return "".join(lines)
+
+
+def test_labels_in_written_order_match_topo_order_in_any_line_order(
+    c2, pauli8, inclusion, hy, corpus, wide_corpus, swap_tree_net, cut_chain_net
+):
+    # the same labels whatever order a slice's links are written in: as printed
+    # (producers first), reversed (consumers first) and shuffled
+    cases = [(t, pauli8) for name, t in fixtures.EXAMPLES.items() if name.endswith(".net")]
+    cases += [(print_net(net), net.cat) for net in corpus + wide_corpus]
+    cases += [(swap_tree_net(d, 2, sorted(pauli8.arrows)), pauli8) for d in range(1, 7)]
+    cases += [(cut_chain_net(n), pauli8) for n in (1, 2, 3, 40)]
+    rng = random.Random(37)
+    cases += [(print_net(random_net(cat, rng, name=f"r{i}")), cat)
+              for cat in (c2, pauli8, inclusion, hy) for i in range(40)]
+    for text, cat in cases:
+        want = [_labels_along_topo_order(s, cat) for s in parse_net(text, cat).slices]
+        for permute in (list, lambda ls: ls[::-1], lambda ls: rng.sample(ls, len(ls))):
+            net = parse_net(_permute_link_lines(text, permute), cat)
+            assert [labels(s, cat) for s in net.slices] == want, text
+
+
+CYCLIC_NET = """net cyclic
+conclusions Q* , Q
+slice
+  ax a : id Q
+  ax b : id Q
+  plus1 p = w.0 | I
+  times t = p.0 a.0
+  times w = t.0 a.1
+  out b.0 , b.1
+end
+"""
+
+
+def test_cyclic_wiring_in_every_line_order(pauli8):
+    for order in itertools.permutations(range(5)):
+        text = _permute_link_lines(CYCLIC_NET, lambda ls: [ls[i] for i in order])
+        with pytest.raises(NetError, match="cyclic wiring"):
+            parse_net(text, pauli8)
+
+
+def test_plus_chain_written_consumers_first_parses_to_the_depth_limit(pauli8, plus_chain_net):
+    net = parse_net(plus_chain_net(MAX_DEPTH, top_down=True), pauli8)
+    (s,) = net.slices
+    assert labels(s, pauli8) == _labels_along_topo_order(s, pauli8)
+    with pytest.raises(NetError, match=f"nested deeper than {MAX_DEPTH}"):
+        parse_net(plus_chain_net(MAX_DEPTH + 1, top_down=True), pauli8)
 
 
 # sha256 of the texts below.  The benchmark's random workload is drawn by the
