@@ -8,18 +8,16 @@ scalar loops in the free category are only meaningful up to this equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CategoryError, ParseError
 from .formula import directives
 
 
-@dataclass(frozen=True, order=True)
-class Loop:
+class Loop(namedtuple("Loop", "obj arrow")):
     """Canonical representative (object, endo arrow) of a loop class."""
 
-    obj: str
-    arrow: str
+    __slots__ = ()
 
     def __str__(self):
         return f"[{self.obj} : {self.arrow}]"

@@ -11,7 +11,6 @@ import argparse
 import sys
 import traceback
 
-from . import fixtures
 from .category import load_category
 from .errors import CategoryError, FormulaError, ModelError, NetError, ParseError
 from .formula import fmt
@@ -36,6 +35,8 @@ def _net(args, cat, path=None):
 
 def _dispatch(args):
     if args.cmd == "examples":
+        from . import fixtures  # only this command reads them: other calls skip compiling them
+
         paths = fixtures.write_examples(args.dir)
         for p in paths:
             print(p)

@@ -7,62 +7,127 @@ under ``+``; ``0`` only as a whole formula.
 
 The additive normal form (ANF) of a formula is the tuple of its tensor words:
 distributing every ``+`` out of every ``x`` left-to-right.  A word is a tuple
-of literals, the empty word being ``I``; the empty ANF is ``0``.  ``anf`` caches
-a node's ANF on the node, outside ``==``, ``hash``, ``repr`` and ``fmt``.
+of literals, the empty word being ``I``; the empty ANF is ``0``.
+
+Formula nodes are immutable slotted classes, equal only within one class;
+literals are named tuples.  ``anf`` and ``fmt`` cache a node's ANF and text on
+the node, outside ``==``, ``hash`` and ``repr``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import FormulaError, ParseError
 
 
-class Formula:
+class _Record:
+    """Slotted, with the fields ``__match_args__`` names: ``==`` and ``repr`` read them."""
+
     __slots__ = ()
+    __match_args__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.__reduce__()[1] == other.__reduce__()[1]
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, k) for k in self.__match_args__)
+
+
+class _Value(_Record):
+    """A ``_Record`` that is immutable and hashable: ``__init__`` sets its fields once."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash(self.__reduce__()[1])
+
+
+class _Empty(_Value):
+    """A value with no fields, equal to every instance of its class."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self)
+
+    def __hash__(self):
+        return hash(())
+
+
+class Formula(_Value):
+    """A formula node; ``anf`` and ``fmt`` cache their results on it, outside ``==``."""
+
+    __slots__ = ("_anf", "_fmt")
 
     def __str__(self):
         return fmt(self)
 
 
-@dataclass(frozen=True)
-class Zero(Formula):
-    pass
+class _Named(Formula):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name):
+        object.__setattr__(self, "name", name)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.name == self.name
+
+    def __hash__(self):
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
-class Unit(Formula):
-    pass
+class _Binary(Formula):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left, right):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    def __eq__(self, other):  # the tuples compare shared subformulas by identity
+        return type(other) is type(self) and (other.left, other.right) == (self.left, self.right)
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True)
-class Atom(Formula):
-    name: str
+class Zero(_Empty, Formula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DualAtom(Formula):
-    name: str
+class Unit(_Empty, Formula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Tensor(Formula):
-    left: Formula
-    right: Formula
+class Atom(_Named):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Plus(Formula):
-    left: Formula
-    right: Formula
+class DualAtom(_Named):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, order=True)
-class Literal:
+class Tensor(_Binary):
+    __slots__ = ()
+
+
+class Plus(_Binary):
+    __slots__ = ()
+
+
+class Literal(namedtuple("Literal", "name star", defaults=(False,))):
     """An atom or dual atom inside a tensor word."""
 
-    name: str
-    star: bool = False
+    __slots__ = ()
 
     def dual(self):
         return Literal(self.name, not self.star)
@@ -137,7 +202,7 @@ def anf(f):
             out = anf_kron(anf(l), anf(r))  # a FormulaError here leaves f without a cache
         case _:
             raise TypeError(f"not a formula: {f!r}")
-    object.__setattr__(f, "_anf", out)  # past the frozen dataclass's guard
+    object.__setattr__(f, "_anf", out)  # past the immutable node's guard
     return out
 
 
@@ -254,6 +319,13 @@ def parse_anf(text, cat=None, lineno=0):
 
 
 def fmt(f):
+    """The text of a formula, computed once per node."""
+    if (out := getattr(f, "_fmt", None)) is None:
+        object.__setattr__(f, "_fmt", out := _fmt(f))
+    return out
+
+
+def _fmt(f):
     match f:
         case Zero():
             return "0"

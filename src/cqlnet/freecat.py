@@ -22,8 +22,7 @@ functor of a compact closed category gives.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from . import net as nets
 from .category import Loop
@@ -52,19 +51,13 @@ def boundary(dom, cod):
     return tuple(lit.dual() for lit in dom) + tuple(cod)
 
 
-@dataclass(frozen=True)
-class Wiring:
-    """A pairing of boundary literals with arrow labels, plus loop classes.
+Wiring = namedtuple("Wiring", "dom cod pairs loops")
+Wiring.__doc__ = """A pairing of boundary literals with arrow labels, plus loop classes.
 
-    ``pairs`` holds (negative position, positive position, arrow) with the
-    arrow's domain at the negative (starred) end; positions index the
-    boundary.  ``loops`` is a sorted multiset of loop classes.
-    """
-
-    dom: tuple
-    cod: tuple
-    pairs: tuple
-    loops: tuple
+``pairs`` holds (negative position, positive position, arrow) with the
+arrow's domain at the negative (starred) end; positions index the
+boundary.  ``loops`` is a sorted multiset of loop classes.
+"""
 
 
 def wiring(dom, cod, pairs, loops, cat):

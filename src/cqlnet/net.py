@@ -7,9 +7,10 @@ input, with every dangling output listed in order on the ``out`` line.
 Ports are written ``<link id>.<slot>``; axioms have outputs 0 and 1, the
 other producing links output 0.  Cuts have no outputs and no written id; a
 link id holds no space, bracket or any of ``.,:|=#``.
-There is one plus kind, ``PlusLink``: its two classes differ only in
-``right``, the side of the sum that input 0 fills.  There is one builder of
-identity cuts, ``id_cut``, for the parser and for rewriting.
+Links are immutable slotted values, equal only within one class; ``Slice``
+and ``Net`` are mutable.  There is one plus kind, ``PlusLink``: its two classes
+differ only in ``right``, the side of the sum that input 0 fills.  There is one
+builder of identity cuts, ``id_cut``, for the parser and for rewriting.
 
 Slices are typed and built producers first, as proof structures are:
 ``labels`` reads each output's formula off its inputs' in the order the links
@@ -25,20 +26,19 @@ pass ``validate_slice``: outs, output uses, conclusions, units, unchecked cuts.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import ClassVar
 
-from .category import Category
 from .errors import NetError, ParseError
 from .formula import (
     MAX_DEPTH,
     Atom,
     DualAtom,
-    Formula,
     Plus,
     Tensor,
     Unit,
     Zero,
+    _Empty,
+    _Record,
+    _Value,
     directives,
     fmt,
     parse_formula,
@@ -48,21 +48,20 @@ from .formula import (
     validate,
 )
 
-Port = tuple[str, int]
 _BAD_ID = re.compile(r"[\s.,:|=#()\[\]]")  # what a link id may not hold; \s is str.isspace
 
 
-@dataclass(frozen=True)
-class AxLink:
+class AxLink(_Value):
     """Axiom for an arrow f: A -> B; outputs 0: A*, 1: B."""
 
-    n_in: ClassVar[int] = 0
-    n_out: ClassVar[int] = 2
-    arrow: str
+    __slots__ = __match_args__ = ("arrow",)
+    n_in, n_out = 0, 2
+
+    def __init__(self, arrow):
+        object.__setattr__(self, "arrow", arrow)
 
 
-@dataclass(frozen=True)
-class CutLink:
+class CutLink(_Value):
     """A cut; either arrow-labelled (atoms) or an identity cut on a formula.
 
     Exactly one of ``arrow``/``formula`` is set.  Atom-level identity cuts are
@@ -72,72 +71,70 @@ class CutLink:
     (see ``cut_inputs``).
     """
 
-    n_in: ClassVar[int] = 2
-    n_out: ClassVar[int] = 0
-    arrow: str | None = None
-    formula: Formula | None = None
+    __slots__ = __match_args__ = ("arrow", "formula")
+    n_in, n_out = 2, 0
+
+    def __init__(self, arrow=None, formula=None):
+        object.__setattr__(self, "arrow", arrow)
+        object.__setattr__(self, "formula", formula)
 
 
-@dataclass(frozen=True)
-class TimesLink:
+class TimesLink(_Empty):
     """Inputs 0: A, 1: B; output 0: (A x B)."""
 
-    n_in: ClassVar[int] = 2
-    n_out: ClassVar[int] = 1
+    __slots__ = ()
+    n_in, n_out = 2, 1
 
 
-@dataclass(frozen=True)
-class PlusLink:
+class PlusLink(_Value):
     """Input 0: A; output 0: the sum of A and ``other``, A on the side ``right`` names."""
 
-    n_in: ClassVar[int] = 1
-    n_out: ClassVar[int] = 1
-    right: ClassVar[bool]
-    other: Formula
+    __slots__ = __match_args__ = ("other",)
+    n_in, n_out = 1, 1
+
+    def __init__(self, other):
+        object.__setattr__(self, "other", other)
 
 
 class Plus1Link(PlusLink):
     """Output 0: (A + other)."""
 
+    __slots__ = ()
     right = False
 
 
 class Plus2Link(PlusLink):
     """Output 0: (other + A)."""
 
+    __slots__ = ()
     right = True
 
 
-@dataclass(frozen=True)
-class UnitLink:
+class UnitLink(_Empty):
     """No inputs; output 0: I."""
 
-    n_in: ClassVar[int] = 0
-    n_out: ClassVar[int] = 1
+    __slots__ = ()
+    n_in, n_out = 0, 1
 
 
-Link = AxLink | CutLink | TimesLink | Plus1Link | Plus2Link | UnitLink
-
-
-@dataclass
-class Slice:
+class Slice(_Record):
     """One slice: links, wires (input port -> producing output port), outs."""
 
-    links: dict[str, Link]
-    wires: dict[Port, Port]
-    outs: tuple[Port, ...]
+    __slots__ = __match_args__ = ("links", "wires", "outs")
+
+    def __init__(self, links, wires, outs):
+        self.links, self.wires, self.outs = links, wires, outs
 
     def consumers(self):
         """Reverse wire map: producing output port -> consuming input port."""
         return {outp: inp for inp, outp in self.wires.items()}
 
 
-@dataclass
-class Net:
-    name: str
-    conclusions: tuple[Formula, ...]
-    slices: tuple[Slice, ...]
-    cat: Category
+class Net(_Record):
+    __slots__ = __match_args__ = ("name", "conclusions", "slices", "cat")
+
+    def __init__(self, name, conclusions, slices, cat):
+        self.name, self.conclusions, self.slices, self.cat = name, conclusions, slices, cat
 
     def __str__(self):
         return print_net(self)
@@ -423,20 +420,32 @@ def _resolve_slice(cat, links, pending, cuts, outs):
 
 
 def _formula(text, cat, lineno, read):
-    """The formula ``text`` names; ``read`` maps each text already parsed to its node."""
+    """The formula ``text`` names; ``read`` maps each text already read to its node."""
     text = text.strip()
     if text not in read:
-        read[text] = parse_formula(text, cat, lineno)
+        read[text] = _shared(parse_formula(text, cat, lineno), read)
+    return read[text]
+
+
+def _shared(f, read):
+    """``f`` over the nodes ``read`` holds; ``read`` then maps each node's ``fmt`` text to it."""
+    if (text := fmt(f)) not in read:
+        if isinstance(f, (Tensor, Plus)):
+            left, right = _shared(f.left, read), _shared(f.right, read)
+            if left is not f.left or right is not f.right:
+                f = type(f)(left, right)
+        read[text] = f
     return read[text]
 
 
 def parse_net(text, cat):
     """Parse and check a net file against a category.
 
-    Each distinct formula text is parsed once per call; all that write it share its node.
+    Per call, equal subformulas are one node, and no text that spells one read before is
+    parsed again: a label meets its conclusion by identity below the nodes ``labels`` builds.
     """
     name = conclusions = None
-    read = {}  # formula text -> its node, for this call only
+    read = {}  # formula text -> its shared node, for this call only
     arrow_cuts = {}  # cut label -> its CutLink and what that takes, shared by its cuts
     slices = []  # (slice, its labels, its unmatched arrow cuts), checked once the whole net is read
     links = None  # the open slice's links (with its pending wires, cuts and outs), else None

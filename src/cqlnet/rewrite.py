@@ -27,19 +27,15 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import net as nets
 from .errors import NetError
 from .formula import Plus, Tensor, Unit
 
 
-@dataclass(frozen=True)
-class Redex:
-    """A reducible cut: which cut, and which rule applies."""
-
-    cut: str
-    rule: str  # "ax-self" | "ax-ax" | "times" | "plus" | "unit"
+Redex = namedtuple("Redex", "cut rule")
+Redex.__doc__ = 'A reducible cut and its rule: "ax-self", "ax-ax", "times", "plus" or "unit".'
 
 
 _FORMULA_RULES = {Unit: "unit", Tensor: "times", Plus: "plus"}
@@ -217,26 +213,16 @@ def normalize_slice(s, cat, strategy="min", rng=None, on_step=None):
 # canonical forms
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalSlice:
-    """What survives of a normal slice: plus bits, leaf pairing, loops.
+CanonicalSlice = namedtuple("CanonicalSlice", "choices pairs loops")
+CanonicalSlice.__doc__ = """What survives of a normal slice: plus bits, leaf pairing, loops.
 
-    ``choices`` lists plus branches (True = right) in conclusion traversal
-    order; ``pairs`` joins leaf positions (negative, positive, arrow); loops
-    are sorted loop classes.
-    """
+``choices`` lists plus branches (True = right) in conclusion traversal
+order; ``pairs`` joins leaf positions (negative, positive, arrow); loops
+are sorted loop classes.
+"""
 
-    choices: tuple
-    pairs: tuple
-    loops: tuple
-
-
-@dataclass(frozen=True)
-class NormalNet:
-    """A normal form: conclusions plus the sorted multiset of normal slices."""
-
-    conclusions: tuple
-    slices: tuple
+NormalNet = namedtuple("NormalNet", "conclusions slices")
+NormalNet.__doc__ = "A normal form: conclusions plus the sorted multiset of normal slices."
 
 
 def canonicalize_slice(s, cat):

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from cqlnet import fixtures, freecat
+from cqlnet import fixtures, formula, freecat
 from cqlnet import net as nets
 from cqlnet.category import Category, Loop
 from cqlnet.errors import ParseError
@@ -490,6 +490,19 @@ def test_denote_plus_chain_checks_and_composes_no_wiring(pauli8, plus_chain_net,
         calls.clear()
         denote(net)
         assert calls == {}
+
+
+def test_denote_builds_each_anf_once_and_eval_net_none(pauli8, pauli8_mod, swap_tree_net,
+                                                       monkeypatch):
+    # plus links share their other side with the conclusions, so the one ANF
+    # denote builds for the conclusions covers every plus link's word count
+    net = parse_net(swap_tree_net(5, 2, sorted(pauli8.arrows)), pauli8)
+    calls = _count_calls(monkeypatch, "anf", module=formula)  # anf's own recursion
+    denote(net)
+    assert calls == {"anf": 2 * 5}  # once into each sum of the shared depth-5 tree
+    calls.clear()
+    eval_net(net, pauli8_mod)
+    assert calls == {}
 
 
 def _tower_slice(second):

@@ -2,11 +2,13 @@ import hashlib
 import itertools
 import random
 import re
+from collections import Counter
 
 import pytest
 
 from cqlnet import fixtures
 from cqlnet.errors import NetError, ParseError
+from cqlnet import formula as formula_module
 from cqlnet import net as net_module
 from cqlnet.formula import MAX_DEPTH, Atom, DualAtom, Plus, Tensor, Unit, fmt, parse_formula
 from cqlnet.freecat import complete, denote, fmt_arrow
@@ -262,8 +264,67 @@ def test_parse_reads_each_formula_text_once(pauli8, swap_tree_net, monkeypatch):
 
     monkeypatch.setattr(net_module, "parse_formula", counted)
     parse_net(swap_tree_net(4, 2, sorted(pauli8.arrows)), pauli8)
-    # the sum trees of depth 0 to 3 under plus links, the depth-4 one, Q* and Q
-    assert len(calls) == len(set(calls)) == 7
+    # the depth-4 sum tree, Q* and Q; the trees of depth 0 to 3 under plus links
+    # are subformulas of the first, so they are not parsed again
+    assert len(calls) == len(set(calls)) == 3
+
+
+def _nodes(formulas):
+    """The distinct nodes, by identity, of the formulas and their subformulas."""
+    seen, todo = {}, list(formulas)
+    while todo:
+        f = todo.pop()
+        if id(f) not in seen:
+            seen[id(f)] = f
+            if isinstance(f, (Tensor, Plus)):
+                todo += [f.left, f.right]
+    return seen
+
+
+def _others(net):
+    return [link.other for s in net.slices for link in s.links.values()
+            if isinstance(link, PlusLink)]
+
+
+def test_parse_shares_subformulas_so_conclusion_checks_stay_on_one_spine(
+    pauli8, swap_tree_net, monkeypatch
+):
+    # each plus link's other side is a node of the conclusions, so checking a
+    # slice's conclusion descends only the d fresh sums labels built
+    compares = []
+    real = Plus.__eq__
+
+    def counted(self, other):
+        compares.append(self)
+        return real(self, other)
+
+    monkeypatch.setattr(Plus, "__eq__", counted)
+    for d in range(2, 8):
+        compares.clear()
+        net = parse_net(swap_tree_net(d, 2, sorted(pauli8.arrows)), pauli8)
+        assert len(compares) <= 2 * d * len(net.slices)
+        nodes = _nodes(net.conclusions)
+        assert len(nodes) == d + 3  # the sum trees of depth 0 to d, Q* and Q
+        assert all(id(other) in nodes for other in _others(net))
+
+
+def test_print_net_formats_each_distinct_node_once(pauli8, swap_tree_net, monkeypatch):
+    calls = Counter()
+    real = formula_module._fmt
+
+    def counted(f):
+        calls[id(f)] += 1
+        return real(f)
+
+    monkeypatch.setattr(formula_module, "_fmt", counted)
+    for d in (3, 6):
+        back = complete(denote(parse_net(swap_tree_net(d, 2, sorted(pauli8.arrows)), pauli8)))
+        calls.clear()
+        text = print_net(back)
+        assert calls.keys() == _nodes([*back.conclusions, *_others(back)]).keys()
+        assert set(calls.values()) == {1}
+        calls.clear()
+        assert print_net(back) == text and not calls
 
 
 def test_id_cut_inference_on_compounds(pauli8):
