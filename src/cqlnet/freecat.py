@@ -570,10 +570,7 @@ def complete(fa, name="completed"):
             bits += plus_path(len(fa.dom), j)
         if keep_cod:
             bits += plus_path(len(fa.cod), i)
-        by_key = sorted(
-            fa.entries[(i, j)].items(), key=lambda kv: (kv[0].pairs, kv[0].loops)
-        )
-        for t, mult in by_key:
+        for t, mult in sorted(fa.entries[(i, j)].items()):
             slices += [CanonicalSlice(tuple(bits), t.pairs, t.loops)] * mult
     return to_net(NormalNet(tuple(concl), tuple(slices)), cat, name)
 
@@ -595,7 +592,7 @@ def fmt_arrow(fa):
     for (i, j) in sorted(fa.entries):
         c = fa.entries[(i, j)]
         parts = []
-        for t in sorted(c, key=lambda t: (t.pairs, t.loops)):
+        for t in sorted(c):
             parts.extend([fmt_wiring(t)] * c[t])
         lines.append(f"entry ({i},{j}): {{ " + " , ".join(parts) + " }")
     return "\n".join(lines) + "\n"

@@ -269,8 +269,6 @@ def reconstruct_slice(cs, conclusions, cat):
         leaves[neg], leaves[pos] = (lid, 0), (lid, 1)
     bits, ports = iter(cs.choices), iter(leaves)
     outs = [b.realize_choices(f, bits, ports) for f in conclusions]
-    if next(bits, None) is not None:
-        raise ValueError("too many plus choices for these conclusions")
     for lp in cs.loops:
         b.add_loop(cat, lp)
     return nets.Slice(b.links, b.wires, tuple(outs))
@@ -283,8 +281,9 @@ def normalize(net, strategy="min", seed=0, trace=None):
     rng = random.Random(seed)
     canon = []
     for k, s in enumerate(net.slices):
-        def on_step(r, remaining, k=k):
-            if trace is not None:
+        on_step = None
+        if trace is not None:
+            def on_step(r, remaining, k=k):
                 trace.append(f"slice {k}: {r.rule} at {r.cut}: {remaining} links")
         nf, _ = normalize_slice(s, net.cat, strategy, rng, on_step)
         if nf is not None:

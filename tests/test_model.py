@@ -7,7 +7,18 @@ import pytest
 from cqlnet import fixtures
 from cqlnet.errors import ModelError, NetError, ParseError
 from cqlnet.formula import Literal, anf, parse_formula
-from cqlnet.freecat import UNIT, denote, embed, eta, identity, scalar, wiring, zero
+from cqlnet.freecat import (
+    UNIT,
+    complete,
+    denote,
+    embed,
+    eta,
+    identity,
+    name_of,
+    scalar,
+    wiring,
+    zero,
+)
 from cqlnet.model import (
     BoolRing,
     ExactRing,
@@ -19,7 +30,7 @@ from cqlnet.model import (
     eval_wiring,
     load_model,
 )
-from cqlnet.net import AxLink, Net, Slice, TimesLink, parse_net, print_net
+from cqlnet.net import AxLink, Net, Slice, TimesLink, parse_net, print_net, validate_net
 from cqlnet.randgen import random_anf, random_free_arrow, random_net, random_wiring
 
 
@@ -184,8 +195,8 @@ def test_load_model_basics(c2, c2_mod):
     assert c2_mod.name == "flip"
     assert c2_mod.ring is ExactRing
     assert c2_mod.dims == {"Q": 2}
-    assert c2_mod.mat("X") == _qm([[0, 1], [1, 0]])
-    assert c2_mod.mat("id Q") == Matrix.identity(ExactRing, 2)
+    assert c2_mod.mats["X"] == _qm([[0, 1], [1, 0]])
+    assert c2_mod.mats["id Q"] == Matrix.identity(ExactRing, 2)
 
 
 def test_load_model_defaults_to_exact(c2):
@@ -259,9 +270,9 @@ def test_interpretation_rejects_bad_dims(c2):
 
 
 def test_pauli_matrices(pauli8_mod):
-    assert pauli8_mod.mat("Z") == _qm([[1, 0], [0, -1]])
-    assert pauli8_mod.mat("XZ") == _qm([[0, -1], [1, 0]])
-    assert pauli8_mod.mat("m1") == _qm([[-1, 0], [0, -1]])
+    assert pauli8_mod.mats["Z"] == _qm([[1, 0], [0, -1]])
+    assert pauli8_mod.mats["XZ"] == _qm([[0, -1], [1, 0]])
+    assert pauli8_mod.mats["m1"] == _qm([[-1, 0], [0, -1]])
 
 
 def test_eval_wiring_single_pair(pauli8, pauli8_mod):
@@ -270,7 +281,7 @@ def test_eval_wiring_single_pair(pauli8, pauli8_mod):
     m = Matrix.zeros(ExactRing, 2, 2)
     for i, j, v in eval_wiring(t, pauli8_mod):
         m.put(i, j, v)
-    assert m == pauli8_mod.mat("X")
+    assert m == pauli8_mod.mats["X"]
 
 
 def test_eval_scalars(pauli8, pauli8_mod):
@@ -373,14 +384,26 @@ def test_eval_free_parallel_axioms_agrees_with_eval_net(pauli8, pauli8_mod):
     assert sum(x != ExactRing.zero for x in free.column()) == 2**8
 
 
-def test_eval_net_rejects_cyclic_wiring_without_validation(pauli8, pauli8_mod):
-    # two times links feeding each other, once off to the side and once under an out
+def test_validate_net_rejects_the_cyclic_wiring_eval_net_trusts(pauli8):
+    # two times links feeding each other, once off to the side and once under an out:
+    # eval_net does not check its net, so a hand-built one must pass validate_net
     links = {"a": AxLink("id Q"), "t": TimesLink(), "w": TimesLink()}
     wires = {("t", 0): ("w", 0), ("t", 1): ("a", 0), ("w", 0): ("t", 0), ("w", 1): ("a", 1)}
     for outs, concl in (((), ()), ((("t", 0),), (parse_formula("(Q* x Q)"),))):
         net = Net("cyc", concl, (Slice(links, wires, outs),), pauli8)
         with pytest.raises(NetError, match="cyclic wiring"):
-            eval_net(net, pauli8_mod)
+            validate_net(net)
+
+
+def test_eval_net_of_a_completed_net_is_eval_free_of_the_name(
+    c2, c2_mod, pauli8, pauli8_mod, inclusion, inclusion_mod, hy, hy_mod
+):
+    # complete builds its net unchecked: eval_net must read it as it reads a parsed one
+    rng = random.Random(11)
+    for cat, mod in ((c2, c2_mod), (pauli8, pauli8_mod), (inclusion, inclusion_mod), (hy, hy_mod)):
+        for _ in range(100):
+            fa = random_free_arrow(cat, rng)
+            assert eval_net(complete(fa), mod) == eval_free(name_of(fa), mod)
 
 
 def test_eval_opposite_injections_under_a_formula_cut_are_zero(pauli8, pauli8_mod):
@@ -467,7 +490,7 @@ def test_eval_cut_chain_contracts_each_cut_early(c2, c2_bool_mod, monkeypatch):
 
 
 def test_eval_non_square_model_agrees_with_free(inclusion, inclusion_mod):
-    assert inclusion_mod.mat("f").shape == (3, 2)
+    assert inclusion_mod.mats["f"].shape == (3, 2)
     rng = random.Random(11)
     for i in range(40):
         net = random_net(inclusion, rng, name=f"n{i}", max_links=16)
@@ -476,7 +499,7 @@ def test_eval_non_square_model_agrees_with_free(inclusion, inclusion_mod):
 
 
 def test_eval_irrational_model_agrees_with_free(hy, hy_mod):
-    h = hy_mod.mat("H").at(0, 0)
+    h = hy_mod.mats["H"].at(0, 0)
     assert h * h == Qi2(Fraction(1, 2))
     rng = random.Random(13)
     for i in range(40):
