@@ -5,8 +5,11 @@ matrix of finite multisets of wirings.  A wiring between two words pairs up
 the starred and unstarred literals on its boundary (the starred duals of the
 domain word followed by the codomain word), labels each pair with a
 generating arrow whose domain sits at the starred end, and carries a multiset
-of loop classes.  Composition traces paths through the shared interface;
-cycles that close up inside the interface become loops.
+of loop classes.  Composition numbers both wirings' boundaries as one, so
+that the shared interface is one run of positions, and traces paths through
+it; cycles that close up inside the interface become loops.  The dual of a
+wiring only moves its positions, and the dagger is the conjugate of the
+dual: the same positions with each pair turned round under ``cat.dagger``.
 
 ``denote`` reads one wiring off each slice of a proof net by following its
 axiom-cut strands; ``complete`` goes back, one slice per wiring.
@@ -93,93 +96,68 @@ def _wiring(dom, cod, pairs, loops):
 
 
 def wiring_compose(cat, t1, t2):
-    """Path composition: glue t1's codomain to t2's domain, trace the strands."""
+    """Path composition: glue t1's codomain to t2's domain, trace the strands.
+
+    t2's positions are shifted by ``len(t1.dom)``, so one numbering covers
+    both boundaries and each interface position names an end of a t1 pair and
+    an end of a t2 pair, of opposite signs.  The two wirings' negative ends are
+    then distinct, and one map takes each to its pair's positive end and
+    arrow.  A strand from a negative end outside the interface goes on while
+    its positive end lies in the interface, where it is the next pair's
+    negative end.  A negative end no strand visits lies on a cycle, which
+    closes into the loop class of its composite: ``loop_of`` is the same for
+    ``g.f`` and ``f.g``, so it does not matter where the cycle is entered.
+    """
     n1, m = len(t1.dom), len(t1.cod)
-    partner = {}
-    label_at = {}
-    for neg, pos, f in t1.pairs:
-        partner[("a", neg)] = ("a", pos)
-        label_at[("a", neg)] = f
-    for neg, pos, f in t2.pairs:
-        partner[("b", neg)] = ("b", pos)
-        label_at[("b", neg)] = f
-
-    def cross(node):
-        # interface: t1 codomain position <-> t2 star(dom) position
-        side, k = node
-        if side == "a" and k >= n1:
-            return ("b", k - n1)
-        if side == "b" and k < m:
-            return ("a", k + n1)
-        return None
-
-    def to_out(node):
-        side, k = node
-        return k if side == "a" else n1 + (k - m)
-
+    nxt = {neg: (pos, f) for neg, pos, f in t1.pairs}
+    nxt.update((neg + n1, (pos + n1, f)) for neg, pos, f in t2.pairs)
     visited = set()
 
-    def strand(start):
-        # compose the labels from start on, until the strand leaves or closes
-        acc, cur = None, start
-        while True:
-            f = label_at[cur]
-            acc = f if acc is None else cat.compose(acc, f)
-            visited.add(cur)
-            end = partner[cur]
-            cur = cross(end)
-            if cur is None or cur == start:
-                return acc, end
+    def out(p):  # the composite's boundary: t2's codomain follows t1's domain
+        return p if p < n1 else p - m
 
-    starts = [("a", p) for p in range(n1) if t1.dom[p].dual().star]
-    starts += [("b", m + q) for q in range(len(t2.cod)) if t2.cod[q].star]
-    out_pairs = []
-    for start in starts:
-        acc, end = strand(start)
-        out_pairs.append((to_out(start), to_out(end), acc))
-    cycles = []
-    for start in sorted(set(partner) - visited):
-        if start not in visited:
-            cycles.append(cat.loop_of(strand(start)[0]))
-    loops = t1.loops + t2.loops + tuple(cycles)
-    return _wiring(t1.dom, t2.cod, out_pairs, loops)
+    def strand(start):
+        # compose from start on: (the output position where it leaves, arrow)
+        cur, acc = start, None
+        while True:
+            visited.add(cur)
+            cur, f = nxt[cur]
+            acc = f if acc is None else cat.compose(acc, f)
+            if not n1 <= cur < n1 + m or cur == start:
+                return out(cur), acc
+
+    pairs = [(out(q), *strand(q)) for q in nxt if not n1 <= q < n1 + m]
+    loops = [cat.loop_of(strand(q)[1]) for q in nxt if q not in visited]
+    return _wiring(t1.dom, t2.cod, pairs, t1.loops + t2.loops + tuple(loops))
+
+
+def _moved(pairs, n, lo, hi):
+    """``pairs`` with each position p < n moved to lo + p, and each other to hi + p - n."""
+    def at(p):
+        return lo + p if p < n else hi + p - n
+
+    return [(at(a), at(b), f) for a, b, f in pairs]
 
 
 def wiring_tensor(t1, t2):
-    n1, m1 = len(t1.dom), len(t1.cod)
-    n2, m2 = len(t2.dom), len(t2.cod)
-    n = n1 + n2
-
-    def map1(p):
-        return p if p < n1 else n + (p - n1)
-
-    def map2(p):
-        return n1 + p if p < n2 else n + m1 + (p - n2)
-
-    pairs = [(map1(a), map1(b), f) for a, b, f in t1.pairs]
-    pairs += [(map2(a), map2(b), f) for a, b, f in t2.pairs]
+    n1, n2 = len(t1.dom), len(t2.dom)
+    pairs = _moved(t1.pairs, n1, 0, n1 + n2) + _moved(t2.pairs, n2, n1, n1 + n2 + len(t1.cod))
     return _wiring(t1.dom + t2.dom, t1.cod + t2.cod, pairs, t1.loops + t2.loops)
 
 
-def wiring_dagger(cat, t):
-    n, m = len(t.dom), len(t.cod)
-
-    def flip(p):
-        return m + p if p < n else p - n
-
-    pairs = [(flip(pos), flip(neg), cat.dagger(f)) for neg, pos, f in t.pairs]
-    loops = [cat.loop_dagger(lp) for lp in t.loops]
-    return _wiring(t.cod, t.dom, pairs, loops)
-
-
 def wiring_dual(t):
-    n, m = len(t.dom), len(t.cod)
-
-    def shift(p):
-        return m + p if p < n else p - n
-
-    pairs = [(shift(neg), shift(pos), f) for neg, pos, f in t.pairs]
+    """A -> B into B* -> A*: the boundary is t's with the domain's part moved last."""
+    pairs = _moved(t.pairs, len(t.dom), len(t.cod), 0)
     return _wiring(tuple(l.dual() for l in t.cod), tuple(l.dual() for l in t.dom), pairs, t.loops)
+
+
+def wiring_dagger(cat, t):
+    """A -> B into B -> A, the conjugate of the dual: every literal of the dual's
+    boundary is starred the other way, so each pair turns round and its arrow
+    and the loops go under the dagger."""
+    d = wiring_dual(t)
+    pairs = [(pos, neg, cat.dagger(f)) for neg, pos, f in d.pairs]
+    return _wiring(t.cod, t.dom, pairs, [cat.loop_dagger(lp) for lp in d.loops])
 
 
 # ---------------------------------------------------------------------------
@@ -228,43 +206,25 @@ class FreeArrow:
             raise ValueError(
                 f"compose: {fmt_anf(self.cod)} does not match {fmt_anf(other.dom)}"
             )
-        out = {}
-        for (i, j), c2 in other.entries.items():
-            for (jj, k), c1 in self.entries.items():
-                if jj != j:
-                    continue
-                tgt = out.setdefault((i, k), Counter())
-                for t1, m1 in c1.items():
-                    for t2, m2 in c2.items():
-                        tgt[wiring_compose(self.cat, t1, t2)] += m1 * m2
+        blocks = (((i, k), c1, c2) for (i, j), c2 in other.entries.items()
+                  for (jj, k), c1 in self.entries.items() if jj == j)
+        out = _products(blocks, lambda t1, t2: wiring_compose(self.cat, t1, t2))
         return _arrow(self.cat, self.dom, other.cod, out)
 
     def tensor(self, other):
         self._like(other)
-        out = {}
-        for (i1, j1), c1 in self.entries.items():
-            for (i2, j2), c2 in other.entries.items():
-                key = (i1 * len(other.cod) + i2, j1 * len(other.dom) + j2)
-                tgt = out.setdefault(key, Counter())
-                for t1, m1 in c1.items():
-                    for t2, m2 in c2.items():
-                        tgt[wiring_tensor(t1, t2)] += m1 * m2
+        rows, cols = len(other.cod), len(other.dom)
+        blocks = (((i1 * rows + i2, j1 * cols + j2), c1, c2) for (i1, j1), c1 in self.entries.items()
+                  for (i2, j2), c2 in other.entries.items())
+        out = _products(blocks, wiring_tensor)
         return _arrow(self.cat, anf_kron(self.dom, other.dom), anf_kron(self.cod, other.cod), out)
 
     def dagger(self):
-        out = {}
-        for (i, j), c in self.entries.items():
-            out[(j, i)] = Counter(
-                {wiring_dagger(self.cat, t): m for t, m in c.items()}
-            )
-        return _arrow(self.cat, self.cod, self.dom, out)
+        return _transpose(self, self.cod, self.dom, lambda t: wiring_dagger(self.cat, t))
 
     def dual(self):
         """The contravariant duality A -> B into B* -> A*."""
-        out = {}
-        for (i, j), c in self.entries.items():
-            out[(j, i)] = Counter({wiring_dual(t): m for t, m in c.items()})
-        return _arrow(self.cat, anf_star(self.cod), anf_star(self.dom), out)
+        return _transpose(self, anf_star(self.cod), anf_star(self.dom), wiring_dual)
 
     def add(self, other):
         self._like(other)
@@ -282,14 +242,7 @@ class FreeArrow:
             raise ValueError("scale: not a scalar")
         return s.tensor(self)
 
-    def __rshift__(self, other):
-        return self.then(other)
-
-    def __matmul__(self, other):
-        return self.tensor(other)
-
-    def __add__(self, other):
-        return self.add(other)
+    __rshift__, __matmul__, __add__ = then, tensor, add
 
     def __eq__(self, other):
         if not isinstance(other, FreeArrow):
@@ -313,6 +266,23 @@ def _arrow(cat, dom, cod, entries):
     fa = object.__new__(FreeArrow)
     fa.cat, fa.dom, fa.cod, fa.entries = cat, dom, cod, entries
     return fa
+
+
+def _products(blocks, op):
+    """Entries from ``(key, c1, c2)`` blocks: each key sums op(t1, t2), m1 * m2 times."""
+    out = {}
+    for key, c1, c2 in blocks:
+        tgt = out.setdefault(key, Counter())
+        for t1, m1 in c1.items():
+            for t2, m2 in c2.items():
+                tgt[op(t1, t2)] += m1 * m2
+    return out
+
+
+def _transpose(fa, dom, cod, op):
+    """The arrow dom -> cod whose entry (j, i) is op of each wiring in fa's entry (i, j)."""
+    entries = {(j, i): Counter({op(t): m for t, m in c.items()}) for (i, j), c in fa.entries.items()}
+    return _arrow(fa.cat, dom, cod, entries)
 
 
 def fa_equal(f, g):

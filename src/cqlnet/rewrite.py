@@ -297,10 +297,10 @@ def to_net(nn, cat, name="normal"):
     return nets.Net(name, nn.conclusions, slices, cat)
 
 
-def beta_equal(n1, n2, strategy="min", seed=0):
+def beta_equal(n1, n2):
     """Whether two nets over the same conclusions have the same normal form."""
     if n1.cat is not n2.cat:
         raise ValueError("nets over different categories")
     if n1.conclusions != n2.conclusions:
         raise NetError("nets have different conclusions")
-    return normalize(n1, strategy, seed) == normalize(n2, strategy, seed)
+    return normalize(n1) == normalize(n2)
