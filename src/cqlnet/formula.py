@@ -231,15 +231,6 @@ def anf_kron_all(parts):
     return out
 
 
-def word_formula(w):
-    if not w:
-        return Unit()
-    out = DualAtom(w[0].name) if w[0].star else Atom(w[0].name)
-    for lit in w[1:]:
-        out = Tensor(out, DualAtom(lit.name) if lit.star else Atom(lit.name))
-    return out
-
-
 def plus_path(n, k):
     """Word k's plus bits in ``anf_formula`` of n words, outermost sum first.
 
@@ -256,27 +247,26 @@ def plus_path(n, k):
     return bits
 
 
-def anf_formula(a):
-    """The canonical formula of an ANF; FormulaError if nested deeper than MAX_DEPTH.
+def _balanced(op, parts):
+    """``parts`` joined by ``op``, split in halves with the larger half on the left.
 
-    Sums are balanced: the words split in halves, recursively, with the larger
-    half on the left, so word k lies under ``len(plus_path(n, k))`` sums.  One
-    to three words give the left-nested sum.  Tensors in a word nest to the left.
+    One to three parts give the left-nested join; no parts give None.
     """
-    if not a:
-        return Zero()
-    n = len(a)
-    depth = max(len(plus_path(n, k)) + max(len(w) - 1, 0) for k, w in enumerate(a))
-    if depth > MAX_DEPTH:
-        raise FormulaError(f"formula nested {depth} deep, deeper than {MAX_DEPTH}")
+    if len(parts) <= 1:
+        return parts[0] if parts else None
+    mid = (len(parts) + 1) // 2
+    return op(_balanced(op, parts[:mid]), _balanced(op, parts[mid:]))
 
-    def sums(lo, hi):
-        if hi - lo == 1:
-            return word_formula(a[lo])
-        mid = (lo + hi + 1) // 2
-        return Plus(sums(lo, mid), sums(mid, hi))
 
-    return sums(0, n)
+def anf_formula(a):
+    """The canonical formula of an ANF: sums and each word's tensors both balanced.
+
+    Word k lies under ``len(plus_path(n, k))`` sums, and n words of at most m
+    literals nest ceil(log2 n) + ceil(log2 m) deep.  One to three words or
+    literals give the left-nested sum or tensor.
+    """
+    words = [[DualAtom(lit.name) if lit.star else Atom(lit.name) for lit in w] for w in a]
+    return _balanced(Plus, [_balanced(Tensor, w) or Unit() for w in words]) or Zero()
 
 
 def fmt_word(w):
@@ -369,7 +359,8 @@ def _tokenize(text, lineno):
 
 # Deepest bracket nesting a formula may have.  Every formula read from text
 # passes through ``_parse``, so this also bounds the recursive walkers
-# (``star``, ``anf``, ``fmt``, ``validate``, ``net.labels``, ...).
+# (``star``, ``anf``, ``fmt``, ``validate``, ``net.labels``, ...).  Formulas
+# built by ``anf_formula`` are log-depth in their words and literals.
 MAX_DEPTH = 256
 
 

@@ -219,3 +219,31 @@ def swap_tree_net():
         return "\n".join(lines) + "\n"
 
     return build
+
+
+@pytest.fixture(scope="session")
+def balanced_times_net():
+    """Net text with k axioms ``id Q`` whose 2k ends one balanced tree of times links joins.
+
+    The tree splits its ports in halves, the larger half on the left, so its
+    one conclusion is ceil(log2 2k) deep.
+    """
+
+    def build(k):
+        lines = []
+
+        def join(ports):  # (port, formula text) of the tree over ports
+            if len(ports) == 1:
+                return ports[0]
+            mid = (len(ports) + 1) // 2
+            (left, lf), (right, rf) = join(ports[:mid]), join(ports[mid:])
+            lines.append(f"  times t{len(lines)} = {left} {right}")
+            return f"t{len(lines) - 1}.0", f"({lf} x {rf})"
+
+        ends = [(f"a{i}.{end}", ("Q*", "Q")[end]) for i in range(k) for end in (0, 1)]
+        top, formula = join(ends)
+        axioms = [f"  ax a{i} : id Q" for i in range(k)]
+        return "\n".join(["net balanced", f"conclusions {formula}", "slice"] + axioms + lines
+                         + [f"  out {top}", "end"]) + "\n"
+
+    return build

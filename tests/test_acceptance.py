@@ -8,7 +8,7 @@ import pytest
 
 from cqlnet import fixtures
 from cqlnet.category import Loop
-from cqlnet.formula import anf, anf_star, parse_formula
+from cqlnet.formula import Literal, anf, anf_star, parse_formula
 from cqlnet.freecat import (
     UNIT,
     FreeArrow,
@@ -180,14 +180,22 @@ def test_criterion_4_faithfulness(c2, pauli8):
     _report(4, "denotational equality matches rewriting equality", check)
 
 
-def test_criterion_5_completeness_round_trip(c2, pauli8):
+def test_criterion_5_completeness_round_trip(c2, pauli8, inclusion, hy):
     def check():
-        rng = random.Random(777)
-        for i in range(100):
-            cat = pauli8 if i % 2 == 0 else c2
-            f = random_free_arrow(cat, rng)
+        arrows = []
+        for cats, seed in (((pauli8, c2), 777), ((inclusion, hy), 778)):
+            rng = random.Random(seed)
+            arrows += [random_free_arrow(cats[i % 2], rng) for i in range(100)]
+        for f in arrows:
             assert len(f.dom) <= 3 and len(f.cod) <= 3
             assert all(len(w) <= 4 for w in f.dom + f.cod)
+        # per category, the name of an identity: one word of 260 literals,
+        # past MAX_DEPTH if its tensors nested to the left
+        for cat in (pauli8, c2, inclusion, hy):
+            objs = sorted(cat.objects)
+            word = tuple(Literal(objs[k % len(objs)]) for k in range(130))
+            arrows.append(name_of(identity(cat, (word,))))
+        for f in arrows:
             net = complete(f)
             assert fa_equal(denote(net), name_of(f))
 

@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from itertools import accumulate
 
 import pytest
 
@@ -126,21 +127,24 @@ def test_equal_command(exdir, capsys):
     assert capsys.readouterr().out.strip() == "distinct"
 
 
-def test_complete_deep_word_exits_two(exdir, tmp_path, capsys, pauli8):
+def test_complete_long_words(exdir, tmp_path, capsys, pauli8):
     # the name of the identity on Q x ... x Q is one word of 2n literals,
-    # which complete would nest 2n - 1 tensors deep
-    def arrow_file(literals):
-        path = tmp_path / f"deep{literals}.arrow"
-        fa = name_of(identity(pauli8, ((Literal("Q"),) * (literals // 2),)))
-        path.write_text(fmt_arrow(fa))
-        return str(path)
-
-    argv = ["complete", "--category", _p(exdir, "pauli8.cat")]
-    assert cli.main(argv + [arrow_file(MAX_DEPTH)]) == 0
-    capsys.readouterr()
-    assert cli.main(argv + [arrow_file(1200)]) == 2
-    err = capsys.readouterr().err.strip()
-    assert err == f"error: formula nested 1199 deep, deeper than {MAX_DEPTH}"
+    # whose balanced tensors nest ceil(log2 2n) deep
+    cat = ["--category", _p(exdir, "pauli8.cat")]
+    for literals in (MAX_DEPTH, 1200):
+        want = fmt_arrow(name_of(identity(pauli8, ((Literal("Q"),) * (literals // 2),))))
+        arrow, net = tmp_path / f"long{literals}.arrow", tmp_path / f"long{literals}.net"
+        arrow.write_text(want)
+        assert cli.main(["complete"] + cat + [str(arrow)]) == 0
+        net.write_text(capsys.readouterr().out)
+        assert cli.main(["check"] + cat + [str(net)]) == 0
+        capsys.readouterr()
+        head, conclusions = net.read_text().splitlines()[1].split(" ", 1)
+        assert head == "conclusions"
+        depth = max(accumulate((c == "(") - (c == ")") for c in conclusions))
+        assert depth == (literals - 1).bit_length() <= 11
+        assert cli.main(["denote"] + cat + [str(net)]) == 0
+        assert capsys.readouterr().out == want
 
 
 def test_complete_round_trip(exdir, tmp_path, capsys, pauli8):

@@ -27,7 +27,6 @@ from cqlnet.formula import (
     split_top,
     star,
     validate,
-    word_formula,
 )
 from cqlnet.net import PlusLink, parse_net
 from cqlnet.randgen import random_anf, random_net
@@ -144,17 +143,20 @@ def _depth(f):
     return 1 + max(_depth(f.left), _depth(f.right)) if isinstance(f, (Plus, Tensor)) else 0
 
 
-def test_anf_formula_depth_limit():
-    # word k of n words nests under len(plus_path(n, k)) sums and len - 1 tensors
+def test_anf_formula_nests_log_deep():
+    # word 0 is the longest and lies under the most sums, so n words of at
+    # most m literals nest ceil(log2 n) + ceil(log2 m) deep
+    lits = tuple(Literal(f"A{i}", i % 3 == 0) for i in range(70))
+    sizes = [(n, m) for n in range(1, 71) for m in (0, 1, 2, 3, 4, 5, 70)]
+    sizes += [(n, m) for n in (1, 2, 3, 4, 5, 70) for m in range(71)]
+    for n, m in sizes:
+        a = (lits[:m],) + tuple(lits[:min(k % 4, m)] for k in range(1, n))
+        f = anf_formula(a)
+        assert anf(f) == a
+        assert _depth(f) == (n - 1).bit_length() + max(m - 1, 0).bit_length()
     q = Literal("Q")
-    assert anf(anf_formula(((q,) * (MAX_DEPTH + 1),))) == ((q,) * (MAX_DEPTH + 1),)
-    deep = ((q,) * 2, (q,) * MAX_DEPTH, ())
-    msg = f"formula nested {MAX_DEPTH + 1} deep, deeper than {MAX_DEPTH}"
-    with pytest.raises(FormulaError, match=msg):
-        anf_formula(deep)
-    many = ((),) * (MAX_DEPTH + 2)
-    f = anf_formula(many)
-    assert anf(f) == many and _depth(f) == 9
+    assert _depth(anf_formula(((),) * (MAX_DEPTH + 2))) == 9
+    assert _depth(anf_formula(((q,) * 2, (q,) * 1200, ()))) == 2 + 11
 
 
 def test_plus_path_leads_to_word_k_under_at_most_ceil_log2_n_sums():
@@ -168,7 +170,7 @@ def test_plus_path_leads_to_word_k_under_at_most_ceil_log2_n_sums():
             for right in path:
                 assert isinstance(g, Plus)
                 g = g.right if right else g.left
-            assert g == word_formula(a[k])
+            assert g == anf_formula((a[k],))
 
 
 def test_anf_formula_of_max_words_nests_twelve_deep():
@@ -187,13 +189,19 @@ def test_anf_formula_prints_balanced_sums():
         assert fmt(anf_formula(tuple(words[:n]))) == text
     # one to three words: the formula that nests sums to the left
     for n in (1, 2, 3):
-        assert anf_formula(tuple(words[:n])) == reduce(Plus, map(word_formula, words[:n]))
+        summands = [anf_formula((w,)) for w in words[:n]]
+        assert anf_formula(tuple(words[:n])) == reduce(Plus, summands)
 
 
-def test_word_formula():
-    assert word_formula(()) == Unit()
-    w = (Literal("Q", True), Literal("Q"))
-    assert word_formula(w) == Tensor(DualAtom("Q"), Atom("Q"))
+def test_anf_formula_balances_tensors():
+    a, b, c, d = Atom("A"), DualAtom("B"), Atom("C"), Atom("D")
+    lits = (Literal("A"), Literal("B", True), Literal("C"), Literal("D"))
+    assert anf_formula(((),)) == Unit()
+    # one to three literals: the tensor that nests to the left
+    for n in (1, 2, 3):
+        assert anf_formula((lits[:n],)) == reduce(Tensor, (a, b, c)[:n])
+    assert anf_formula((lits,)) == Tensor(Tensor(a, b), Tensor(c, d))
+    assert fmt(anf_formula((lits + lits[:1],))) == "(((A x B*) x C) x (D x A))"
 
 
 def test_parse_anf_round_trip():

@@ -772,3 +772,13 @@ def test_every_net_denote_accepts_completes(corpus, wide_corpus, inclusion, hy):
         back = complete(fa)
         validate_net(back)
         assert fa_equal(denote(back), name_of(fa)), print_net(net)
+
+
+def test_completing_a_parsed_word_of_258_literals_round_trips(pauli8, balanced_times_net):
+    # the parsed conclusion is 9 deep; its one word of 258 literals, tensored
+    # to the left, would be 257 deep
+    net = parse_net(balanced_times_net(129), pauli8)
+    fa = denote(net)
+    back = parse_net(print_net(complete(fa)), pauli8)
+    assert fa_equal(denote(back), fa)
+    assert back.conclusions == net.conclusions

@@ -662,15 +662,23 @@ def test_plus_chain_written_consumers_first_parses_to_the_depth_limit(pauli8, pl
 
 # sha256 of the texts below.  The benchmark's random workload is drawn by the
 # same randgen calls, so a change in randgen's draws or in the ids it gives
-# would silently change that workload: move the digest only on purpose
-RANDGEN_DIGEST = "cfc354956cfd130c1104a2c0ebd436e87ac33477ac5e948285ca9323da7e3cad"
+# would silently change that workload: move the first two digests only on
+# purpose.  The third pins what complete builds from the drawn arrows.
+RANDGEN_NETS_DIGEST = "bb3ef74615953ac7950f063720b61136d5df2a9439084921e861236f5aabdb2a"
+RANDGEN_ARROWS_DIGEST = "84ba16fa9577393fce8eab56a5e2c70bf78bcf7949e2ad4332fa7f082bc7632d"
+COMPLETED_DIGEST = "881488060c6b22d6c9246c11bec414c9f45713e7d04d0561dcd0e6e5709d6fca"
 
 
 def test_randgen_output_is_pinned(pauli8, c2):
+    def digest(texts):
+        return hashlib.sha256("".join(texts).encode()).hexdigest()
+
     rng = random.Random(13)
-    texts = [print_net(random_net(pauli8 if i % 2 else c2, rng, max_links=24)) for i in range(40)]
-    texts += [print_net(complete(random_free_arrow(pauli8 if i % 2 else c2, rng))) for i in range(20)]
-    assert hashlib.sha256("".join(texts).encode()).hexdigest() == RANDGEN_DIGEST
+    nets = [print_net(random_net(pauli8 if i % 2 else c2, rng, max_links=24)) for i in range(40)]
+    arrows = [random_free_arrow(pauli8 if i % 2 else c2, rng) for i in range(20)]
+    assert digest(nets) == RANDGEN_NETS_DIGEST
+    assert digest(map(fmt_arrow, arrows)) == RANDGEN_ARROWS_DIGEST
+    assert digest(print_net(complete(fa)) for fa in arrows) == COMPLETED_DIGEST
 
 
 def test_slice_builder_realizes_components(pauli8):
