@@ -16,6 +16,7 @@ the node, outside ``==``, ``hash`` and ``repr``.
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 
 from .errors import FormulaError, ParseError
@@ -93,8 +94,10 @@ class _Binary(Formula):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
-    def __eq__(self, other):  # the tuples compare shared subformulas by identity
-        return type(other) is type(self) and (other.left, other.right) == (self.left, self.right)
+    def __eq__(self, other):  # shared subformulas compare by identity
+        return type(other) is type(self) and (
+            (left := other.left) is self.left or left == self.left) and (
+            (right := other.right) is self.right or right == self.right)
 
     def __hash__(self):
         return hash((self.left, self.right))
@@ -336,25 +339,14 @@ def _fmt(f):
 # parsing
 
 
+_TOKEN = re.compile(r"[()*+]|\w+")  # \w is str.isalnum() or "_", and \s str.isspace()
+_BAD_CHAR = re.compile(r"[^\w\s()*+]")
+
+
 def _tokenize(text, lineno):
-    toks = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()*+":
-            toks.append(c)
-            i += 1
-        elif c.isalnum() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(text[i:j])
-            i = j
-        else:
-            raise ParseError(lineno, f"bad character {c!r} in formula")
-    return toks
+    if (bad := _BAD_CHAR.search(text)) is not None:
+        raise ParseError(lineno, f"bad character {bad.group()!r} in formula")
+    return _TOKEN.findall(text)
 
 
 # Deepest bracket nesting a formula may have.  Every formula read from text
@@ -364,40 +356,61 @@ def _tokenize(text, lineno):
 MAX_DEPTH = 256
 
 
-def _parse(toks, pos, lineno, depth=0):
+def _node(nodes, key, *parts):
+    """The one ``key[0](*parts)`` in ``nodes``, keyed by class and names or shared parts' ids."""
+    if (node := nodes.get(key)) is None:
+        node = nodes[key] = key[0](*parts)
+    return node
+
+
+def _dual(f, nodes):
+    """``star(f)`` over the nodes of ``nodes``."""
+    if isinstance(f, _Named):
+        return _node(nodes, (DualAtom if type(f) is Atom else Atom, f.name), f.name)
+    if isinstance(f, _Binary):
+        left, right = _dual(f.left, nodes), _dual(f.right, nodes)
+        return _node(nodes, (type(f), id(left), id(right)), left, right)
+    return f
+
+
+def _parse(toks, pos, lineno, nodes, depth=0):
     if pos >= len(toks):
         raise ParseError(lineno, "unexpected end of formula")
     t = toks[pos]
     if t == "(":
         if depth == MAX_DEPTH:
             raise ParseError(lineno, f"formula nested deeper than {MAX_DEPTH}")
-        left, pos = _parse(toks, pos + 1, lineno, depth + 1)
+        left, pos = _parse(toks, pos + 1, lineno, nodes, depth + 1)
         if pos >= len(toks) or toks[pos] not in ("x", "+"):
             raise ParseError(lineno, "expected 'x' or '+' in formula")
         op = toks[pos]
-        right, pos = _parse(toks, pos + 1, lineno, depth + 1)
+        right, pos = _parse(toks, pos + 1, lineno, nodes, depth + 1)
         if pos >= len(toks) or toks[pos] != ")":
             raise ParseError(lineno, "expected ')' in formula")
-        node = Tensor(left, right) if op == "x" else Plus(left, right)
-        pos += 1
-    elif t == "0":
-        node, pos = Zero(), pos + 1
-    elif t == "I":
-        node, pos = Unit(), pos + 1
+        key = (Tensor if op == "x" else Plus, id(left), id(right))
+        node = _node(nodes, key, left, right)
+    elif t == "0" or t == "I":
+        node = _node(nodes, (Zero if t == "0" else Unit,))
     elif t[0].isalpha() or t[0] == "_":
-        node, pos = Atom(t), pos + 1
+        node = _node(nodes, (Atom, t), t)
     else:
         raise ParseError(lineno, f"unexpected token {t!r} in formula")
+    pos += 1
     while pos < len(toks) and toks[pos] == "*":
-        node = star(node)
+        node = _dual(node, nodes)
         pos += 1
     return node, pos
 
 
 def parse_formula(text, cat=None, lineno=0):
     """Parse one formula; validates restrictions, and atoms if a category is given."""
+    return _read(text, cat, lineno, {})
+
+
+def _read(text, cat, lineno, nodes):
+    """``parse_formula`` building through ``nodes``: what one table reads shares equal parts."""
     toks = _tokenize(text, lineno)
-    node, pos = _parse(toks, 0, lineno)
+    node, pos = _parse(toks, 0, lineno, nodes)
     if pos != len(toks):
         raise ParseError(lineno, f"trailing tokens after formula: {' '.join(toks[pos:])}")
     try:

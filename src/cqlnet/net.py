@@ -18,9 +18,11 @@ are written, holding a link back only until its inputs have labels, and a
 ``SliceBuilder`` makes each link over ports that already exist.  ``topo_order``
 sorts the links producers first for ``print_net``.  Only ``parse_net`` and
 ``validate_net`` check a net; what a builder makes is not.
-The parser reads the wiring line by line and compares arrow cuts as it orients
-them; ``validate_wiring`` checks a built net's wiring.  Both then run the typed
-pass ``validate_slice``: outs, output uses, conclusions, units, unchecked cuts.
+The parser reads the wiring line by line, taking each port out of a table of
+outputs, and compares arrow cuts as it orients them; ``validate_wiring`` checks
+a built net's wiring.  ``validate_uses`` counts output uses: of a built net, and
+of a parsed slice whose table did not end empty with each output taken once.
+Both then run the typed pass ``validate_slice``: outs, conclusions, units, unchecked cuts.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ from .formula import (
     Zero,
     _Empty,
     _Record,
+    _read,
     _Value,
     directives,
     fmt,
-    parse_formula,
     parse_nat,
     split_top,
     star,
@@ -241,15 +243,10 @@ def validate_wiring(slice_):
             raise NetError(f"wire into {inp} from unknown port {outp}")
 
 
-def validate_slice(slice_, cat, conclusions, labs, cuts=None):
-    """The typed checks of a slice with sound wiring and labels ``labs``.
-
-    Outs name outputs, each used once, that carry the conclusions; each unit feeds a plus
-    or an id cut on I; each cut in ``cuts`` (all if None) gets what it takes.
-    """
-    links, wires = slice_.links, slice_.wires
-    seen_out = {(lid, slot): 0 for lid, link in links.items() for slot in range(link.n_out)}
-    for port in (*wires.values(), *slice_.outs):
+def validate_uses(slice_):
+    """Outs name outputs of a slice with sound wiring, and each output is used once."""
+    seen_out = {(lid, slot): 0 for lid, link in slice_.links.items() for slot in range(link.n_out)}
+    for port in (*slice_.wires.values(), *slice_.outs):
         if port not in seen_out:  # only an out can name no output: the wiring is sound
             raise NetError(f"out lists unknown port {port}")
         seen_out[port] += 1
@@ -257,6 +254,14 @@ def validate_slice(slice_, cat, conclusions, labs, cuts=None):
         if n != 1:
             raise NetError(f"port {port[0]}.{port[1]} used {n} times, want exactly 1")
 
+
+def validate_slice(slice_, cat, conclusions, labs, cuts=None):
+    """The typed checks of a slice that passed ``validate_uses``, with labels ``labs``.
+
+    Outs carry the conclusions; each unit feeds a plus or an id cut on I; each cut in
+    ``cuts`` (all if None) gets what it takes.
+    """
+    links, wires = slice_.links, slice_.wires
     if len(slice_.outs) != len(conclusions):
         raise NetError(f"slice has {len(slice_.outs)} conclusions, net declares {len(conclusions)}")
     for port, want in zip(slice_.outs, conclusions):
@@ -295,7 +300,9 @@ def validate_net(net):
     _no_slice_under_zero(net)
     for s in net.slices:
         validate_wiring(s)
-        validate_slice(s, net.cat, net.conclusions, labels(s, net.cat))
+        labs = labels(s, net.cat)
+        validate_uses(s)
+        validate_slice(s, net.cat, net.conclusions, labs)
 
 
 # ---------------------------------------------------------------------------
@@ -384,21 +391,24 @@ def _port(tok, lineno, links):
 
 
 def _resolve_slice(cat, links, pending, cuts, outs):
-    """The slice, its labels and its arrow cuts that match in neither order, at its ``end`` line.
+    """The slice, its labels, its arrow cuts that match in neither order, and whether each
+    output is used once, at its ``end`` line.
 
-    Ports spelled ``lid.slot`` come from one table, others from ``_port``.  An arrow cut comes
-    as (link, ``cut_inputs``), an id cut as None; each is stored plain side first.
+    A port spelled ``lid.slot`` is taken out of one table, so a second use, like any other
+    spelling, comes from ``_port``.  An arrow cut comes as (link, ``cut_inputs``), an id cut
+    as None; each is stored plain side first.
     """
     named = {f"{lid}.{slot}": (lid, slot) for lid, link in links.items() for slot in range(link.n_out)}
-    wires = {}
+    n_ports, wires = len(named), {}
     for inp, (tok, ln) in pending.items():
-        if (port := named.get(tok)) is None:
+        if (port := named.pop(tok, None)) is None:
             port = _port(tok, ln, links)
             if port[1] >= links[port[0]].n_out:
                 raise ParseError(ln, f"link {port[0]} has no output {port[1]}")
         wires[inp] = port
     ln, toks = outs
-    s = Slice(links, wires, tuple(named.get(tok) or _port(tok, ln, links) for tok in toks))
+    s = Slice(links, wires, tuple(named.pop(tok, None) or _port(tok, ln, links) for tok in toks))
+    once = not named and len(wires) + len(toks) == n_ports
     labs = labels(s, cat)
     unmatched = []
     for cid, arrow_cut, ln in cuts:
@@ -416,38 +426,29 @@ def _resolve_slice(cat, links, pending, cuts, outs):
             wires[(cid, 0)], wires[(cid, 1)] = p1, p0
         else:
             unmatched.append(cid)
-    return s, labs, unmatched
+    return s, labs, unmatched, once
 
 
 def _formula(text, cat, lineno, read):
-    """The formula ``text`` names; ``read`` maps each text already read to its node."""
+    """The formula ``text`` names; ``read`` maps each text read to its node, and holds the nodes."""
     text = text.strip()
-    if text not in read:
-        read[text] = _shared(parse_formula(text, cat, lineno), read)
-    return read[text]
-
-
-def _shared(f, read):
-    """``f`` over the nodes ``read`` holds; ``read`` then maps each node's ``fmt`` text to it."""
-    if (text := fmt(f)) not in read:
-        if isinstance(f, (Tensor, Plus)):
-            left, right = _shared(f.left, read), _shared(f.right, read)
-            if left is not f.left or right is not f.right:
-                f = type(f)(left, right)
-        read[text] = f
-    return read[text]
+    if (f := read.get(text)) is None:
+        f = read[text] = _read(text, cat, lineno, read)
+    return f
 
 
 def parse_net(text, cat):
     """Parse and check a net file against a category.
 
-    Per call, equal subformulas are one node, and no text that spells one read before is
-    parsed again: a label meets its conclusion by identity below the nodes ``labels`` builds.
+    Per call, equal subformulas are one node, no formula text is parsed twice, and axioms
+    for one arrow are one ``AxLink``: a label meets its conclusion by identity below the
+    nodes ``labels`` builds.
     """
     name = conclusions = None
-    read = {}  # formula text -> its shared node, for this call only
+    read = {}  # formula text -> its shared node, and the shared nodes, for this call only
+    axioms = {}  # arrow text, as written and normalized -> its AxLink
     arrow_cuts = {}  # cut label -> its CutLink and what that takes, shared by its cuts
-    slices = []  # (slice, its labels, its unmatched arrow cuts), checked once the whole net is read
+    slices = []  # what _resolve_slice gives per slice, checked once the whole net is read
     links = None  # the open slice's links (with its pending wires, cuts and outs), else None
     cut_count = 0
     for lineno, head, rest in directives(text):
@@ -458,10 +459,12 @@ def parse_net(text, cat):
                 lid, colon, arrow = rest.partition(":")
                 if not colon:
                     raise ParseError(lineno, "expected 'ax id : f'")
-                arrow = " ".join(arrow.split())
-                if arrow not in cat.arrows:
-                    raise ParseError(lineno, f"unknown arrow {arrow!r}")
-                links[_link_id(lid, lineno, links)] = AxLink(arrow)
+                if (link := axioms.get(arrow)) is None:
+                    norm = " ".join(arrow.split())
+                    if norm not in cat.arrows:
+                        raise ParseError(lineno, f"unknown arrow {norm!r}")
+                    link = axioms[arrow] = axioms.setdefault(norm, AxLink(norm))
+                links[_link_id(lid, lineno, links)] = link
             elif head == "cut":
                 body, colon, label = rest.rpartition(":")
                 if not colon:
@@ -535,9 +538,11 @@ def parse_net(text, cat):
     if conclusions is None:
         raise ParseError(1, "missing conclusions line")
 
-    net = Net(name, conclusions, tuple(s for s, _, _ in slices), cat)
+    net = Net(name, conclusions, tuple(s for s, *_ in slices), cat)
     _no_slice_under_zero(net)
-    for s, labs, unmatched in slices:
+    for s, labs, unmatched, once in slices:
+        if not once:
+            validate_uses(s)
         validate_slice(s, cat, conclusions, labs, unmatched)
     return net
 

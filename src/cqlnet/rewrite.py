@@ -41,27 +41,27 @@ Redex.__doc__ = 'A reducible cut and its rule: "ax-self", "ax-ax", "times", "plu
 _FORMULA_RULES = {Unit: "unit", Tensor: "times", Plus: "plus"}
 
 
-def _classify(s, cat, cid):
-    """The redex at cut ``cid``, or None for a closed loop (normal)."""
+def _rule(s, cat, cid):
+    """The rule of the redex at cut ``cid``, or None for a closed loop (normal)."""
     link = s.links[cid]
     if link.arrow is not None:
         if s.wires[(cid, 0)][0] == s.wires[(cid, 1)][0]:
             if cat.is_identity(link.arrow):
                 return None  # closed loop, a normal scalar
-            return Redex(cid, "ax-self")
-        return Redex(cid, "ax-ax")
-    return Redex(cid, _FORMULA_RULES[type(link.formula)])
+            return "ax-self"
+        return "ax-ax"
+    return _FORMULA_RULES[type(link.formula)]
+
+
+def _classify(s, cat, cid):
+    """The redex at cut ``cid``, or None for a closed loop (normal)."""
+    return None if (rule := _rule(s, cat, cid)) is None else Redex(cid, rule)
 
 
 def find_redexes(s, cat):
     """All redexes of a slice, sorted by cut id."""
-    out = []
-    for cid in sorted(s.links):
-        if isinstance(s.links[cid], nets.CutLink):
-            r = _classify(s, cat, cid)
-            if r is not None:
-                out.append(r)
-    return out
+    cuts = sorted([lid for lid, link in s.links.items() if type(link) is nets.CutLink])
+    return [Redex(cid, rule) for cid in cuts if (rule := _rule(s, cat, cid)) is not None]
 
 
 class _Work:
@@ -73,6 +73,7 @@ class _Work:
     def __init__(self, s):
         self.links, self.wires, self.outs = dict(s.links), dict(s.wires), list(s.outs)
         self.cons = {port: (None, k) for k, port in enumerate(s.outs)} | s.consumers()
+        self.axioms = {}  # arrow -> the one AxLink the ax-ax rule made for it
 
     def drop(self, lid):
         for slot in range(self.links[lid].n_in):
@@ -104,7 +105,7 @@ def _rewrite(w, cat, cid, rule):
         nid = min(f_ax, h_ax)
         w.drop(cid)
         del links[f_ax], links[h_ax]
-        links[nid] = nets.AxLink(composite)
+        links[nid] = w.axioms.get(composite) or w.axioms.setdefault(composite, nets.AxLink(composite))
         w.rewire((f_ax, 0), (nid, 0))
         w.rewire((h_ax, 1), (nid, 1))
         consumers = (w.cons[(nid, 0)][0], w.cons[(nid, 1)][0])
@@ -169,43 +170,43 @@ class _Ranks:
 def normalize_slice(s, cat, strategy="min", rng=None, on_step=None):
     """Reduce one slice to normal form; returns (slice or None, step count).
 
-    ``live`` holds the slice's redexes by cut id; after each step only the
-    cuts it touched are classified again.  ``min`` pops the least live id off
-    a heap; ``random`` draws an index into them sorted, as ``find_redexes``
-    lists them, and ``_Ranks`` finds it (a step reuses the slice's ids).
-    ``strategy`` is one of the two; ``normalize`` checks it.
+    ``live`` maps the cut id of each of the slice's redexes to its rule; after
+    each step only the cuts it touched are classified again.  ``min`` pops the
+    least live id off a heap that holds every live id; ``random`` draws an index
+    into them sorted, as ``find_redexes`` lists them, and ``_Ranks`` finds it (a
+    step reuses the slice's ids).  ``strategy`` is one of the two; ``normalize``
+    checks it.  ``on_step`` gets each step's cut, rule and links left.
     """
-    live = {r.cut: r for r in find_redexes(s, cat)}
+    live = dict(find_redexes(s, cat))
     if not live:
         return s, 0  # already normal: nothing to copy
-    heap = list(live)  # sorted, so already a heap
-    ranks = _Ranks(s.links, live) if strategy == "random" else None
+    heap = list(live) if strategy == "min" else None  # sorted, so already a heap
+    ranks = _Ranks(s.links, live) if heap is None else None
     w = _Work(s)
     steps = 0
     while live:
-        if strategy == "min":
+        if heap is not None:
             cid = heapq.heappop(heap)
             if cid not in live:
                 continue  # reduced already, or now a closed loop
         else:
             cid = ranks.kth(rng.randrange(len(live)))  # the draw of rng.choice
             ranks.add(cid, -1)
-        r = live.pop(cid)
-        touched = _rewrite(w, cat, cid, r.rule)
+        rule = live.pop(cid)
+        touched = _rewrite(w, cat, cid, rule)
         steps += 1
         if on_step is not None:
-            on_step(r, 0 if touched is None else len(w.links))
+            on_step(cid, rule, 0 if touched is None else len(w.links))
         if touched is None:
             return None, steps
         for t in touched:
-            nr = _classify(w, cat, t)
-            if ranks is not None and (t in live) != (nr is not None):
-                ranks.add(t, 1 if nr is not None else -1)
-            if nr is None:
-                live.pop(t, None)
-            else:
-                live[t] = nr
-                heapq.heappush(heap, t)
+            was_live = live.pop(t, None) is not None
+            if (rule := _rule(w, cat, t)) is not None:
+                live[t] = rule
+                if heap is not None and not was_live:  # a live id is in the heap already
+                    heapq.heappush(heap, t)
+            if ranks is not None and was_live != (rule is not None):
+                ranks.add(t, -1 if was_live else 1)
     return nets.Slice(w.links, w.wires, tuple(w.outs)), steps
 
 
@@ -283,8 +284,8 @@ def normalize(net, strategy="min", seed=0, trace=None):
     for k, s in enumerate(net.slices):
         on_step = None
         if trace is not None:
-            def on_step(r, remaining, k=k):
-                trace.append(f"slice {k}: {r.rule} at {r.cut}: {remaining} links")
+            def on_step(cut, rule, remaining, k=k):
+                trace.append(f"slice {k}: {rule} at {cut}: {remaining} links")
         nf, _ = normalize_slice(s, net.cat, strategy, rng, on_step)
         if nf is not None:
             canon.append(canonicalize_slice(nf, net.cat))

@@ -4,6 +4,7 @@ from functools import reduce
 import pytest
 
 from cqlnet import fixtures
+from cqlnet import formula as formula_module
 from cqlnet.errors import FormulaError, ParseError
 from cqlnet.formula import (
     MAX_DEPTH,
@@ -271,6 +272,67 @@ def test_parse_formula_errors():
     for text in ["", "(Q x Q", "Q )", "(Q x x Q)", "(Q % Q)", "(Q x Q +)"]:
         with pytest.raises(ParseError):
             parse_formula(text)
+
+
+def _tokenize_by_loop(text, lineno):
+    """The formula tokens as a loop over the characters reads them: the reference."""
+    toks = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c in "()*+":
+            toks.append(c)
+            i += 1
+        elif c.isalnum() or c == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(text[i:j])
+            i = j
+        else:
+            raise ParseError(lineno, f"bad character {c!r} in formula")
+    return toks
+
+
+TOKEN_CORPUS = [
+    "", "   ", "Q", "(Q x Q*)", "((Q+Q)*x_a1)", "Q**", "0", "I", "x", "1Q",
+    "été", "(Ω x Ω*)", "ǅ", "Q٣", "x²", "Ⅻ", "½", "中文", "ᾼ",  # non-ASCII letters and digits
+    "Q\u00a0x\u3000Q", "(Q\u2003+\u2003Q)", "Q\x1cQ\x1f", "Q\x85Q", "\tQ\n",  # spaces
+    "Q\u200bQ", "e\u0301", "Q-1", "Q.", "(Q € Q)", "Q 😀", "(Q % Q)", "Q,Q", "[Q]", "Q/", "Q\x00",
+]
+
+
+def test_tokenize_matches_the_character_loop():
+    def outcome(tokenize, text):
+        try:
+            return tokenize(text, 4)
+        except ParseError as exc:
+            return str(exc)
+
+    for text in TOKEN_CORPUS:
+        assert outcome(formula_module._tokenize, text) == outcome(_tokenize_by_loop, text), text
+    # over every code point, the loop's classes: the same bad characters, and
+    # the same characters in tokens
+    chars = "".join(map(chr, range(0x110000)))
+    in_tokens = set(filter(str.isalnum, chars)) | set("_()*+")
+    good = in_tokens | set(filter(str.isspace, chars))
+    assert formula_module._BAD_CHAR.sub("", chars) == "".join(filter(good.__contains__, chars))
+    tokens = formula_module._TOKEN.findall(chars)
+    assert "".join(tokens) == "".join(filter(in_tokens.__contains__, chars))
+
+
+def test_a_parse_shares_equal_subformulas():
+    f = parse_formula("((Q x Q*)* x (Q* x Q))")
+    assert f == Tensor(Tensor(DualAtom("Q"), Atom("Q")), Tensor(DualAtom("Q"), Atom("Q")))
+    assert f.left is f.right
+    # a dual is made of the nodes read before it
+    g = parse_formula("((Q x Q*)* + (Q x Q*))")
+    assert g.left.left is g.right.right and g.left.right is g.right.left
+    for text in ("((I + (Q x Q)) + (I + (Q x Q)**))", "((I + (Q x Q)) + (I + (Q* x Q*)*))"):
+        h = parse_formula(text)
+        assert h.left is h.right and h.left.right.left is h.left.right.right
 
 
 def test_parse_formula_against_category(c2):

@@ -257,16 +257,21 @@ def test_parse_shares_one_node_per_formula_text(pauli8, swap_tree_net):
 
 def test_parse_reads_each_formula_text_once(pauli8, swap_tree_net, monkeypatch):
     calls = []
+    real = net_module._read
 
-    def counted(text, cat, lineno):
+    def counted(text, cat, lineno, nodes):
         calls.append(text)
-        return parse_formula(text, cat, lineno)
+        return real(text, cat, lineno, nodes)
 
-    monkeypatch.setattr(net_module, "parse_formula", counted)
-    parse_net(swap_tree_net(4, 2, sorted(pauli8.arrows)), pauli8)
-    # the depth-4 sum tree, Q* and Q; the trees of depth 0 to 3 under plus links
-    # are subformulas of the first, so they are not parsed again
-    assert len(calls) == len(set(calls)) == 3
+    monkeypatch.setattr(net_module, "_read", counted)
+    net = parse_net(swap_tree_net(4, 2, sorted(pauli8.arrows)), pauli8)
+    # the depth-4 sum tree, Q* and Q, and the trees of depth 0 to 3 under plus
+    # links, each once though each slice writes them again
+    assert len(calls) == len(set(calls)) == 3 + 4
+    # and no two distinct nodes are equal: the trees under plus links are
+    # subformulas of the conclusion, and are its nodes
+    nodes = _nodes([*net.conclusions, *_others(net)])
+    assert len(set(nodes.values())) == len(nodes) == 4 + 3
 
 
 def _nodes(formulas):
@@ -742,6 +747,12 @@ NET_ERROR_CASES = [
     (_net("(Q* x Q) , Q*", "ax a : id Q", "times t = a.0 a.1", "out t.0 , a.0"),
      "port a.0 used 2 times, want exactly 1"),
     (_net("Q* , Q", "ax a : id Q", "out a.0 , a.2"), "out lists unknown port ('a', 2)"),
+    # a second use spelled another way than the first is counted all the same
+    (_net("Q* , Q , Q", "ax a0 : id Q", "ax b : id Q", "cut a0.1 , b.0 : id",
+          "out a0.0 , a0 .1 , b.1"),
+     "port a0.1 used 2 times, want exactly 1"),
+    (_net("Q*", "ax a0 : id Q", "ax b : id Q", "cut a0 .1 , b.0 : id", "out a0.0"),
+     "port b.1 used 0 times, want exactly 1"),
     (_net("Q*", "ax a : id Q", "out a.0 , a.1"), "slice has 2 conclusions, net declares 1"),
     (_net("Q , Q", "ax a : id Q", "out a.0 , a.1"), "conclusion mismatch: Q* at a.0, want Q"),
     (_net("Q* , Q*", "ax a : id Q", "ax b : id Q", "cut a.1 , b.1 : X", "out a.0 , b.0"),
@@ -766,6 +777,43 @@ def test_parse_net_errors_pinned(pauli8, text, message):
     with pytest.raises(NetError) as exc:
         parse_net(text, pauli8)
     assert str(exc.value) == message
+
+
+def test_parse_counts_port_uses_only_when_its_port_table_does_not_close(
+    pauli8, cut_chain_net, swap_tree_net, monkeypatch
+):
+    calls = []
+    real = net_module.validate_uses
+    monkeypatch.setattr(net_module, "validate_uses", lambda s: calls.append(s) or real(s))
+    # each output taken once out of the table, and none left: no recount
+    parse_net(cut_chain_net(400), pauli8)
+    parse_net(swap_tree_net(5, 2, sorted(pauli8.arrows)), pauli8)
+    assert calls == []
+    # a use spelled another way leaves its output in the table: the recount runs, and passes
+    spaced = parse_net(_net("Q* , Q", "ax a : id Q", "out a .0 , a.1"), pauli8)
+    assert calls == list(spaced.slices)
+    # a net built in code is always counted, slice by slice
+    calls.clear()
+    b = SliceBuilder()
+    a = b.add("a", AxLink("id Q"))
+    one = Slice(b.links, b.wires, ((a, 0), (a, 1)))
+    two = Slice(b.links, b.wires, ((a, 0), (a, 1)))
+    validate_net(Net("built", (DualAtom("Q"), Atom("Q")), (one, two), pauli8))
+    assert len(calls) == 2 and calls[0] is one and calls[1] is two
+
+
+def test_parse_shares_one_axlink_per_arrow(pauli8, cut_chain_net, swap_tree_net):
+    def axioms(net):
+        return {id(link): link for s in net.slices for link in s.links.values()
+                if isinstance(link, AxLink)}
+
+    assert list(axioms(parse_net(cut_chain_net(50), pauli8)).values()) == [AxLink("X")]
+    tree = parse_net(swap_tree_net(3, 2, sorted(pauli8.arrows)), pauli8)
+    assert list(axioms(tree).values()) == [AxLink("id Q")]  # across all 8 slices
+    # spelled two ways, one arrow is one link
+    net = parse_net(_net("Q* , Q , Q* , Q , Q* , Q", "ax a : id  Q", "ax b : X", "ax c : id Q",
+                         "out a.0 , a.1 , b.0 , b.1 , c.0 , c.1"), pauli8)
+    assert sorted(link.arrow for link in axioms(net).values()) == ["X", "id Q"]
 
 
 def test_label_nested_too_deep_pinned(pauli8, plus_chain_net):

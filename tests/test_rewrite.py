@@ -201,7 +201,7 @@ def _choice_trace(s, cat, seed):
     while s is not None and (redexes := find_redexes(s, cat)):
         r = rng.choice(redexes)
         s = step(s, cat, r)
-        out.append((r, 0 if s is None else len(s.links)))
+        out.append((r.cut, r.rule, 0 if s is None else len(s.links)))
     return out
 
 
@@ -225,11 +225,11 @@ def test_normalize_is_linear_on_a_cut_chain(pauli8, cut_chain_net, monkeypatch):
     chain = parse_net(cut_chain_net(n), pauli8)
     classified = []
 
-    def classify(s, cat, cid, real=rewrite._classify):
+    def rule(s, cat, cid, real=rewrite._rule):
         classified.append(cid)
         return real(s, cat, cid)
 
-    monkeypatch.setattr(rewrite, "_classify", classify)
+    monkeypatch.setattr(rewrite, "_rule", rule)
     trace = []
     nn = normalize(chain, trace=trace)
     assert len(trace) == n - 1 and all(": ax-ax at " in line for line in trace)
