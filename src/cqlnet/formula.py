@@ -145,18 +145,9 @@ class Literal(namedtuple("Literal", "name star", defaults=(False,))):
 
 def star(f):
     """The dual formula, with stars pushed to the atoms."""
-    match f:
-        case Zero() | Unit():
-            return f
-        case Atom(name):
-            return DualAtom(name)
-        case DualAtom(name):
-            return Atom(name)
-        case Tensor(l, r):
-            return Tensor(star(l), star(r))
-        case Plus(l, r):
-            return Plus(star(l), star(r))
-    raise TypeError(f"not a formula: {f!r}")
+    if not isinstance(f, Formula):
+        raise TypeError(f"not a formula: {f!r}")
+    return _dual(f, {})
 
 
 def validate(f, cat=None):

@@ -53,11 +53,6 @@ def _rule(s, cat, cid):
     return _FORMULA_RULES[type(link.formula)]
 
 
-def _classify(s, cat, cid):
-    """The redex at cut ``cid``, or None for a closed loop (normal)."""
-    return None if (rule := _rule(s, cat, cid)) is None else Redex(cid, rule)
-
-
 def find_redexes(s, cat):
     """All redexes of a slice, sorted by cut id."""
     cuts = sorted([lid for lid, link in s.links.items() if type(link) is nets.CutLink])
@@ -133,65 +128,44 @@ def step(s, cat, redex):
     """Apply one redex; returns the new slice, or None when the slice deletes."""
     if redex.cut not in s.links or not isinstance(s.links[redex.cut], nets.CutLink):
         raise ValueError(f"stale redex: no cut {redex.cut}")
-    current = _classify(s, cat, redex.cut)
-    if current is None or current.rule != redex.rule:
-        raise ValueError(f"stale redex: cut {redex.cut} is now {current!r}")
+    if (rule := _rule(s, cat, redex.cut)) != redex.rule:
+        raise ValueError(f"stale redex: cut {redex.cut} is now {rule or 'a closed loop'}")
     w = _Work(s)
     if _rewrite(w, cat, redex.cut, redex.rule) is None:
         return None
     return nets.Slice(w.links, w.wires, tuple(w.outs))
 
 
-class _Ranks:
-    """Live ids in sorted order, k-th one in O(log n): a Fenwick tree (Fenwick, 1994)."""
-
-    def __init__(self, ids, live):
-        self.ids = sorted(ids)
-        self.pos = {lid: k + 1 for k, lid in enumerate(self.ids)}
-        self.tree = [0] * (len(self.ids) + 1)
-        for lid in live:
-            self.add(lid, 1)
-
-    def add(self, lid, d):
-        i = self.pos[lid]
-        while i < len(self.tree):
-            self.tree[i] += d
-            i += i & -i
-
-    def kth(self, k):
-        i, step = 0, 1 << len(self.ids).bit_length()
-        while step := step >> 1:
-            if i + step < len(self.tree) and self.tree[i + step] <= k:
-                i += step
-                k -= self.tree[i]
-        return self.ids[i]
-
-
 def normalize_slice(s, cat, strategy="min", rng=None, on_step=None):
     """Reduce one slice to normal form; returns (slice or None, step count).
 
     ``live`` maps the cut id of each of the slice's redexes to its rule; after
-    each step only the cuts it touched are classified again.  ``min`` pops the
-    least live id off a heap that holds every live id; ``random`` draws an index
-    into them sorted, as ``find_redexes`` lists them, and ``_Ranks`` finds it (a
-    step reuses the slice's ids).  ``strategy`` is one of the two; ``normalize``
-    checks it.  ``on_step`` gets each step's cut, rule and links left.
+    each step only the cuts it touched are classified again.  ``pool`` holds
+    every live id; an id that stops being live stays in it until it is taken,
+    and is then skipped.  ``min`` keeps the pool as a heap and pops the least
+    id; ``random`` swaps the entry at a drawn index to the end and pops it, so
+    it stays linear and its step order is its own.  ``strategy`` is one of the
+    two; ``normalize`` checks it.  ``on_step`` gets each step's cut, rule and
+    links left.
     """
     live = dict(find_redexes(s, cat))
     if not live:
         return s, 0  # already normal: nothing to copy
-    heap = list(live) if strategy == "min" else None  # sorted, so already a heap
-    ranks = _Ranks(s.links, live) if heap is None else None
+    pool = list(live)  # sorted, so already a heap
+    if strategy == "min":
+        take, put = heapq.heappop, heapq.heappush
+    else:
+        def take(pool):
+            k = rng.randrange(len(pool))
+            pool[k], pool[-1] = pool[-1], pool[k]
+            return pool.pop()
+        put = list.append
     w = _Work(s)
     steps = 0
     while live:
-        if heap is not None:
-            cid = heapq.heappop(heap)
-            if cid not in live:
-                continue  # reduced already, or now a closed loop
-        else:
-            cid = ranks.kth(rng.randrange(len(live)))  # the draw of rng.choice
-            ranks.add(cid, -1)
+        cid = take(pool)
+        if cid not in live:
+            continue  # reduced already, or now a closed loop
         rule = live.pop(cid)
         touched = _rewrite(w, cat, cid, rule)
         steps += 1
@@ -203,10 +177,8 @@ def normalize_slice(s, cat, strategy="min", rng=None, on_step=None):
             was_live = live.pop(t, None) is not None
             if (rule := _rule(w, cat, t)) is not None:
                 live[t] = rule
-                if heap is not None and not was_live:  # a live id is in the heap already
-                    heapq.heappush(heap, t)
-            if ranks is not None and was_live != (rule is not None):
-                ranks.add(t, -1 if was_live else 1)
+                if not was_live:  # a live id is in the pool already
+                    put(pool, t)
     return nets.Slice(w.links, w.wires, tuple(w.outs)), steps
 
 
@@ -228,13 +200,8 @@ NormalNet.__doc__ = "A normal form: conclusions plus the sorted multiset of norm
 
 def canonicalize_slice(s, cat):
     """The canonical form of a slice ``normalize_slice`` made normal; unchecked."""
-    loops = []
-    loop_axioms = set()
-    for cid, link in s.links.items():
-        if isinstance(link, nets.CutLink):
-            ax = s.wires[(cid, 0)][0]
-            loops.append(cat.loop_of(s.links[ax].arrow))
-            loop_axioms.add(ax)
+    loops = [cat.loop_of(s.links[s.wires[(cid, 0)][0]].arrow)
+             for cid, link in s.links.items() if isinstance(link, nets.CutLink)]
     choices = []
     leaf_of = {}
 
@@ -253,10 +220,9 @@ def canonicalize_slice(s, cat):
 
     for port in s.outs:
         walk(port)
-    pairs = []
-    for lid, link in s.links.items():
-        if isinstance(link, nets.AxLink) and lid not in loop_axioms:
-            pairs.append((leaf_of[(lid, 0)], leaf_of[(lid, 1)], link.arrow))
+    # a loop's axiom sits under no out, so each out leaf on an output 0 starts a pair
+    pairs = [(k, leaf_of[(lid, 1)], s.links[lid].arrow)
+             for (lid, slot), k in leaf_of.items() if slot == 0]
     pairs.sort(key=lambda p: min(p[0], p[1]))
     return CanonicalSlice(tuple(choices), tuple(pairs), tuple(sorted(loops)))
 

@@ -100,7 +100,24 @@ def _anf_by_recursion(f):
     raise TypeError(f"not a formula: {f!r}")
 
 
-def test_cached_anf_matches_a_recursive_walk(pauli8, c2, corpus, wide_corpus):
+def _star_by_recursion(f):
+    """star as a plain recursive walk that shares no nodes: the reference for ``star``."""
+    match f:
+        case Zero() | Unit():
+            return f
+        case Atom(name):
+            return DualAtom(name)
+        case DualAtom(name):
+            return Atom(name)
+        case Tensor(l, r):
+            return Tensor(_star_by_recursion(l), _star_by_recursion(r))
+        case Plus(l, r):
+            return Plus(_star_by_recursion(l), _star_by_recursion(r))
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _corpus_formulas(pauli8, c2, corpus, wide_corpus):
+    """Over 2,000 formulas: the examples', the corpora's and random ANFs' rebuilt formulas."""
     rng = random.Random(47)
     texts = [text for name, text in fixtures.EXAMPLES.items() if name.endswith(".net")]
     nets = [parse_net(text, pauli8) for text in texts] + corpus + wide_corpus
@@ -114,9 +131,22 @@ def test_cached_anf_matches_a_recursive_walk(pauli8, c2, corpus, wide_corpus):
         formulas += [anf_formula(a), Tensor(anf_formula(a), anf_formula(b)),
                      Plus(anf_formula(b), anf_formula(a))]
     assert len(formulas) > 2000
-    for f in formulas:
+    return formulas
+
+
+def test_cached_anf_matches_a_recursive_walk(pauli8, c2, corpus, wide_corpus):
+    for f in _corpus_formulas(pauli8, c2, corpus, wide_corpus):
         assert anf(f) == _anf_by_recursion(f)
         assert anf(f) is anf(f)
+
+
+def test_star_matches_a_recursive_walk(pauli8, c2, corpus, wide_corpus):
+    for f in _corpus_formulas(pauli8, c2, corpus, wide_corpus):
+        assert star(f) == _star_by_recursion(f)
+        assert star(star(f)) == f
+    for bad in (None, "Q", Literal("Q")):
+        with pytest.raises(TypeError, match="not a formula"):
+            star(bad)
 
 
 def test_cached_anf_is_invisible():

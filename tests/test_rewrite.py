@@ -12,6 +12,7 @@ from cqlnet.randgen import balanced_formula, random_net
 from cqlnet.rewrite import (
     CanonicalSlice,
     NormalNet,
+    Redex,
     beta_equal,
     canonicalize_slice,
     find_redexes,
@@ -195,34 +196,48 @@ def test_random_strategy_confluence_on_a_long_cut_chain(pauli8, cut_chain_net):
         assert normalize(chain, strategy="random", seed=seed) == base
 
 
-def _choice_trace(s, cat, seed):
-    """The random strategy as a rescan: rng.choice over find_redexes, then step."""
-    rng, out = random.Random(seed), []
-    while s is not None and (redexes := find_redexes(s, cat)):
-        r = rng.choice(redexes)
-        s = step(s, cat, r)
-        out.append((r.cut, r.rule, 0 if s is None else len(s.links)))
-    return out
-
-
-def test_random_strategy_draws_as_rng_choice_over_find_redexes(pauli8, c2, cut_chain_net):
+def _trace_slices(pauli8, c2, cut_chain_net):
+    """A 120-cut chain and the slices of 40 larger random nets, each with its category."""
     rng = random.Random(19)
     slices = [(s, pauli8) for s in parse_net(cut_chain_net(120), pauli8).slices]
     for i in range(40):
         cat = c2 if i % 2 else pauli8
         slices += [(s, cat) for s in _larger_net(cat, rng, f"r{i}").slices]
-    for s, cat in slices:
+    return slices
+
+
+def _trace(s, cat, strategy="min", seed=0):
+    trace = []
+    normalize_slice(s, cat, strategy, random.Random(seed), lambda *a: trace.append(a))
+    return trace
+
+
+def test_min_strategy_steps_the_least_redex_of_a_rescan(pauli8, c2, cut_chain_net):
+    # the worklist must hold every redex a rescan of the slice finds after each step
+    for s, cat in _trace_slices(pauli8, c2, cut_chain_net):
+        rescan, cur = [], s
+        while cur is not None and (redexes := find_redexes(cur, cat)):
+            cut, rule = redexes[0]
+            cur = step(cur, cat, redexes[0])
+            rescan.append((cut, rule, 0 if cur is None else len(cur.links)))
+        assert _trace(s, cat) == rescan
+
+
+def test_random_strategy_replays_through_step(pauli8, c2, cut_chain_net):
+    # each drawn cut is a redex of the slice as it stands, with the drawn rule
+    for s, cat in _trace_slices(pauli8, c2, cut_chain_net):
         for seed in (1, 2, 3):
-            trace = []
-            normalize_slice(s, cat, "random", random.Random(seed), lambda *a: trace.append(a))
-            assert trace == _choice_trace(s, cat, seed)
+            trace = _trace(s, cat, "random", seed)
+            assert trace == _trace(s, cat, "random", seed)
+            cur = s
+            for cut, rule, left in trace:
+                cur = step(cur, cat, Redex(cut, rule))
+                assert left == (0 if cur is None else len(cur.links))
+            assert cur is None or find_redexes(cur, cat) == []
 
 
-def test_normalize_is_linear_on_a_cut_chain(pauli8, cut_chain_net, monkeypatch):
-    # a step reclassifies only the cuts it touched; rescanning every cut
-    # after every step would classify about n^2 / 2 of them
-    n = 800
-    chain = parse_net(cut_chain_net(n), pauli8)
+def _count_classified(monkeypatch):
+    """The list of every cut ``_rule`` classifies from here on."""
     classified = []
 
     def rule(s, cat, cid, real=rewrite._rule):
@@ -230,6 +245,15 @@ def test_normalize_is_linear_on_a_cut_chain(pauli8, cut_chain_net, monkeypatch):
         return real(s, cat, cid)
 
     monkeypatch.setattr(rewrite, "_rule", rule)
+    return classified
+
+
+def test_normalize_is_linear_on_a_cut_chain(pauli8, cut_chain_net, monkeypatch):
+    # a step reclassifies only the cuts it touched; rescanning every cut
+    # after every step would classify about n^2 / 2 of them
+    n = 800
+    chain = parse_net(cut_chain_net(n), pauli8)
+    classified = _count_classified(monkeypatch)
     trace = []
     nn = normalize(chain, trace=trace)
     assert len(trace) == n - 1 and all(": ax-ax at " in line for line in trace)
@@ -237,6 +261,15 @@ def test_normalize_is_linear_on_a_cut_chain(pauli8, cut_chain_net, monkeypatch):
     arrow = reduce(pauli8.compose, ["X"] + ["Z", "X"] * (n - 1))
     one = f"net one\nconclusions Q* , Q\nslice\n  ax a : {arrow}\n  out a.0 , a.1\nend\n"
     assert nn == normalize(parse_net(one, pauli8))
+
+
+def test_random_strategy_is_linear_on_a_cut_chain(pauli8, cut_chain_net, monkeypatch):
+    n = 800
+    chain = parse_net(cut_chain_net(n), pauli8)
+    classified = _count_classified(monkeypatch)
+    nf, steps = normalize_slice(chain.slices[0], pauli8, "random", random.Random(1))
+    assert steps == n - 1 and len(nf.links) == 1
+    assert len(classified) <= 4 * n
 
 
 def test_normalize_idempotent(pauli8, c2):
