@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import CategoryError, ParseError
-from .formula import directives
+from .formula import Atom, DualAtom, directives
 
 
 class Loop(namedtuple("Loop", "obj arrow")):
@@ -35,6 +35,8 @@ class Category:
 
     ``arrows`` maps every arrow name (identities included) to ``(dom, cod)``.
     ``compose(f, g)`` is the composite g.f for f: A -> B, g: B -> C.
+    ``atoms`` maps each object to one ``Atom`` and one ``DualAtom``; ``net.labels``
+    and ``net.cut_inputs`` give only these as atom labels, so those meet by identity.
     """
 
     def __init__(self, name, objects, arrows, table, dagger):
@@ -45,6 +47,7 @@ class Category:
         for obj in self.objects:
             if obj in ("I", "x", "id"):
                 raise CategoryError(f"object name {obj!r} is reserved")
+        self.atoms = {obj: (Atom(obj), DualAtom(obj)) for obj in self.objects}
         self.arrows = {}
         for obj in self.objects:
             self.arrows[self.identity(obj)] = (obj, obj)

@@ -417,8 +417,9 @@ def _read(text, cat, lineno, nodes):
 
 def directives(text):
     """Each line as ``(lineno, head, rest)``, cut at its first space; no comments, no blanks."""
+    comments = "#" in text
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if comments else raw).strip()
         if line:
             head, _, rest = line.partition(" ")
             yield lineno, head, rest.strip()

@@ -19,8 +19,9 @@ are written, holding a link back only until its inputs have labels, and a
 sorts the links producers first for ``print_net``.  Only ``parse_net`` and
 ``validate_net`` check a net; what a builder makes is not.
 The parser reads the wiring line by line, taking each port out of a table of
-outputs, and compares arrow cuts as it orients them; ``validate_wiring`` checks
-a built net's wiring.  ``validate_uses`` counts output uses: of a built net, and
+outputs, and compares arrow cuts as it orients them, by identity: axiom labels
+and arrow cuts share the category's atoms.  ``validate_wiring`` checks a built
+net's wiring.  ``validate_uses`` counts output uses: of a built net, and
 of a parsed slice whose table did not end empty with each output taken once.
 Both then run the typed pass ``validate_slice``: outs, conclusions, units, unchecked cuts.
 """
@@ -169,10 +170,11 @@ def labels(slice_, cat):
     one still waiting at the end lies on a cycle.  Raises NetError on cyclic wiring,
     and on a label built by more than ``MAX_DEPTH`` nested times and plus links: the
     parser bounds the formulas it reads, and this bounds the ones a slice builds,
-    before any recursive walker meets them.  Axioms for one arrow share its atoms.
+    before any recursive walker meets them.  Atom labels are the category's shared ones.
     """
     labs, depth = {}, {}  # port -> its label, and the times and plus links nested in it (absent: 0)
-    pairs = {}  # arrow -> the labels of its axioms' outputs 0 and 1
+    pairs = {}  # arrow -> the labels of its axioms' outputs 0 and 1, from the category's atoms
+    atoms = cat.atoms
     waiting = {}  # a link not labelled yet -> the links that wait on it
     links, wires, todo = slice_.links, slice_.wires, []
     for lid in links:
@@ -180,9 +182,10 @@ def labels(slice_, cat):
         while todo:
             link = links[lid := todo.pop()]
             if isinstance(link, AxLink):
-                if link.arrow not in pairs:
-                    pairs[link.arrow] = DualAtom(cat.dom(link.arrow)), Atom(cat.cod(link.arrow))
-                labs[(lid, 0)], labs[(lid, 1)] = pairs[link.arrow]
+                if (pair := pairs.get(link.arrow)) is None:
+                    f = link.arrow
+                    pair = pairs[f] = atoms[cat.dom(f)][1], atoms[cat.cod(f)][0]
+                labs[(lid, 0)], labs[(lid, 1)] = pair
             elif isinstance(link, UnitLink):
                 labs[(lid, 0)] = Unit()
             elif not isinstance(link, CutLink):  # a times or plus link
@@ -212,7 +215,7 @@ def labels(slice_, cat):
 def cut_inputs(link, cat):
     """The labels a cut expects on input 0 (plain side) and input 1 (starred side)."""
     if link.arrow is not None:
-        return Atom(cat.dom(link.arrow)), DualAtom(cat.cod(link.arrow))
+        return cat.atoms[cat.dom(link.arrow)][0], cat.atoms[cat.cod(link.arrow)][1]
     return link.formula, star(link.formula)
 
 
@@ -369,14 +372,15 @@ class SliceBuilder:
 # parsing
 
 
-def _link_id(tok, lineno, links):
-    """A new link id for the open slice."""
-    lid = tok.strip()
+def _link_id(lid, lineno, links):
+    """Raise unless ``lid``, already stripped, is a new link id for the open slice.
+
+    The parser calls it only for an id that is taken or is not an identifier.
+    """
     if not lid or _BAD_ID.search(lid):
         raise ParseError(lineno, f"bad link id {lid!r}")
     if lid in links:
         raise ParseError(lineno, f"duplicate link id {lid!r}")
-    return lid
 
 
 def _port(tok, lineno, links):
@@ -447,7 +451,8 @@ def parse_net(text, cat):
     name = conclusions = None
     read = {}  # formula text -> its shared node, and the shared nodes, for this call only
     axioms = {}  # arrow text, as written and normalized -> its AxLink
-    arrow_cuts = {}  # cut label -> its CutLink and what that takes, shared by its cuts
+    # cut label, as written and normalized -> its CutLink and what that takes; None for id
+    arrow_cuts = {"id": None}
     slices = []  # what _resolve_slice gives per slice, checked once the whole net is read
     links = None  # the open slice's links (with its pending wires, cuts and outs), else None
     cut_count = 0
@@ -464,7 +469,9 @@ def parse_net(text, cat):
                     if norm not in cat.arrows:
                         raise ParseError(lineno, f"unknown arrow {norm!r}")
                     link = axioms[arrow] = axioms.setdefault(norm, AxLink(norm))
-                links[_link_id(lid, lineno, links)] = link
+                if not (lid := lid.strip()).isidentifier() or lid in links:
+                    _link_id(lid, lineno, links)
+                links[lid] = link
             elif head == "cut":
                 body, colon, label = rest.rpartition(":")
                 if not colon:
@@ -472,14 +479,15 @@ def parse_net(text, cat):
                 ports = split_top(body, ",", lineno)
                 if len(ports) != 2:
                     raise ParseError(lineno, "cut takes exactly two ports")
-                label = " ".join(label.split())
-                if label != "id" and label not in arrow_cuts:
-                    if label not in cat.arrows:
-                        raise ParseError(lineno, f"unknown cut label {label!r}")
-                    arrow_cuts[label] = (link := CutLink(arrow=label)), cut_inputs(link, cat)
+                if label not in arrow_cuts:
+                    if (norm := " ".join(label.split())) not in arrow_cuts:
+                        if norm not in cat.arrows:
+                            raise ParseError(lineno, f"unknown cut label {norm!r}")
+                        arrow_cuts[norm] = (link := CutLink(arrow=norm)), cut_inputs(link, cat)
+                    arrow_cuts[label] = arrow_cuts[norm]
                 cid = f"#c{cut_count}"
                 cut_count += 1
-                cuts.append((cid, arrow_cuts.get(label), lineno))
+                cuts.append((cid, arrow_cuts[label], lineno))
                 pending[(cid, 0)], pending[(cid, 1)] = (ports[0], lineno), (ports[1], lineno)
             elif head == "times":
                 lid, eq, ports = rest.partition("=")
@@ -488,7 +496,8 @@ def parse_net(text, cat):
                 toks = re.sub(r"\s+(?=\.\S)", "", ports).split()  # `a .0` is `a.0`, as in _port
                 if len(toks) != 2:
                     raise ParseError(lineno, "times takes exactly two ports")
-                lid = _link_id(lid, lineno, links)
+                if not (lid := lid.strip()).isidentifier() or lid in links:
+                    _link_id(lid, lineno, links)
                 links[lid] = TimesLink()
                 pending[(lid, 0)], pending[(lid, 1)] = (toks[0], lineno), (toks[1], lineno)
             elif head in ("plus1", "plus2"):
@@ -496,13 +505,16 @@ def parse_net(text, cat):
                 if not eq or "|" not in body:
                     raise ParseError(lineno, f"expected '{head} id = ... | ...'")
                 lhs, _, rhs = body.partition("|")
-                lid = _link_id(lid, lineno, links)
+                if not (lid := lid.strip()).isidentifier() or lid in links:
+                    _link_id(lid, lineno, links)
                 kind = Plus2Link if head == "plus2" else Plus1Link
                 other, port_tok = (lhs, rhs) if kind.right else (rhs, lhs)
                 links[lid] = kind(_formula(other, cat, lineno, read))
                 pending[(lid, 0)] = (port_tok.strip(), lineno)
             elif head == "unit":
-                links[_link_id(rest, lineno, links)] = UnitLink()
+                if not rest.isidentifier() or rest in links:
+                    _link_id(rest, lineno, links)
+                links[rest] = UnitLink()
             else:  # out
                 if outs is not None:
                     raise ParseError(lineno, "duplicate out line")

@@ -75,13 +75,6 @@ class _Work:
             del self.cons[self.wires.pop((lid, slot))]
         del self.links[lid]
 
-    def rewire(self, old_port, new_port):
-        lid, k = self.cons[new_port] = self.cons.pop(old_port)
-        if lid is None:
-            self.outs[k] = new_port
-        else:
-            self.wires[(lid, k)] = new_port
-
 
 def _rewrite(w, cat, cid, rule):
     """Apply ``rule`` at cut ``cid`` in place; returns the cuts to reclassify, or None for zero."""
@@ -95,16 +88,26 @@ def _rewrite(w, cat, cid, rule):
         links[cid] = nets.CutLink(arrow=cat.identity(cat.dom(loop_arrow)))
         return ()  # now a closed loop
     if rule == "ax-ax":
-        f_ax, h_ax = wires[(cid, 0)][0], wires[(cid, 1)][0]
+        # f_ax.1 and h_ax.0 meet at the cut; one axiom for the composite takes
+        # over f_ax.0 and h_ax.1, under the lesser id
+        cons = w.cons
+        f_ax, h_ax = wires.pop((cid, 0))[0], wires.pop((cid, 1))[0]
         composite = cat.compose(cat.compose(links[f_ax].arrow, link.arrow), links[h_ax].arrow)
+        del links[cid], links[f_ax], links[h_ax], cons[(f_ax, 1)], cons[(h_ax, 0)]
         nid = min(f_ax, h_ax)
-        w.drop(cid)
-        del links[f_ax], links[h_ax]
-        links[nid] = w.axioms.get(composite) or w.axioms.setdefault(composite, nets.AxLink(composite))
-        w.rewire((f_ax, 0), (nid, 0))
-        w.rewire((h_ax, 1), (nid, 1))
-        consumers = (w.cons[(nid, 0)][0], w.cons[(nid, 1)][0])
-        return [lid for lid in consumers if isinstance(links.get(lid), nets.CutLink)]
+        if (ax := w.axioms.get(composite)) is None:
+            ax = w.axioms[composite] = nets.AxLink(composite)
+        links[nid] = ax
+        touched = []
+        for old, new in (((f_ax, 0), (nid, 0)), ((h_ax, 1), (nid, 1))):
+            lid, k = cons[new] = cons.pop(old)
+            if lid is None:
+                w.outs[k] = new
+            else:
+                wires[(lid, k)] = new
+                if type(links[lid]) is nets.CutLink:
+                    touched.append(lid)
+        return touched
     # a cut on a compound formula meets the two links that built it and
     # its dual: cut each joined sub-formula instead, input k against input k
     a, b = wires[(cid, 0)][0], wires[(cid, 1)][0]
@@ -164,9 +167,8 @@ def normalize_slice(s, cat, strategy="min", rng=None, on_step=None):
     steps = 0
     while live:
         cid = take(pool)
-        if cid not in live:
+        if (rule := live.pop(cid, None)) is None:
             continue  # reduced already, or now a closed loop
-        rule = live.pop(cid)
         touched = _rewrite(w, cat, cid, rule)
         steps += 1
         if on_step is not None:
@@ -242,10 +244,14 @@ def reconstruct_slice(cs, conclusions, cat):
 
 
 def normalize(net, strategy="min", seed=0, trace=None):
-    """The normal form of a net: reduce every slice, canonicalize, sort."""
+    """The normal form of a net: reduce every slice, canonicalize, sort.
+
+    ``seed`` seeds the one RNG of the ``random`` strategy; ``min`` builds none.
+    ``trace``, if a list, gets one line per step.
+    """
     if strategy not in ("min", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    rng = random.Random(seed)
+    rng = random.Random(seed) if strategy == "random" else None
     canon = []
     for k, s in enumerate(net.slices):
         on_step = None

@@ -244,6 +244,26 @@ def test_parse_runs_labels_once_per_slice(pauli8, monkeypatch):
     assert len(calls) == 4
 
 
+def test_parse_orients_arrow_cuts_by_identity(pauli8, cut_chain_net, monkeypatch):
+    # axiom labels and arrow cuts share the category's atoms, so orienting a cut
+    # compares no atoms by name; only the conclusion checks do, whatever the length
+    calls = []
+    real = formula_module._Named.__eq__
+
+    def counted(self, other):
+        calls.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(formula_module._Named, "__eq__", counted)
+    counts = []
+    for n in (16, 64):
+        calls.clear()
+        parse_net(cut_chain_net(n), pauli8)
+        counts.append(len(calls))
+    # Q* and Q each met once by the check for a 0 conclusion and once by their out
+    assert counts == [4, 4]
+
+
 def test_parse_shares_one_node_per_formula_text(pauli8, swap_tree_net):
     net = parse_net(swap_tree_net(4, 2, sorted(pauli8.arrows)), pauli8)
     by_text = {}

@@ -13,7 +13,7 @@ from cqlnet.category import load_category
 from cqlnet.errors import ParseError
 from cqlnet.freecat import parse_arrow
 from cqlnet.model import load_model
-from cqlnet.net import parse_net
+from cqlnet.net import _BAD_ID, parse_net
 
 C2 = load_category(fixtures.C2_CAT)
 # two objects, so that a loop can name an arrow that is not an endo
@@ -105,6 +105,9 @@ NET_CASES = [
     (NET + "  plus1 p] = a.0 | I\n", "line 4: bad link id 'p]'"),
     (NET + "  unit\n", "line 4: bad link id ''"),
     (NET + "  ax a : X\n  unit a\n", "line 5: duplicate link id 'a'"),
+    (NET + "  ax a : X\n  ax  a  : X\n", "line 5: duplicate link id 'a'"),
+    (NET + "  ax a : X\n  times a = a.0 a.1\n", "line 5: duplicate link id 'a'"),
+    (NET + "  ax a : X\n  plus2 a = I | a.0\n", "line 5: duplicate link id 'a'"),
     (NET + "  ax a : X\n  out a.x , a.1\nend\n", "line 5: bad port 'a.x'"),
     (NET + "  ax a : X\n  out a , a.1\nend\n", "line 5: bad port 'a'"),
     (NET + "  ax a : X\n  out a.0 , a.+1\nend\n", "line 5: bad port 'a.+1'"),
@@ -189,3 +192,12 @@ def test_loop_on_a_non_endo_is_a_parse_error():
     with pytest.raises(ParseError) as exc:
         parse_arrow(text, TWO)
     assert str(exc.value) == "line 2: loop arrow f is not an endo of A"
+
+
+def test_the_parser_checks_the_characters_of_an_id_only_when_it_is_no_identifier():
+    # no character an identifier may hold is one the link id check rejects
+    held = [chr(i) for i in range(0x110000) if ("a" + chr(i)).isidentifier()]
+    assert not [c for c in held if _BAD_ID.search(c)]
+    # and an id that is no identifier parses when its characters are allowed
+    net = parse_net(NET + "  ax 1 : X\n  ax a-b' : X\n  cut 1.1 , a-b'.0 : X\n  out 1.0 , a-b'.1\nend\n", C2)
+    assert list(net.slices[0].links) == ["1", "a-b'", "#c0"]

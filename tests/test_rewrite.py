@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from functools import reduce
 
 import pytest
@@ -270,6 +271,44 @@ def test_random_strategy_is_linear_on_a_cut_chain(pauli8, cut_chain_net, monkeyp
     nf, steps = normalize_slice(chain.slices[0], pauli8, "random", random.Random(1))
     assert steps == n - 1 and len(nf.links) == 1
     assert len(classified) <= 4 * n
+
+
+def test_rewrite_keeps_the_consumer_map_the_inverse_of_the_wires(pauli8, c2, cut_chain_net, monkeypatch):
+    # after every step of every rule, cons holds each wire reversed and each out
+    # as (None, k), and nothing else: the ax-ax rule rewires both ends in place
+    rules = Counter()
+
+    def checked(w, cat, cid, rule, real=rewrite._rewrite):
+        touched = real(w, cat, cid, rule)
+        rules[rule] += 1
+        want = {port: (None, k) for k, port in enumerate(w.outs)}
+        want |= {outp: inp for inp, outp in w.wires.items()}
+        assert len(want) == len(w.outs) + len(w.wires)
+        assert w.cons == want
+        return touched
+
+    monkeypatch.setattr(rewrite, "_rewrite", checked)
+    rng = random.Random(23)
+    slices = [(s, pauli8) for n in (2, 3, 40) for s in parse_net(cut_chain_net(n), pauli8).slices]
+    for i in range(40):
+        cat = c2 if i % 2 else pauli8
+        slices += [(s, cat) for s in _larger_net(cat, rng, f"r{i}").slices]
+    for s, cat in slices:
+        for strategy, seed in (("min", 0), ("random", 1)):
+            normalize_slice(s, cat, strategy, random.Random(seed))
+    assert rules.keys() == {"ax-self", "ax-ax", "times", "plus", "unit"}
+
+
+def test_min_strategy_builds_no_rng(pauli8, cut_chain_net, monkeypatch):
+    nets = [parse_net(cut_chain_net(20), pauli8), random_net(pauli8, random.Random(3))]
+    want = [normalize(net) for net in nets]
+
+    def no_rng(*args):
+        raise AssertionError("the min strategy built an RNG")
+
+    monkeypatch.setattr(rewrite.random, "Random", no_rng)
+    assert [normalize(net) for net in nets] == want
+    assert [normalize(net, trace=[]) for net in nets] == want
 
 
 def test_normalize_idempotent(pauli8, c2):
