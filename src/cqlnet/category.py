@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import CategoryError, ParseError
-from .formula import Atom, DualAtom, directives
+from .formula import MAX_FORMULAS, Atom, DualAtom, directives
 
 
 class Loop(namedtuple("Loop", "obj arrow")):
@@ -37,6 +37,9 @@ class Category:
     ``compose(f, g)`` is the composite g.f for f: A -> B, g: B -> C.
     ``atoms`` maps each object to one ``Atom`` and one ``DualAtom``; ``net.labels``
     and ``net.cut_inputs`` give only these as atom labels, so those meet by identity.
+    ``formula_table()`` is the one table that ``parse_net``, ``parse_formula`` and
+    ``freecat.complete`` read and build its formulas through, seeded with those atoms:
+    a formula read or built before is the same node, with its ``anf`` and ``fmt`` caches.
     """
 
     def __init__(self, name, objects, arrows, table, dagger):
@@ -48,6 +51,7 @@ class Category:
             if obj in ("I", "x", "id"):
                 raise CategoryError(f"object name {obj!r} is reserved")
         self.atoms = {obj: (Atom(obj), DualAtom(obj)) for obj in self.objects}
+        self._reset_formulas()
         self.arrows = {}
         for obj in self.objects:
             self.arrows[self.identity(obj)] = (obj, obj)
@@ -119,6 +123,20 @@ class Category:
                     raise CategoryError(f"dagger not contravariant on {f} ; {g}")
 
         self._loop_rep = self._close_loops()
+
+    def _reset_formulas(self):
+        self.formulas = {(type(a), a.name): a for pair in self.atoms.values() for a in pair}
+
+    def formula_table(self):
+        """The formula table, started over from the atoms once it holds ``MAX_FORMULAS`` entries.
+
+        It maps each formula text read and checked over this category to its node, and
+        each node's class with its atom name or the ids of its shared parts to the node
+        (see ``formula._node``).  A caller keeps the table it got for its whole call.
+        """
+        if len(self.formulas) >= MAX_FORMULAS:
+            self._reset_formulas()
+        return self.formulas
 
     def _require_arrow(self, f):
         if f not in self.arrows:

@@ -11,7 +11,9 @@ of literals, the empty word being ``I``; the empty ANF is ``0``.
 
 Formula nodes are immutable slotted classes, equal only within one class;
 literals are named tuples.  ``anf`` and ``fmt`` cache a node's ANF and text on
-the node, outside ``==``, ``hash`` and ``repr``.
+the node, outside ``==``, ``hash`` and ``repr``.  Reading a formula over a
+category, or building one for ``complete``, goes through the category's
+formula table, so equal formulas are one node, with one set of caches.
 """
 
 from __future__ import annotations
@@ -241,15 +243,16 @@ def plus_path(n, k):
     return bits
 
 
-def _balanced(op, parts):
-    """``parts`` joined by ``op``, split in halves with the larger half on the left.
+def _balanced(cls, parts, nodes):
+    """``parts`` joined by ``cls`` through ``nodes``, in halves with the larger half on the left.
 
     One to three parts give the left-nested join; no parts give None.
     """
     if len(parts) <= 1:
         return parts[0] if parts else None
     mid = (len(parts) + 1) // 2
-    return op(_balanced(op, parts[:mid]), _balanced(op, parts[mid:]))
+    left, right = _balanced(cls, parts[:mid], nodes), _balanced(cls, parts[mid:], nodes)
+    return _node(nodes, (cls, id(left), id(right)), left, right)
 
 
 def anf_formula(a):
@@ -259,8 +262,15 @@ def anf_formula(a):
     literals nest ceil(log2 n) + ceil(log2 m) deep.  One to three words or
     literals give the left-nested sum or tensor.
     """
-    words = [[DualAtom(lit.name) if lit.star else Atom(lit.name) for lit in w] for w in a]
-    return _balanced(Plus, [_balanced(Tensor, w) or Unit() for w in words]) or Zero()
+    return _anf_node(a, {})
+
+
+def _anf_node(a, nodes):
+    """``anf_formula(a)`` built through ``nodes``, as ``_read`` builds: equal parts are one node."""
+    words = [[_node(nodes, (DualAtom if lit.star else Atom, lit.name), lit.name) for lit in w]
+             for w in a]
+    words = [_balanced(Tensor, w, nodes) or _node(nodes, (Unit,)) for w in words]
+    return _balanced(Plus, words, nodes) or _node(nodes, (Zero,))
 
 
 def fmt_word(w):
@@ -346,6 +356,10 @@ def _tokenize(text, lineno):
 # built by ``anf_formula`` are log-depth in their words and literals.
 MAX_DEPTH = 256
 
+# Most entries a category's formula table may hold: ``Category.formula_table``
+# starts it over from the category's atoms once it is this full.
+MAX_FORMULAS = 2**16
+
 
 def _node(nodes, key, *parts):
     """The one ``key[0](*parts)`` in ``nodes``, keyed by class and names or shared parts' ids."""
@@ -394,8 +408,20 @@ def _parse(toks, pos, lineno, nodes, depth=0):
 
 
 def parse_formula(text, cat=None, lineno=0):
-    """Parse one formula; validates restrictions, and atoms if a category is given."""
-    return _read(text, cat, lineno, {})
+    """Parse one formula; validates restrictions, and atoms if a category is given.
+
+    Over a category, a text it has read before is a lookup in its formula table.
+    """
+    if cat is None:
+        return _read(text, None, lineno, {})
+    return _text_node(text, cat, lineno, cat.formula_table())
+
+
+def _text_node(text, cat, lineno, nodes):
+    """The node ``nodes`` holds for ``text``; on a miss, ``_read`` and stored once it passed."""
+    if (f := nodes.get(text)) is None:
+        f = nodes[text] = _read(text, cat, lineno, nodes)
+    return f
 
 
 def _read(text, cat, lineno, nodes):

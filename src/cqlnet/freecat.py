@@ -32,8 +32,8 @@ from .category import Loop
 from .errors import ParseError
 from .formula import (
     Literal,
+    _anf_node,
     anf,
-    anf_formula,
     anf_kron,
     anf_kron_all,
     anf_star,
@@ -521,11 +521,14 @@ def complete(fa, name="completed"):
     loop per loop class.  Sums are balanced, so an entry's plus branches are
     ``plus_path`` of its row and column: at most ceil(log2 n) per n-word side.
     Tensors are balanced too, so every arrow ``denote`` returns completes.
+    The conclusions are built through the category's formula table, so a formula
+    it has read or built before is that node, with its ANF and text cached.
     """
     cat = fa.cat
     concl = []
-    dom_f = anf_formula(anf_star(fa.dom))
-    cod_f = anf_formula(fa.cod)
+    nodes = cat.formula_table()
+    dom_f = _anf_node(anf_star(fa.dom), nodes)
+    cod_f = _anf_node(fa.cod, nodes)
     keep_dom = fa.dom != UNIT
     keep_cod = fa.cod != UNIT
     if keep_dom:

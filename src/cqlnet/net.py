@@ -20,9 +20,11 @@ sorts the links producers first for ``print_net``.  Only ``parse_net`` and
 ``validate_net`` check a net; what a builder makes is not.
 The parser reads the wiring line by line, taking each port out of a table of
 outputs, and compares arrow cuts as it orients them, by identity: axiom labels
-and arrow cuts share the category's atoms.  ``validate_wiring`` checks a built
-net's wiring.  ``validate_uses`` counts output uses: of a built net, and
-of a parsed slice whose table did not end empty with each output taken once.
+and arrow cuts share the category's atoms.  It reads formulas through the
+category's formula table, so the nets parsed over one category share their
+formulas' nodes.  ``validate_wiring`` checks a built net's wiring.
+``validate_uses`` counts output uses: of a built net, and of a parsed slice
+whose table did not end empty with each output taken once.
 Both then run the typed pass ``validate_slice``: outs, conclusions, units, unchecked cuts.
 """
 
@@ -41,7 +43,7 @@ from .formula import (
     Zero,
     _Empty,
     _Record,
-    _read,
+    _text_node,
     _Value,
     directives,
     fmt,
@@ -52,6 +54,7 @@ from .formula import (
 )
 
 _BAD_ID = re.compile(r"[\s.,:|=#()\[\]]")  # what a link id may not hold; \s is str.isspace
+_SPACED_DOT = re.compile(r"\s+(?=\.\S)")  # the space in a port spelled `a .0`
 
 
 class AxLink(_Value):
@@ -433,23 +436,16 @@ def _resolve_slice(cat, links, pending, cuts, outs):
     return s, labs, unmatched, once
 
 
-def _formula(text, cat, lineno, read):
-    """The formula ``text`` names; ``read`` maps each text read to its node, and holds the nodes."""
-    text = text.strip()
-    if (f := read.get(text)) is None:
-        f = read[text] = _read(text, cat, lineno, read)
-    return f
-
-
 def parse_net(text, cat):
     """Parse and check a net file against a category.
 
-    Per call, equal subformulas are one node, no formula text is parsed twice, and axioms
-    for one arrow are one ``AxLink``: a label meets its conclusion by identity below the
-    nodes ``labels`` builds.
+    Formulas are read through the category's formula table, so equal subformulas are one
+    node and no formula text is parsed twice, in this call or any other over ``cat``; per
+    call, axioms for one arrow are one ``AxLink``.  A label meets its conclusion by identity
+    below the nodes ``labels`` builds.
     """
     name = conclusions = None
-    read = {}  # formula text -> its shared node, and the shared nodes, for this call only
+    read = cat.formula_table()  # formula text -> its checked node, and the shared nodes
     axioms = {}  # arrow text, as written and normalized -> its AxLink
     # cut label, as written and normalized -> its CutLink and what that takes; None for id
     arrow_cuts = {"id": None}
@@ -493,7 +489,9 @@ def parse_net(text, cat):
                 lid, eq, ports = rest.partition("=")
                 if not eq:
                     raise ParseError(lineno, "expected 'times id = p q'")
-                toks = re.sub(r"\s+(?=\.\S)", "", ports).split()  # `a .0` is `a.0`, as in _port
+                toks = ports.split()
+                if len(toks) != 2 or toks[1][0] == ".":  # `a .0` is `a.0`, as in _port
+                    toks = _SPACED_DOT.sub("", ports).split()
                 if len(toks) != 2:
                     raise ParseError(lineno, "times takes exactly two ports")
                 if not (lid := lid.strip()).isidentifier() or lid in links:
@@ -509,7 +507,7 @@ def parse_net(text, cat):
                     _link_id(lid, lineno, links)
                 kind = Plus2Link if head == "plus2" else Plus1Link
                 other, port_tok = (lhs, rhs) if kind.right else (rhs, lhs)
-                links[lid] = kind(_formula(other, cat, lineno, read))
+                links[lid] = kind(_text_node(other.strip(), cat, lineno, read))
                 pending[(lid, 0)] = (port_tok.strip(), lineno)
             elif head == "unit":
                 if not rest.isidentifier() or rest in links:
@@ -540,7 +538,7 @@ def parse_net(text, cat):
             if conclusions is not None:
                 raise ParseError(lineno, "duplicate conclusions line")
             parts = split_top(rest, ",", lineno) if rest else ()
-            conclusions = tuple(_formula(part, cat, lineno, read) for part in parts)
+            conclusions = tuple(_text_node(part, cat, lineno, read) for part in parts)
         else:
             raise ParseError(lineno, f"unknown directive {head!r}")
     if links is not None:

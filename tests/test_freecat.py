@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from cqlnet import fixtures, formula, freecat
+from cqlnet import fixtures, formula, freecat, load_category
 from cqlnet import net as nets
 from cqlnet.category import Category, Loop
 from cqlnet.errors import ParseError
@@ -34,7 +34,7 @@ from cqlnet.freecat import (
     wiring_dual,
     zero,
 )
-from cqlnet.model import eval_free, eval_net
+from cqlnet.model import eval_free, eval_net, load_model
 from cqlnet.net import AxLink, Net, Slice, parse_net, print_net, validate_net
 from cqlnet.randgen import random_anf, random_free_arrow, random_net, random_wiring
 from cqlnet.rewrite import normalize, to_net
@@ -519,17 +519,22 @@ def test_denote_plus_chain_checks_and_composes_no_wiring(pauli8, plus_chain_net,
         assert calls == {}
 
 
-def test_denote_builds_each_anf_once_and_eval_net_none(pauli8, pauli8_mod, swap_tree_net,
-                                                       monkeypatch):
+def test_denote_builds_each_anf_once_and_eval_net_none(swap_tree_net, monkeypatch):
     # plus links share their other side with the conclusions, so the one ANF
     # denote builds for the conclusions covers every plus link's word count
-    net = parse_net(swap_tree_net(5, 2, sorted(pauli8.arrows)), pauli8)
+    cat = load_category(fixtures.PAULI8_CAT)  # no node of its formula table has an ANF yet
+    mod = load_model(fixtures.PAULI8_MOD, cat)
+    text = swap_tree_net(5, 2, sorted(cat.arrows))
+    net = parse_net(text, cat)
     calls = _count_calls(monkeypatch, "anf", module=formula)  # anf's own recursion
     denote(net)
     assert calls == {"anf": 2 * 5}  # once into each sum of the shared depth-5 tree
     calls.clear()
-    eval_net(net, pauli8_mod)
+    eval_net(net, mod)
     assert calls == {}
+    # a second parse's conclusions are the table's nodes, whose ANFs are built
+    again = denote(parse_net(text, cat))
+    assert calls == {} and fa_equal(again, denote(net))
 
 
 def _tower_slice(second):

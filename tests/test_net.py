@@ -6,12 +6,13 @@ from collections import Counter
 
 import pytest
 
-from cqlnet import fixtures
+from cqlnet import fixtures, load_category
 from cqlnet.errors import NetError, ParseError
+from cqlnet import category as category_module
 from cqlnet import formula as formula_module
 from cqlnet import net as net_module
 from cqlnet.formula import MAX_DEPTH, Atom, DualAtom, Plus, Tensor, Unit, fmt, parse_formula
-from cqlnet.freecat import complete, denote, fmt_arrow
+from cqlnet.freecat import complete, denote, fa_equal, fmt_arrow
 from cqlnet.randgen import random_free_arrow, random_net
 from cqlnet.model import eval_net
 from cqlnet.rewrite import normalize
@@ -275,16 +276,18 @@ def test_parse_shares_one_node_per_formula_text(pauli8, swap_tree_net):
     assert net.conclusions[1] is net.conclusions[3] and net.conclusions[2] is net.conclusions[4]
 
 
-def test_parse_reads_each_formula_text_once(pauli8, swap_tree_net, monkeypatch):
+def test_parse_reads_each_formula_text_once(swap_tree_net, monkeypatch):
     calls = []
-    real = net_module._read
+    real = formula_module._read
 
     def counted(text, cat, lineno, nodes):
         calls.append(text)
         return real(text, cat, lineno, nodes)
 
-    monkeypatch.setattr(net_module, "_read", counted)
-    net = parse_net(swap_tree_net(4, 2, sorted(pauli8.arrows)), pauli8)
+    monkeypatch.setattr(formula_module, "_read", counted)
+    cat = load_category(fixtures.PAULI8_CAT)  # its formula table has read nothing yet
+    text = swap_tree_net(4, 2, sorted(cat.arrows))
+    net = parse_net(text, cat)
     # the depth-4 sum tree, Q* and Q, and the trees of depth 0 to 3 under plus
     # links, each once though each slice writes them again
     assert len(calls) == len(set(calls)) == 3 + 4
@@ -292,6 +295,11 @@ def test_parse_reads_each_formula_text_once(pauli8, swap_tree_net, monkeypatch):
     # subformulas of the conclusion, and are its nodes
     nodes = _nodes([*net.conclusions, *_others(net)])
     assert len(set(nodes.values())) == len(nodes) == 4 + 3
+    # a second parse over the category reads no text: each is in its table
+    calls.clear()
+    again = parse_net(text, cat)
+    assert calls == [] and again == net
+    assert all(f is g for f, g in zip(again.conclusions, net.conclusions))
 
 
 def _nodes(formulas):
@@ -333,7 +341,75 @@ def test_parse_shares_subformulas_so_conclusion_checks_stay_on_one_spine(
         assert all(id(other) in nodes for other in _others(net))
 
 
-def test_print_net_formats_each_distinct_node_once(pauli8, swap_tree_net, monkeypatch):
+def test_each_category_reads_its_own_formulas(pauli8, c2, inclusion):
+    # a text one category read and checked is read and checked again by another,
+    # whose atoms differ (c2 and pauli8 share their one object Q)
+    assert parse_formula("(Q + Q*)", pauli8) == parse_formula("(Q + Q*)", c2)
+    with pytest.raises(ParseError, match="unknown atom 'Q'"):
+        parse_formula("(Q + Q*)", inclusion)
+    text = _net("(Q* x Q)", "ax a : id Q", "times t = a.0 a.1", "out t.0")
+    parse_net(text, pauli8)
+    with pytest.raises(ParseError) as exc:
+        parse_net(text, inclusion)
+    assert str(exc.value) == "line 2: unknown atom 'Q'"
+    assert parse_formula("(A x B*)", inclusion) == Tensor(Atom("A"), DualAtom("B"))
+    for cat in (pauli8, c2):
+        with pytest.raises(ParseError, match="unknown atom 'A'"):
+            parse_formula("(A x B*)", cat)
+
+
+def test_a_bad_formula_text_fails_on_every_parse_at_its_own_line(pauli8):
+    # a text is stored only once it is checked, so no parse is served a failed read
+    for lineno, text in ((2, "net n\nconclusions (I x Q)\n"),
+                         (3, "net n\n# again\nconclusions (I x Q)\n"),
+                         (5, _net("Q* , Q", "ax a : id Q", "plus1 p = a.0 | (I x Q)", "out a.0"))):
+        for _ in range(2):
+            with pytest.raises(ParseError) as exc:
+                parse_net(text, pauli8)
+            assert str(exc.value) == f"line {lineno}: I may not appear under x"
+    assert "(I x Q)" not in pauli8.formula_table()
+
+
+def test_the_formula_table_starts_over_at_its_limit(monkeypatch):
+    limit = 40
+    monkeypatch.setattr(category_module, "MAX_FORMULAS", limit)
+    cat = load_category(fixtures.PAULI8_CAT)
+    seed = dict(cat.formulas)
+    parts = ["Q", "Q*", "I", "(Q x Q)", "(Q x Q*)", "(Q* x Q)", "(Q* x Q*)", "(Q + I)",
+             "(I + Q*)", "(Q + Q)"]
+    texts = [f"({a} + {b})" for a in parts for b in parts]
+    tables = [cat.formulas]
+    for text in texts:
+        parse_formula(text, cat)
+        # a read adds its text, its sum, and at most two nodes of each side
+        assert len(cat.formulas) < limit + 6
+        if cat.formulas is not tables[-1]:
+            tables.append(cat.formulas)
+    assert len(tables) > 5
+    for table in tables:  # each started from the category's atoms
+        assert all(table[key] is atom for key, atom in seed.items())
+    assert all(parse_formula(text, cat) == parse_formula(text) for text in texts)
+
+
+def test_nets_parsed_across_a_reset_of_the_table_are_equal(swap_tree_net, monkeypatch):
+    monkeypatch.setattr(category_module, "MAX_FORMULAS", 8)
+    cat = load_category(fixtures.PAULI8_CAT)
+    text = swap_tree_net(3, 2, sorted(cat.arrows))
+    table = cat.formula_table()
+    before = parse_net(text, cat)
+    completed = print_net(complete(denote(before)))
+    assert len(table) >= 8  # so the next call starts a new table
+    after = parse_net(text, cat)
+    assert cat.formulas is not table and after.conclusions[0] is not before.conclusions[0]
+    assert after == before and print_net(after) == print_net(before)
+    assert normalize(after) == normalize(before)
+    assert fa_equal(denote(after), denote(before))
+    assert print_net(complete(denote(before))) == completed
+    # the two tables' nodes still meet by ==
+    validate_net(Net("mixed", before.conclusions, after.slices, cat))
+
+
+def test_print_net_formats_each_distinct_node_once(swap_tree_net, monkeypatch):
     calls = Counter()
     real = formula_module._fmt
 
@@ -343,13 +419,18 @@ def test_print_net_formats_each_distinct_node_once(pauli8, swap_tree_net, monkey
 
     monkeypatch.setattr(formula_module, "_fmt", counted)
     for d in (3, 6):
-        back = complete(denote(parse_net(swap_tree_net(d, 2, sorted(pauli8.arrows)), pauli8)))
+        cat = load_category(fixtures.PAULI8_CAT)  # no node of its table is formatted yet
+        net_text = swap_tree_net(d, 2, sorted(cat.arrows))
+        back = complete(denote(parse_net(net_text, cat)))
         calls.clear()
         text = print_net(back)
         assert calls.keys() == _nodes([*back.conclusions, *_others(back)]).keys()
         assert set(calls.values()) == {1}
         calls.clear()
         assert print_net(back) == text and not calls
+        # a second completion is built of the table's nodes, each formatted already
+        again = complete(denote(parse_net(net_text, cat)))
+        assert print_net(again) == text and not calls
 
 
 def test_id_cut_inference_on_compounds(pauli8):
@@ -956,6 +1037,39 @@ def test_times_reads_its_ports_as_the_other_directives_do(pauli8):
         with pytest.raises(ParseError) as exc:
             parse_net(plain.replace("a.0 a.1", ports), pauli8)
         assert str(exc.value) == "line 5: times takes exactly two ports"
+
+
+def test_times_glues_a_dot_after_any_space_as_the_substitution_on_every_line_did(pauli8):
+    # times splits its ports and glues `a .0` only when a token after the first
+    # starts with a dot; it reads the tokens that gluing every whitespace run
+    # before a dot and a non-space first gave, for spaces, tabs and other
+    # whitespace alike.  The glued text reads as itself where gluing it again
+    # changes nothing (not so for `a  . .0`, which glues to `a  ..0`).
+    rng = random.Random(5)
+    spaces = ["", " ", "  ", "\t", "\u00a0", "\u2003"]
+    outcomes = Counter()
+    for _ in range(3000):
+        pieces = ["a", ".0", "a", ".1"]
+        for _ in range(rng.randrange(3)):
+            pieces.insert(rng.randrange(5), rng.choice(["a", "b", ".", "0", ".1", "a.0"]))
+        ports = "".join(piece + rng.choice(spaces) for piece in pieces)
+        glued = re.sub(r"\s+(?=\.\S)", "", ports)
+        if re.sub(r"\s+(?=\.\S)", "", glued) != glued:
+            outcomes["skipped"] += 1
+            continue
+        outcomes["glued"] += glued != ports
+        results = []
+        for spelled in (ports, glued):
+            text = _net("(Q* x Q) , Q* , Q", "ax a : id Q", "ax b : id Q",
+                        f"times t = {spelled}", "out t.0 , b.0 , b.1")
+            try:
+                results.append(print_net(parse_net(text, pauli8)))
+            except (ParseError, NetError) as exc:
+                results.append(str(exc))
+        assert results[0] == results[1], ports
+        outcomes["read" if results[0].startswith("net ") else "error"] += 1
+    assert outcomes["read"] > 100 and outcomes["error"] > 100
+    assert outcomes["glued"] > 1000 and outcomes["skipped"] < 300, outcomes
 
 
 def test_parsing_twice_shares_no_slice(pauli8):
