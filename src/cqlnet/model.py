@@ -1,9 +1,9 @@
 """Exact matrix models: evaluate arrows and nets in finite dimension.
 
-Scalars are either exact elements of Q(sqrt2, i), stored as four integer
-numerators over one shared positive denominator,
-(a + b sqrt2 + (c + d sqrt2) i) / den, reduced after each operation so that
-equal elements have equal fields; or booleans with or/and.  Matrices are dense
+Scalars are either exact elements of Q(sqrt2, i), each one integer tuple
+(a, b, c, d, den) for (a + b sqrt2 + (c + d sqrt2) i) / den, reduced so that
+equal elements have equal tuples; or booleans with or/and.  Each kind is one
+``Ring`` value, ``ExactRing`` or ``BoolRing``.  Matrices are dense
 lists of such scalars; all comparisons are exact.  No matrix or vector may
 hold more than ``MAX_ENTRIES`` entries: a larger model object, ``eval_free``
 result or ``eval_net`` output is a ``ModelError`` before it is allocated.
@@ -21,6 +21,7 @@ import functools
 import itertools
 import math
 import operator
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ModelError, ParseError
@@ -36,76 +37,64 @@ MAX_ENTRIES = 2**20
 class Qi2:
     """An element (a + b sqrt2 + (c + d sqrt2) i) / den of Q(sqrt2, i).
 
-    The numerators a..d are ints and the denominator ``den`` is a positive int
-    with gcd(a, b, c, d, den) = 1, so equal elements have equal fields.  The
-    constructor takes ints or ``Fraction``s, and the properties ``a``..``d``
-    return ``Fraction``s.
+    It is held as one tuple ``_v = (a, b, c, d, den)`` of ints, with den > 0 and
+    gcd(a, b, c, d, den) = 1, so equal elements have equal tuples; equality and
+    hashing are the tuple's.  The constructor takes ints or ``Fraction``s, and
+    the properties ``a``..``d`` return ``Fraction``s.
     """
 
-    __slots__ = ("_a", "_b", "_c", "_d", "_den")
+    __slots__ = ("_v",)
 
     def __init__(self, a=0, b=0, c=0, d=0):
         a, b, c, d = (Fraction(x) for x in (a, b, c, d))
         den = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
-        self._a, self._b, self._c, self._d = (
-            x.numerator * (den // x.denominator) for x in (a, b, c, d)
-        )
-        self._den = den
+        self._v = (*(x.numerator * (den // x.denominator) for x in (a, b, c, d)), den)
 
-    a = property(lambda self: Fraction(self._a, self._den))
-    b = property(lambda self: Fraction(self._b, self._den))
-    c = property(lambda self: Fraction(self._c, self._den))
-    d = property(lambda self: Fraction(self._d, self._den))
+    a = property(lambda self: Fraction(self._v[0], self._v[4]))
+    b = property(lambda self: Fraction(self._v[1], self._v[4]))
+    c = property(lambda self: Fraction(self._v[2], self._v[4]))
+    d = property(lambda self: Fraction(self._v[3], self._v[4]))
 
     def __eq__(self, o):
         if type(o) is not Qi2:
             return NotImplemented
-        return (
-            self._a == o._a
-            and self._b == o._b
-            and self._c == o._c
-            and self._d == o._d
-            and self._den == o._den
-        )
+        return self._v == o._v
 
     def __hash__(self):
-        return hash((self._a, self._b, self._c, self._d, self._den))
+        return hash(self._v)
 
     def __add__(self, o):
-        n, m = self._den, o._den
+        a1, b1, c1, d1, n = self._v
+        a2, b2, c2, d2, m = o._v
         if n == m:
-            return _make(self._a + o._a, self._b + o._b, self._c + o._c, self._d + o._d, n)
-        return _make(
-            self._a * m + o._a * n,
-            self._b * m + o._b * n,
-            self._c * m + o._c * n,
-            self._d * m + o._d * n,
-            n * m,
-        )
+            return _make(a1 + a2, b1 + b2, c1 + c2, d1 + d2, n)
+        return _make(a1 * m + a2 * n, b1 * m + b2 * n, c1 * m + c2 * n, d1 * m + d2 * n, n * m)
 
     def __neg__(self):
-        return _make(-self._a, -self._b, -self._c, -self._d, self._den)
+        a, b, c, d, den = self._v
+        return _make(-a, -b, -c, -d, den)
 
     def __mul__(self, o):
         # (x1 + y1 i)(x2 + y2 i) with x, y in Z[sqrt2], over den1 * den2
-        a1, b1, c1, d1 = self._a, self._b, self._c, self._d
-        a2, b2, c2, d2 = o._a, o._b, o._c, o._d
+        a1, b1, c1, d1, n = self._v
+        a2, b2, c2, d2, m = o._v
         return _make(
             a1 * a2 + 2 * b1 * b2 - c1 * c2 - 2 * d1 * d2,
             a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
             a1 * c2 + 2 * b1 * d2 + c1 * a2 + 2 * d1 * b2,
             a1 * d2 + b1 * c2 + c1 * b2 + d1 * a2,
-            self._den * o._den,
+            n * m,
         )
 
     def conj(self):
-        return _make(self._a, self._b, -self._c, -self._d, self._den)
+        a, b, c, d, den = self._v
+        return _make(a, b, -c, -d, den)
 
     def __repr__(self):
         return f"Qi2({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
     def __str__(self):
-        if self._b == self._c == self._d == 0:
+        if self._v[1] == self._v[2] == self._v[3] == 0:
             return str(self.a)
         return f"({self.a}, {self.b}, {self.c}, {self.d})"
 
@@ -117,60 +106,47 @@ def _make(a, b, c, d, den):
         if g != 1:
             a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
     x = object.__new__(Qi2)
-    x._a, x._b, x._c, x._d, x._den = a, b, c, d, den
+    x._v = (a, b, c, d, den)
     return x
 
 
-class ExactRing:
-    """Q(sqrt2, i) with complex conjugation."""
-
-    name = "exact"
-    zero = Qi2()
-    one = Qi2(Fraction(1))
-    add, mul, conj, fmt = operator.add, operator.mul, Qi2.conj, str
-
-    @staticmethod
-    def parse(token, lineno):
-        token = token.strip()
-        if token.startswith("("):
-            if not token.endswith(")"):
-                raise ParseError(lineno, f"bad scalar {token!r}")
-            parts = token[1:-1].split(",")
-            if len(parts) != 4:
-                raise ParseError(lineno, f"scalar wants four components: {token!r}")
-        else:
-            parts = [token]
-        # Fraction would expand an exponent such as 1e1000000000 with no bound
-        if "e" in token.lower():
-            raise ParseError(lineno, f"bad scalar {token!r}: no exponent notation")
-        try:
-            return Qi2(*(Fraction(p.strip()) for p in parts))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(lineno, f"bad scalar {token!r}") from exc
+def _parse_exact(token, lineno):
+    token = token.strip()
+    if token.startswith("("):
+        if not token.endswith(")"):
+            raise ParseError(lineno, f"bad scalar {token!r}")
+        parts = token[1:-1].split(",")
+        if len(parts) != 4:
+            raise ParseError(lineno, f"scalar wants four components: {token!r}")
+    else:
+        parts = [token]
+    # Fraction would expand an exponent such as 1e1000000000 with no bound
+    if "e" in token.lower():
+        raise ParseError(lineno, f"bad scalar {token!r}: no exponent notation")
+    try:
+        return Qi2(*(Fraction(p.strip()) for p in parts))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(lineno, f"bad scalar {token!r}") from exc
 
 
-class BoolRing:
-    """Truth values with or/and; conjugation is the identity."""
+def _parse_bool(token, lineno):
+    token = token.strip()
+    if token not in ("0", "1"):
+        raise ParseError(lineno, f"boolean scalar wants 0 or 1, got {token!r}")
+    return token == "1"
 
-    name = "bool"
-    zero = False
-    one = True
-    add, mul = operator.or_, operator.and_
 
-    @staticmethod
-    def conj(x):
-        return x
+def _fmt_bool(x):
+    return "1" if x else "0"
 
-    @staticmethod
-    def parse(token, lineno):
-        token = token.strip()
-        if token not in ("0", "1"):
-            raise ParseError(lineno, f"boolean scalar wants 0 or 1, got {token!r}")
-        return token == "1"
 
-    @staticmethod
-    def fmt(x):
-        return "1" if x else "0"
+Ring = namedtuple("Ring", "zero one add mul conj fmt parse")
+Ring.__doc__ = "A scalar ring: its arithmetic, and ``fmt`` and ``parse(token, lineno)`` for its text."
+
+# Q(sqrt2, i) with complex conjugation
+ExactRing = Ring(Qi2(), Qi2(1), operator.add, operator.mul, Qi2.conj, str, _parse_exact)
+# truth values with or/and; conjugation is the identity, which ``bool`` is on them
+BoolRing = Ring(False, True, operator.or_, operator.and_, bool, _fmt_bool, _parse_bool)
 
 
 class Matrix:
@@ -262,7 +238,7 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         return (
-            self.ring is other.ring
+            self.ring == other.ring
             and self.shape == other.shape
             and self.rows == other.rows
         )
@@ -373,11 +349,8 @@ def load_model(text, cat):
         elif head == "scalars":
             if ring is not None:
                 raise ParseError(lineno, "duplicate scalars line")
-            if rest == "exact":
-                ring = ExactRing
-            elif rest == "bool":
-                ring = BoolRing
-            else:
+            ring = {"exact": ExactRing, "bool": BoolRing}.get(rest)
+            if ring is None:
                 raise ParseError(lineno, f"unknown scalar kind {rest!r}")
         elif head == "dim":
             obj, eq, val = rest.partition("=")

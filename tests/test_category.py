@@ -180,6 +180,51 @@ def test_unknown_object_rejected():
         load_category("category bad\nobject Q\narrow f : Q -> R\n")
 
 
+# two objects and two arrows between them, before any compose or dagger line
+TWO_ARROWS = "category two\nobject A\nobject B\narrow f : A -> B\narrow g : B -> A\n"
+# the cyclic group of order 4, generated by r, with a dagger that is an
+# involution of the right types but reverses no composite: (r ; r)† = s† = r,
+# while r† ; r† = s ; s = id Q
+Z4_BAD_DAGGER = (
+    "category z4\nobject Q\narrow r : Q -> Q\narrow s : Q -> Q\narrow t : Q -> Q\n"
+    "compose r ; r = s\ncompose r ; s = t\ncompose r ; t = id Q\n"
+    "compose s ; r = t\ncompose s ; s = id Q\ncompose s ; t = r\n"
+    "compose t ; r = id Q\ncompose t ; s = r\ncompose t ; t = s\n"
+    "dagger r = s\ndagger s = r\ndagger t = t\n"
+)
+CATEGORY_ERROR_CASES = [
+    (TWO_ARROWS + "compose f ; f = f\n", "compose f ; f: not composable"),
+    (TWO_ARROWS + "compose f ; g = f\n", "compose f ; g = f: composite has wrong type"),
+    (fixtures.C2_CAT + "compose id Q ; X = id Q\n",
+     "compose id Q ; X: conflicts with identity law"),
+    (fixtures.C2_CAT + "dagger id Q = X\n", "dagger id Q: conflicting declaration"),
+    (TWO_ARROWS + "compose f ; g = id A\ncompose g ; f = id B\ndagger f = f\ndagger g = g\n",
+     "dagger f = f: wrong type"),
+    (Z4_BAD_DAGGER, "dagger not contravariant on r ; r"),
+]
+
+
+@pytest.mark.parametrize("text, message", CATEGORY_ERROR_CASES)
+def test_category_errors_pinned(text, message):
+    with pytest.raises(CategoryError) as exc:
+        load_category(text)
+    assert str(exc.value) == message
+
+
+def test_constructor_rejects_a_reserved_arrow_name():
+    # the file parser rejects such a name first; the constructor checks it too
+    with pytest.raises(CategoryError) as exc:
+        Category("c", ["Q"], {"id Q": ("Q", "Q")}, {}, {})
+    assert str(exc.value) == "duplicate or reserved arrow name 'id Q'"
+
+
+def test_z4_is_a_category_under_its_inverse_dagger():
+    # so Z4_BAD_DAGGER fails on its dagger alone
+    daggers = "dagger r = s\ndagger s = r\ndagger t = t\n"
+    z4 = load_category(Z4_BAD_DAGGER.replace(daggers, "dagger r = t\ndagger s = s\ndagger t = r\n"))
+    assert (z4.compose("r", "r"), z4.dagger("r"), z4.dagger("s")) == ("s", "t", "s")
+
+
 def test_comments_and_blank_lines():
     cat = load_category("# header\n\ncategory c\nobject Q  # trailing\n")
     assert cat.objects == ("Q",)

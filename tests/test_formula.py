@@ -149,6 +149,14 @@ def test_star_matches_a_recursive_walk(pauli8, c2, corpus, wide_corpus):
             star(bad)
 
 
+def test_validate_anf_and_fmt_reject_what_is_not_a_formula():
+    for walk in (validate, anf, fmt):
+        for bad, text in ((3, "3"), ("Q", "'Q'"), (Tensor(Atom("Q"), 3), "3")):
+            with pytest.raises(TypeError) as exc:
+                walk(bad)
+            assert str(exc.value) == f"not a formula: {text}"
+
+
 def test_cached_anf_is_invisible():
     text = "((Q* x (Q + I)) + (Q x Q))"
     f, g = parse_formula(text), parse_formula(text)

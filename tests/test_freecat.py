@@ -414,6 +414,36 @@ def test_free_arrow_shape_checks(pauli8):
         hash(f)
 
 
+def test_free_arrow_errors_pinned(pauli8, c2):
+    q = Literal("Q")
+    x, qq = embed(pauli8, "X"), identity(pauli8, ((q, q),))
+    cases = [
+        (lambda: wiring((q,), (q,), [(0, 1, "X")], ["X"], pauli8), ValueError, "bad loop 'X'"),
+        (lambda: FreeArrow(pauli8, x.dom, qq.cod, {(0, 0): x.entries[(0, 0)]}),
+         ValueError, "entry (0, 0): wiring has wrong words"),
+        (lambda: x >> 3, TypeError, "not a free arrow: 3"),
+        (lambda: x >> embed(c2, "X"), ValueError, "free arrows over different categories"),
+        (lambda: x + qq, ValueError, "add: shapes differ"),
+        (lambda: x.scale(x), ValueError, "scale: not a scalar"),
+        (lambda: fa_equal(x, 3), TypeError, "fa_equal wants two free arrows"),
+        (lambda: fa_equal(x, qq), ValueError, "fa_equal: shapes differ: Q -> Q vs Q x Q -> Q x Q"),
+        (lambda: trace_arrow(x, x.dom, x.cod, x.dom), ValueError, "trace: shape mismatch"),
+    ]
+    for call, kind, message in cases:
+        with pytest.raises(kind) as exc:
+            call()
+        assert str(exc.value) == message
+
+
+def test_free_arrow_drops_wirings_of_no_multiplicity(pauli8):
+    x = embed(pauli8, "X")
+    (t,) = x.entries[(0, 0)]
+    assert FreeArrow(pauli8, x.dom, x.cod, {(0, 0): Counter({t: 0})}).entries == {}
+    (z,) = embed(pauli8, "Z").entries[(0, 0)]
+    both = {(0, 0): Counter({t: 2, z: -1})}
+    assert FreeArrow(pauli8, x.dom, x.cod, both).entries == {(0, 0): Counter({t: 2})}
+
+
 def test_denote_fixtures(pauli8):
     bell = parse_net(fixtures.BELL_NET, pauli8)
     assert fa_equal(denote(bell), name_of(embed(pauli8, "id Q")))

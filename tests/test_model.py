@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -264,6 +266,26 @@ def test_load_model_functor_checks(c2):
         )
 
 
+def test_explicit_identity_matrix_is_accepted(c2, c2_mod):
+    m = load_model(fixtures.C2_MOD + "mat id Q = [ [1, 0] ; [0, 1] ]\n", c2)
+    assert m.mats == c2_mod.mats
+
+
+def test_model_values_survive_copy_and_pickle(c2, c2_mod, c2_bool_mod):
+    # a copied or unpickled matrix holds a copy of its ring, equal but not the
+    # same object: so rings compare with ==, and hold no lambda, which would
+    # not pickle
+    nets = [parse_net(t, c2) for t in (fixtures.BELL_NET, fixtures.BELLX_NET)]
+    values = [_q(3), Qi2(Fraction(-1, 2)), SQRT2, I_UNIT, Qi2(Fraction(1, 3), 1, Fraction(-2, 5), 7),
+              ExactRing, BoolRing]
+    values += [eval_net(net, mod) for net in nets for mod in (c2_mod, c2_bool_mod)]
+    for x in values:
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is type(x) and y == x
+            if type(x) is Qi2:
+                assert hash(y) == hash(x)
+
+
 def test_interpretation_rejects_bad_dims(c2):
     with pytest.raises(ModelError, match="bad dimension"):
         Interpretation("m", c2, ExactRing, {"Q": -1}, {})
@@ -484,7 +506,7 @@ def test_eval_cut_chain_contracts_each_cut_early(c2, c2_bool_mod, monkeypatch):
         calls.append(None)
         return x and y
 
-    monkeypatch.setattr(BoolRing, "mul", staticmethod(mul))
+    monkeypatch.setattr(c2_bool_mod, "ring", BoolRing._replace(mul=mul))
     assert eval_net(chain, c2_bool_mod).column() == [False, True, True, False]
     assert len(calls) <= 16 * n
 

@@ -827,6 +827,21 @@ def test_to_dot_escapes_quotes_and_backslashes(pauli8):
     assert not re.search(r'["\\]', re.sub(r'"(?:[^"\\]|\\.)*"', "", dot))
 
 
+def test_to_dot_labels_times_links_and_their_tensor_edges(pauli8):
+    # two times links whose outputs meet at a formula cut
+    text = (
+        "net n\nconclusions\nslice\n  ax a : id Q\n  ax b : id Q\n"
+        "  times t = a.1 b.0\n  times u = a.0 b.1\n  cut t.0 , u.0 : id\n  out\nend\n"
+    )
+    dot = to_dot(parse_net(text, pauli8))
+    assert '    s0_n3 [label="times t"];\n' in dot
+    assert '    s0_n4 [label="times u"];\n' in dot
+    assert '    s0_n0 [label="cut: id (Q x Q*)"];\n' in dot
+    # each times link's out edge carries the tensor of its inputs' formulas
+    assert '    s0_n3 -> s0_n0 [label="(Q x Q*)"];\n' in dot
+    assert '    s0_n4 -> s0_n0 [label="(Q* x Q)"];\n' in dot
+
+
 def test_net_str_is_printable(pauli8):
     net = parse_net(fixtures.BELL_NET, pauli8)
     assert str(net) == print_net(net)

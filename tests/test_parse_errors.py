@@ -71,6 +71,8 @@ MODEL_CASES = [
     (MOD + "dim Q = 2\nmat X = [ [0, 1] ; [1, 0 ]\n", "line 3: unbalanced brackets"),
     (MOD + "dim Q = 2\nmat X = [ [0, 1] ] ; [1, 0] ]\n", "line 3: unbalanced brackets"),
     (MOD + "dim Q = 2\nmat X = [ [0, x] ; [1, 0] ]\n", "line 3: bad scalar 'x'"),
+    (MOD + "dim Q = 2\nmat X = [ [0, (1, 0, 0, 0)x] ; [1, 0] ]\n",
+     "line 3: bad scalar '(1, 0, 0, 0)x'"),
 ]
 
 NET_CASES = [

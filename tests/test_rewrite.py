@@ -49,6 +49,26 @@ def test_beta_equal_needs_shared_conclusions(pauli8):
         beta_equal(bell, ring)
 
 
+def test_beta_equal_needs_one_category(pauli8, c2):
+    bell = parse_net(fixtures.BELL_NET, pauli8)
+    with pytest.raises(ValueError) as exc:
+        beta_equal(bell, parse_net(fixtures.BELL_NET, c2))
+    assert str(exc.value) == "nets over different categories"
+
+
+def test_step_rejects_a_stale_redex(pauli8):
+    s = parse_net(fixtures.CHAIN_NET, pauli8).slices[0]
+    assert find_redexes(s, pauli8) == [Redex("#c0", "ax-ax"), Redex("#c1", "ax-ax")]
+    for redex, message in (
+        (Redex("a", "ax-ax"), "stale redex: no cut a"),
+        (Redex("#c9", "ax-ax"), "stale redex: no cut #c9"),
+        (Redex("#c0", "times"), "stale redex: cut #c0 is now ax-ax"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            step(s, pauli8, redex)
+        assert str(exc.value) == message
+
+
 def test_unknown_strategy_is_rejected_with_or_without_a_redex(pauli8):
     # bell is already normal, chain has two redexes and the empty sum has no
     # slice at all: each rejects the strategy
