@@ -13,19 +13,31 @@ differ only in ``right``, the side of the sum that input 0 fills.  There is one
 builder of identity cuts, ``id_cut``, for the parser and for rewriting.
 
 Slices are typed and built producers first, as proof structures are:
-``labels`` reads each output's formula off its inputs' in the order the links
-are written, holding a link back only until its inputs have labels, and a
-``SliceBuilder`` makes each link over ports that already exist.  ``topo_order``
-sorts the links producers first for ``print_net``.  Only ``parse_net`` and
-``validate_net`` check a net; what a builder makes is not.
-The parser reads the wiring line by line, taking each port out of a table of
-outputs, and compares arrow cuts as it orients them, by identity: axiom labels
-and arrow cuts share the category's atoms.  It reads formulas through the
-category's formula table, so the nets parsed over one category share their
-formulas' nodes.  ``validate_wiring`` checks a built net's wiring.
-``validate_uses`` counts output uses: of a built net, and of a parsed slice
-whose table did not end empty with each output taken once.
-Both then run the typed pass ``validate_slice``: outs, conclusions, units, unchecked cuts.
+``_settle`` gives a link its output's label once its inputs have theirs,
+holding it back until then, and a ``SliceBuilder`` makes each link over ports
+that already exist.  ``topo_order`` sorts the links producers first for
+``print_net``.  Only ``parse_net`` and ``validate_net`` check a net; what a
+builder makes is not.
+
+The parser reads each slice in one pass (``_OpenSlice``), as ``print_net``
+writes it: each producing line puts its outputs in the slice's table of unused
+outputs, each port is taken out of that table at the line that names it, and
+each link is labelled, each cut oriented and checked, and each unit checked at
+its consumer, at their lines.  A port named before its link is written, or
+spelled another way, and whatever waits on it, is finished through the same
+code once that is read, or at ``end``.  Arrow cuts compare by identity: axiom
+labels and arrow cuts share the category's atoms.  Formulas are read through
+the category's formula table, so the nets parsed over one category share their
+formulas' nodes.  A fault is raised where the checks' order puts it, not where
+it was found: a slice's ports, labels and id cuts at its ``end`` line, its
+output uses, outs, units and arrow cuts once the whole net is read.
+
+``validate_net`` checks a built net: ``validate_wiring``, then ``labels`` (one
+``_settle`` per link in written order), ``validate_uses`` and
+``validate_slice``.  The parser counts output uses with ``validate_uses`` only
+when its table did not end empty with each output taken once.  The two share
+each rule and error text: ``_settle``, ``_check_outs``, ``_unit_fault``,
+``_cut_fault``.
 """
 
 from __future__ import annotations
@@ -166,52 +178,75 @@ def topo_order(slice_):
     return order
 
 
+def _ax_labels(cat, arrow):
+    """The labels of an axiom's outputs 0 and 1: the category's shared atoms dom(f)* and cod(f)."""
+    atoms = cat.atoms
+    return atoms[cat.dom(arrow)][1], atoms[cat.cod(arrow)][0]
+
+
+_UNIT = Unit()  # the label of every unit link's output
+
+
+def _settle(todo, links, wires, labs, depth, waiting):
+    """Label each link of ``todo`` (taken from its end) that can be, then the links waiting on it.
+
+    An axiom or unit comes labelled.  A times or plus link whose inputs have labels gets its
+    output's; one with an input unlabelled waits on that input's link, the first input's if
+    both are.  Raises NetError on a times link over I and on a label built by more than
+    ``MAX_DEPTH`` nested times and plus links: the parser bounds the formulas it reads, and
+    this bounds the ones a slice builds, before any recursive walker meets them.
+    """
+    while todo:
+        link = links[lid := todo.pop()]
+        if n_in := link.n_in:  # a times or plus link
+            p0 = wires[(lid, 0)]
+            p1 = wires[(lid, 1)] if n_in == 2 else p0
+            if p0 not in labs or p1 not in labs:
+                waiting.setdefault((p1 if p0 in labs else p0)[0], []).append(lid)
+                continue
+            if n_in == 2:
+                l0, l1 = labs[p0], labs[p1]
+                if type(l0) is Unit or type(l1) is Unit:
+                    raise NetError(f"times {lid}: I may not appear under x")
+                out, d = Tensor(l0, l1), 1 + max(depth.get(p0, 0), depth.get(p1, 0))
+            else:
+                out = Plus(link.other, labs[p0]) if link.right else Plus(labs[p0], link.other)
+                d = 1 + depth.get(p0, 0)
+            if d > MAX_DEPTH:
+                raise NetError(f"link {lid}: label nested deeper than {MAX_DEPTH}")
+            labs[(lid, 0)], depth[(lid, 0)] = out, d
+        if waiting:
+            todo += waiting.pop(lid, ())
+
+
+def _none_waiting(waiting):
+    """Raise unless every link got its label: one still waiting lies on a cycle, or above one."""
+    if waiting:
+        raise NetError("cyclic wiring")
+
+
 def labels(slice_, cat):
     """Formula label of every output port, built producers first in written order.
 
-    A link waits on the link of an input with no label yet, until that is labelled;
-    one still waiting at the end lies on a cycle.  Raises NetError on cyclic wiring,
-    and on a label built by more than ``MAX_DEPTH`` nested times and plus links: the
-    parser bounds the formulas it reads, and this bounds the ones a slice builds,
-    before any recursive walker meets them.  Atom labels are the category's shared ones.
+    A link waits on the link of an input with no label yet, until that is labelled
+    (``_settle``).  Raises NetError on cyclic wiring and on the faults ``_settle`` finds.
+    Atom labels are the category's shared ones.
     """
-    labs, depth = {}, {}  # port -> its label, and the times and plus links nested in it (absent: 0)
-    pairs = {}  # arrow -> the labels of its axioms' outputs 0 and 1, from the category's atoms
-    atoms = cat.atoms
-    waiting = {}  # a link not labelled yet -> the links that wait on it
-    links, wires, todo = slice_.links, slice_.wires, []
-    for lid in links:
-        todo.append(lid)
-        while todo:
-            link = links[lid := todo.pop()]
-            if isinstance(link, AxLink):
-                if (pair := pairs.get(link.arrow)) is None:
-                    f = link.arrow
-                    pair = pairs[f] = atoms[cat.dom(f)][1], atoms[cat.cod(f)][0]
-                labs[(lid, 0)], labs[(lid, 1)] = pair
-            elif isinstance(link, UnitLink):
-                labs[(lid, 0)] = Unit()
-            elif not isinstance(link, CutLink):  # a times or plus link
-                p0 = wires[(lid, 0)]
-                p1 = wires[(lid, 1)] if link.n_in == 2 else p0
-                if p0 not in labs or p1 not in labs:
-                    waiting.setdefault((p1 if p0 in labs else p0)[0], []).append(lid)
-                    continue
-                if isinstance(link, TimesLink):
-                    l0, l1 = labs[p0], labs[p1]
-                    if isinstance(l0, Unit) or isinstance(l1, Unit):
-                        raise NetError(f"times {lid}: I may not appear under x")
-                    out, d = Tensor(l0, l1), 1 + max(depth.get(p0, 0), depth.get(p1, 0))
-                else:  # a plus link
-                    out = Plus(link.other, labs[p0]) if link.right else Plus(labs[p0], link.other)
-                    d = 1 + depth.get(p0, 0)
-                if d > MAX_DEPTH:
-                    raise NetError(f"link {lid}: label nested deeper than {MAX_DEPTH}")
-                labs[(lid, 0)], depth[(lid, 0)] = out, d
-            if waiting:
-                todo += waiting.pop(lid, ())
-    if waiting:
-        raise NetError("cyclic wiring")
+    # port -> its label, and the times and plus links nested in it; link -> what waits on it
+    labs, depth, waiting = {}, {}, {}
+    pairs = {}  # arrow -> its axioms' output labels
+    links, wires = slice_.links, slice_.wires
+    for lid, link in links.items():
+        if type(link) is CutLink:
+            continue
+        if type(link) is AxLink:
+            if (pair := pairs.get(link.arrow)) is None:
+                pair = pairs[link.arrow] = _ax_labels(cat, link.arrow)
+            labs[(lid, 0)], labs[(lid, 1)] = pair
+        elif type(link) is UnitLink:
+            labs[(lid, 0)] = _UNIT
+        _settle([lid], links, wires, labs, depth, waiting)
+    _none_waiting(waiting)
     return labs
 
 
@@ -254,44 +289,61 @@ def validate_uses(slice_):
     seen_out = {(lid, slot): 0 for lid, link in slice_.links.items() for slot in range(link.n_out)}
     for port in (*slice_.wires.values(), *slice_.outs):
         if port not in seen_out:  # only an out can name no output: the wiring is sound
-            raise NetError(f"out lists unknown port {port}")
+            raise NetError(f"out lists unknown port {_fmt_port(port)}")
         seen_out[port] += 1
     for port, n in seen_out.items():
         if n != 1:
-            raise NetError(f"port {port[0]}.{port[1]} used {n} times, want exactly 1")
+            raise NetError(f"port {_fmt_port(port)} used {n} times, want exactly 1")
 
 
-def validate_slice(slice_, cat, conclusions, labs, cuts=None):
-    """The typed checks of a slice that passed ``validate_uses``, with labels ``labs``.
-
-    Outs carry the conclusions; each unit feeds a plus or an id cut on I; each cut in
-    ``cuts`` (all if None) gets what it takes.
-    """
-    links, wires = slice_.links, slice_.wires
-    if len(slice_.outs) != len(conclusions):
-        raise NetError(f"slice has {len(slice_.outs)} conclusions, net declares {len(conclusions)}")
-    for port, want in zip(slice_.outs, conclusions):
+def _check_outs(outs, labs, conclusions):
+    """The outs, with labels ``labs``, carry the conclusions."""
+    if len(outs) != len(conclusions):
+        raise NetError(f"slice has {len(outs)} conclusions, net declares {len(conclusions)}")
+    for port, want in zip(outs, conclusions):
         got = labs[port]
         if got != want:
-            raise NetError(f"conclusion mismatch: {fmt(got)} at {port[0]}.{port[1]}, want {fmt(want)}")
+            raise NetError(
+                f"conclusion mismatch: {fmt(got)} at {_fmt_port(port)}, want {fmt(want)}"
+            )
 
+
+def _unit_fault(lid, consumer):
+    """The NetError of unit ``lid`` feeding ``consumer`` (None: a conclusion), if it may not."""
+    if consumer is None:
+        return NetError(f"unit {lid} feeds a conclusion; I must meet a plus or id cut")
+    if not isinstance(consumer, PlusLink) and not (
+        isinstance(consumer, CutLink) and consumer.formula == _UNIT
+    ):
+        return NetError(f"unit {lid} must feed a plus link or an id cut on I")
+    return None
+
+
+def _cut_fault(link, got):
+    """The NetError of a cut whose inputs have the labels ``got``, which it does not take."""
+    label = link.arrow if link.arrow is not None else f"id {fmt(link.formula)}"
+    return NetError(f"cut {label}: inputs {fmt(got[0])}, {fmt(got[1])} do not match")
+
+
+def validate_slice(slice_, cat, conclusions, labs):
+    """The typed checks of a slice that passed ``validate_uses``, with labels ``labs``.
+
+    Outs carry the conclusions; each unit feeds a plus or an id cut on I; each cut gets
+    what it takes.
+    """
+    links, wires = slice_.links, slice_.wires
+    _check_outs(slice_.outs, labs, conclusions)
     units = [lid for lid, link in links.items() if isinstance(link, UnitLink)]
     rev = slice_.consumers() if units else None
     for lid in units:
         consumer = rev.get((lid, 0))
-        if consumer is None:
-            raise NetError(f"unit {lid} feeds a conclusion; I must meet a plus or id cut")
-        clink = links[consumer[0]]
-        if not (isinstance(clink, PlusLink) or isinstance(clink, CutLink) and clink.formula == Unit()):
-            raise NetError(f"unit {lid} must feed a plus link or an id cut on I")
-    if cuts is None:
-        cuts = [lid for lid, link in links.items() if isinstance(link, CutLink)]
-    for cid in cuts:
-        link = links[cid]
-        got = labs[wires[(cid, 0)]], labs[wires[(cid, 1)]]
-        if got != cut_inputs(link, cat):
-            label = link.arrow if link.arrow is not None else f"id {fmt(link.formula)}"
-            raise NetError(f"cut {label}: inputs {fmt(got[0])}, {fmt(got[1])} do not match")
+        if fault := _unit_fault(lid, consumer and links[consumer[0]]):
+            raise fault
+    for cid, link in links.items():
+        if isinstance(link, CutLink):
+            got = labs[wires[(cid, 0)]], labs[wires[(cid, 1)]]
+            if got != cut_inputs(link, cat):
+                raise _cut_fault(link, got)
 
 
 def _no_slice_under_zero(net):
@@ -387,70 +439,173 @@ def _link_id(lid, lineno, links):
 
 
 def _port(tok, lineno, links):
-    """A port ``lid.slot`` written on line ``lineno``, of a link in ``links``."""
+    """The port ``lid.slot`` that ``tok``, on line ``lineno``, names: an output of ``links``."""
     tok = tok.strip()
     lid, dot, slot = tok.rpartition(".")
     slot = parse_nat(slot if dot else "", lineno, f"bad port {tok!r}")
     lid = lid.strip()
     if lid not in links:
         raise ParseError(lineno, f"unknown link {lid!r}")
+    if slot >= links[lid].n_out:
+        raise ParseError(lineno, f"link {lid} has no output {slot}")
     return lid, slot
 
 
-def _resolve_slice(cat, links, pending, cuts, outs):
-    """The slice, its labels, its arrow cuts that match in neither order, and whether each
-    output is used once, at its ``end`` line.
+class _OpenSlice:
+    """The slice ``parse_net`` is reading, between its ``slice`` and ``end`` lines.
 
-    A port spelled ``lid.slot`` is taken out of one table, so a second use, like any other
-    spelling, comes from ``_port``.  An arrow cut comes as (link, ``cut_inputs``), an id cut
-    as None; each is stored plain side first.
+    What a line cannot finish waits, and is finished through the same code: a times or
+    plus input named before its link is written, at that link's line (``miss``,
+    ``written``); a link over an input with no label yet, once it has one (``_settle``);
+    a cut's port that the table does not hold, and a cut over an unlabelled port, at
+    ``end``.
     """
-    named = {f"{lid}.{slot}": (lid, slot) for lid, link in links.items() for slot in range(link.n_out)}
-    n_ports, wires = len(named), {}
-    for inp, (tok, ln) in pending.items():
-        if (port := named.pop(tok, None)) is None:
-            port = _port(tok, ln, links)
-            if port[1] >= links[port[0]].n_out:
-                raise ParseError(ln, f"link {port[0]} has no output {port[1]}")
-        wires[inp] = port
-    ln, toks = outs
-    s = Slice(links, wires, tuple(named.pop(tok, None) or _port(tok, ln, links) for tok in toks))
-    once = not named and len(wires) + len(toks) == n_ports
-    labs = labels(s, cat)
-    unmatched = []
-    for cid, arrow_cut, ln in cuts:
+
+    __slots__ = ("cat", "links", "cuts", "wires", "table", "labs", "depth", "waiting",
+                 "expect", "unread", "late_cuts", "spelled", "bad_cut", "unmatched", "unit_faults")
+
+    def __init__(self, cat):
+        self.cat = cat
+        self.links, self.cuts, self.wires = {}, {}, {}  # producers; cut id -> link; input -> port
+        self.table = {}  # `lid.slot` -> that output, until a use takes it
+        self.labs, self.depth, self.waiting = {}, {}, {}  # what _settle keeps
+        self.expect = {}  # link id -> each unresolved (input, token, line) of a times or plus
+        self.unread = []  # each (input, token, line) of a cut not in the table at its line
+        self.late_cuts = []  # each (cut id, label, line) not oriented at its line
+        self.spelled = False  # a use took its port other than out of the table
+        self.bad_cut = None  # the ParseError of the first id cut, by line, that is not dual
+        self.unmatched = None  # (line, cut id) of the first arrow cut matching in neither order
+        self.unit_faults = {}  # unit id -> the NetError of where its output goes
+
+    def miss(self, inp, tok, lineno):
+        """The port of a times or plus input ``inp``, written ``tok``, that the table does not hold.
+
+        A port of a link already read is resolved now.  Any other is ``(lid, None)``, no port,
+        until its link's line, so that its link waits on that one's label as ``_settle`` has it.
+        """
+        lid = tok.rpartition(".")[0].strip()
+        if lid in self.links and (port := self.resolve(tok, lineno, True)) is not None:
+            return port
+        self.expect.setdefault(lid, []).append((inp, tok, lineno))
+        return lid, None
+
+    def written(self, lid):
+        """Resolve the ports named before link ``lid``'s line, whose outputs are in the table now.
+
+        One that names no output of it stays in ``expect``, as one whose link is never
+        written does, and raises at end.
+        """
+        if named := self.expect.pop(lid, None):
+            table, wires = self.table, self.wires
+            for inp, tok, lineno in named:
+                if (port := table.pop(tok, None) or self.resolve(tok, lineno, True)) is not None:
+                    wires[inp] = port
+                else:
+                    self.expect.setdefault(lid, []).append((inp, tok, lineno))
+
+    def resolve(self, tok, lineno, maybe=False):
+        """The port ``tok`` names, which the table does not hold: spelled another way than
+        ``lid.slot``, or taken before.  One that names no output raises ParseError, or
+        gives None if ``maybe``.
+        """
+        try:
+            port = _port(tok, lineno, self.links)
+        except ParseError:
+            if maybe:
+                return None
+            raise
+        self.spelled = True
+        return port
+
+    def orient(self, cid, arrow_cut, lineno):
+        """Check and orient a cut whose inputs have labels, unless it is an arrow cut that
+        takes them as written: plain side on input 0.
+
+        ``arrow_cut`` is an arrow cut's link and ``cut_inputs``, None for a labelled id.
+        """
+        wires, labs = self.wires, self.labs
         p0, p1 = wires[(cid, 0)], wires[(cid, 1)]
         l0, l1 = labs[p0], labs[p1]
-        if arrow_cut is None:  # labelled id
+        if arrow_cut is None:
             if star(l0) != l1:
-                raise ParseError(ln, f"id cut inputs {fmt(l0)}, {fmt(l1)} are not dual")
-            links[cid], wires[(cid, 0)], wires[(cid, 1)] = id_cut(cat, l0, p0, p1)
-            continue
-        links[cid], want = arrow_cut
-        if (l0, l1) == want:
-            continue
+                if self.bad_cut is None or lineno < self.bad_cut.lineno:
+                    self.bad_cut = ParseError(
+                        lineno, f"id cut inputs {fmt(l0)}, {fmt(l1)} are not dual"
+                    )
+            else:
+                self.cuts[cid], wires[(cid, 0)], wires[(cid, 1)] = id_cut(self.cat, l0, p0, p1)
+            return
+        link, want = arrow_cut
         if (l1, l0) == want:  # written starred side first
             wires[(cid, 0)], wires[(cid, 1)] = p1, p0
-        else:
-            unmatched.append(cid)
-    return s, labs, unmatched, once
+            return
+        if self.unmatched is None or lineno < self.unmatched[0]:
+            self.unmatched = lineno, cid
+        for port, lab in ((p0, l0), (p1, l1)):
+            if type(lab) is Unit:  # only a unit's output is labelled I
+                self.unit_faults[port[0]] = _unit_fault(port[0], link)
+
+    def end(self, outs, fault, conclusions):
+        """The slice and the first fault of its uses, outs, units and arrow cuts, or None.
+
+        Raises what the slice's lines found: a port that names no output, ``fault``
+        (labelling's), cyclic wiring, and an id cut that is not dual.
+        """
+        links, wires, labs = self.links, self.wires, self.labs
+        unread, table = self.unread, self.table
+        if self.expect:  # times and plus ports that name no output: the first one written raises
+            unread = sorted(unread + [named for waits in self.expect.values() for named in waits],
+                            key=lambda named: (named[2], named[0][1]))
+        for inp, tok, lineno in unread:
+            wires[inp] = table.pop(tok, None) or self.resolve(tok, lineno)
+        lineno, toks = outs
+        outs = tuple([table.pop(tok, None) or self.resolve(tok, lineno) for tok in toks])
+        if fault is not None:
+            raise fault
+        _none_waiting(self.waiting)
+        for cid, arrow_cut, lineno in self.late_cuts:
+            if arrow_cut is None or (labs[wires[(cid, 0)]], labs[wires[(cid, 1)]]) != arrow_cut[1]:
+                self.orient(cid, arrow_cut, lineno)
+        if self.bad_cut is not None:
+            raise self.bad_cut
+        links.update(self.cuts)
+        s = Slice(links, wires, outs)
+        try:
+            if table or self.spelled:  # an output no use took out of the table, or one used twice
+                validate_uses(s)
+            _check_outs(outs, labs, conclusions)
+            for port in outs:
+                if type(labs[port]) is Unit:
+                    self.unit_faults[port[0]] = _unit_fault(port[0], None)
+            if self.unit_faults:
+                raise next(self.unit_faults[lid] for lid in links if lid in self.unit_faults)
+            if self.unmatched:
+                cid = self.unmatched[1]
+                raise _cut_fault(links[cid], (labs[wires[(cid, 0)]], labs[wires[(cid, 1)]]))
+        except NetError as exc:
+            return s, exc
+        return s, None
 
 
 def parse_net(text, cat):
     """Parse and check a net file against a category.
 
-    Formulas are read through the category's formula table, so equal subformulas are one
-    node and no formula text is parsed twice, in this call or any other over ``cat``; per
-    call, axioms for one arrow are one ``AxLink``.  A label meets its conclusion by identity
-    below the nodes ``labels`` builds.
+    Each slice is read in one pass (``_OpenSlice``).  Formulas are read through the
+    category's formula table, so equal subformulas are one node and no formula text is
+    parsed twice, in this call or any other over ``cat``.  Links are values, so one is
+    made per call for all axioms of one arrow, all plus links of one kind over one formula
+    text, all times links and all unit links.  A label meets its conclusion by identity
+    below the nodes ``_settle`` builds.
     """
     name = conclusions = None
     read = cat.formula_table()  # formula text -> its checked node, and the shared nodes
-    axioms = {}  # arrow text, as written and normalized -> its AxLink
+    axioms = {}  # arrow text, as written and normalized -> its AxLink and its outputs' labels
+    plus_links = {}  # (plus1 or plus2, other side as written) -> its PlusLink
+    times_link, unit_link = TimesLink(), UnitLink()
     # cut label, as written and normalized -> its CutLink and what that takes; None for id
     arrow_cuts = {"id": None}
-    slices = []  # what _resolve_slice gives per slice, checked once the whole net is read
-    links = None  # the open slice's links (with its pending wires, cuts and outs), else None
+    slices = []  # each slice, with the fault its checks found
+    links = None  # the open slice's producing links, else None
     cut_count = 0
     for lineno, head, rest in directives(text):
         if head in ("ax", "cut", "times", "plus1", "plus2", "unit", "out"):
@@ -460,14 +615,18 @@ def parse_net(text, cat):
                 lid, colon, arrow = rest.partition(":")
                 if not colon:
                     raise ParseError(lineno, "expected 'ax id : f'")
-                if (link := axioms.get(arrow)) is None:
+                if (ax := axioms.get(arrow)) is None:
                     norm = " ".join(arrow.split())
                     if norm not in cat.arrows:
                         raise ParseError(lineno, f"unknown arrow {norm!r}")
-                    link = axioms[arrow] = axioms.setdefault(norm, AxLink(norm))
+                    ax = (AxLink(norm), _ax_labels(cat, norm))
+                    ax = axioms[arrow] = axioms.setdefault(norm, ax)
                 if not (lid := lid.strip()).isidentifier() or lid in links:
                     _link_id(lid, lineno, links)
-                links[lid] = link
+                links[lid] = link = ax[0]
+                table[f"{lid}.0"] = p0 = (lid, 0)
+                table[f"{lid}.1"] = p1 = (lid, 1)
+                labs[p0], labs[p1] = ax[1]
             elif head == "cut":
                 body, colon, label = rest.rpartition(":")
                 if not colon:
@@ -483,8 +642,20 @@ def parse_net(text, cat):
                     arrow_cuts[label] = arrow_cuts[norm]
                 cid = f"#c{cut_count}"
                 cut_count += 1
-                cuts.append((cid, arrow_cuts[label], lineno))
-                pending[(cid, 0)], pending[(cid, 1)] = (ports[0], lineno), (ports[1], lineno)
+                arrow_cut = arrow_cuts[label]
+                cuts[cid] = arrow_cut and arrow_cut[0]
+                i0, i1 = (cid, 0), (cid, 1)
+                if (p0 := table.pop(ports[0], None)) is None:
+                    unread.append((i0, ports[0], lineno))
+                if (p1 := table.pop(ports[1], None)) is None:
+                    unread.append((i1, ports[1], lineno))
+                wires[i0], wires[i1] = p0, p1
+                if p0 in labs and p1 in labs and fault is None:
+                    if arrow_cut is None or (labs[p0], labs[p1]) != arrow_cut[1]:
+                        open_.orient(cid, arrow_cut, lineno)
+                else:
+                    late_cuts.append((cid, arrow_cut, lineno))
+                continue
             elif head == "times":
                 lid, eq, ports = rest.partition("=")
                 if not eq:
@@ -496,8 +667,13 @@ def parse_net(text, cat):
                     raise ParseError(lineno, "times takes exactly two ports")
                 if not (lid := lid.strip()).isidentifier() or lid in links:
                     _link_id(lid, lineno, links)
-                links[lid] = TimesLink()
-                pending[(lid, 0)], pending[(lid, 1)] = (toks[0], lineno), (toks[1], lineno)
+                links[lid] = link = times_link
+                table[f"{lid}.0"] = (lid, 0)
+                if (p0 := table.pop(toks[0], None)) is None:
+                    p0 = open_.miss((lid, 0), toks[0], lineno)
+                if (p1 := table.pop(toks[1], None)) is None:
+                    p1 = open_.miss((lid, 1), toks[1], lineno)
+                wires[(lid, 0)], wires[(lid, 1)] = p0, p1
             elif head in ("plus1", "plus2"):
                 lid, eq, body = rest.partition("=")
                 if not eq or "|" not in body:
@@ -505,31 +681,51 @@ def parse_net(text, cat):
                 lhs, _, rhs = body.partition("|")
                 if not (lid := lid.strip()).isidentifier() or lid in links:
                     _link_id(lid, lineno, links)
-                kind = Plus2Link if head == "plus2" else Plus1Link
-                other, port_tok = (lhs, rhs) if kind.right else (rhs, lhs)
-                links[lid] = kind(_text_node(other.strip(), cat, lineno, read))
-                pending[(lid, 0)] = (port_tok.strip(), lineno)
+                other, tok = (lhs, rhs) if head == "plus2" else (rhs, lhs)
+                if (link := plus_links.get((head, other))) is None:
+                    kind = Plus2Link if head == "plus2" else Plus1Link
+                    link = kind(_text_node(other.strip(), cat, lineno, read))
+                    plus_links[(head, other)] = link
+                links[lid] = link
+                table[f"{lid}.0"] = (lid, 0)
+                if (p0 := table.pop(tok := tok.strip(), None)) is None:
+                    p0 = open_.miss((lid, 0), tok, lineno)
+                wires[(lid, 0)] = p0
             elif head == "unit":
                 if not rest.isidentifier() or rest in links:
                     _link_id(rest, lineno, links)
-                links[rest] = UnitLink()
+                links[lid := rest] = link = unit_link
+                table[f"{lid}.0"] = p0 = (lid, 0)
+                labs[p0] = _UNIT
             else:  # out
                 if outs is not None:
                     raise ParseError(lineno, "duplicate out line")
                 outs = (lineno, split_top(rest, ",", lineno) if rest else ())
+                continue
+            # a link with id lid is read: resolve what named it before, then label it
+            if expect:
+                open_.written(lid)
+            if fault is None and (waiting or link.n_in):
+                try:
+                    _settle([lid], links, wires, labs, depth, waiting)
+                except NetError as exc:
+                    fault = exc  # raised at end, after the slice's ports
         elif head == "end" and not rest:
             if links is None:
                 raise ParseError(lineno, "end outside slice")
             if outs is None:
                 raise ParseError(lineno, "slice has no out line")
-            slices.append(_resolve_slice(cat, links, pending, cuts, outs))
+            slices.append(open_.end(outs, fault, conclusions))
             links = None
         elif head == "slice" and not rest:
             if conclusions is None:
                 raise ParseError(lineno, "slice before conclusions")
             if links is not None:
                 raise ParseError(lineno, "nested slice")
-            links, pending, cuts, outs = {}, {}, [], None
+            open_ = _OpenSlice(cat)
+            links, cuts, wires, table = open_.links, open_.cuts, open_.wires, open_.table
+            labs, depth, waiting, expect = open_.labs, open_.depth, open_.waiting, open_.expect
+            unread, late_cuts, outs, fault = open_.unread, open_.late_cuts, None, None
         elif head == "net":
             if name is not None:
                 raise ParseError(lineno, "duplicate net line")
@@ -548,12 +744,11 @@ def parse_net(text, cat):
     if conclusions is None:
         raise ParseError(1, "missing conclusions line")
 
-    net = Net(name, conclusions, tuple(s for s, *_ in slices), cat)
+    net = Net(name, conclusions, tuple(s for s, _ in slices), cat)
     _no_slice_under_zero(net)
-    for s, labs, unmatched, once in slices:
-        if not once:
-            validate_uses(s)
-        validate_slice(s, cat, conclusions, labs, unmatched)
+    for _, fault in slices:
+        if fault is not None:
+            raise fault
     return net
 
 

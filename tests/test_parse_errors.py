@@ -120,6 +120,8 @@ NET_CASES = [
     (NET + "  ax a : X\n  times t = a.0 b.1\n  out t.0\nend\n", "line 5: unknown link 'b'"),
     (NET + "  ax a : X\n  out a.0 , b.1\nend\n", "line 5: unknown link 'b'"),
     (NET + "  ax a : X\n  times t = a.0 a.2\n  out t.0\nend\n", "line 5: link a has no output 2"),
+    # an out naming a missing output is reported as an input that does
+    (NET + "  ax a : X\n  out a.0 , a.2\nend\n", "line 5: link a has no output 2"),
     # formula texts are parsed once per net: a new text still names its own line
     (NET + "  ax a : X\n  plus1 p = a.0 | (Q + I)\n  plus2 q = (Q + I) | p.0\n"
      "  plus1 r = q.0 | (Q + R)\n", "line 7: unknown atom 'R'"),
