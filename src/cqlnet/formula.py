@@ -154,29 +154,30 @@ def star(f):
 
 def validate(f, cat=None):
     """Check the unit and zero restrictions (and atom names, given a category)."""
-
-    def walk(g, under):
-        match g:
-            case Zero():
-                raise FormulaError("0 may only appear as a whole formula")
-            case Unit():
-                if under == "x":
-                    raise FormulaError("I may not appear under x")
-            case Atom(name) | DualAtom(name):
-                if cat is not None and name not in cat.objects:
-                    raise FormulaError(f"unknown atom {name!r}")
-            case Tensor(l, r):
-                walk(l, "x")
-                walk(r, "x")
-            case Plus(l, r):
-                walk(l, "+")
-                walk(r, "+")
-            case _:
-                raise TypeError(f"not a formula: {g!r}")
-
     if isinstance(f, Zero):
         return
-    walk(f, None)
+    _validate(f, None, cat)
+
+
+def _validate(g, under, cat):
+    """``validate``'s walk over ``g``, the operand of an ``under`` node ("x", "+" or None)."""
+    match g:
+        case Zero():
+            raise FormulaError("0 may only appear as a whole formula")
+        case Unit():
+            if under == "x":
+                raise FormulaError("I may not appear under x")
+        case Atom(name) | DualAtom(name):
+            if cat is not None and name not in cat.objects:
+                raise FormulaError(f"unknown atom {name!r}")
+        case Tensor(l, r):
+            _validate(l, "x", cat)
+            _validate(r, "x", cat)
+        case Plus(l, r):
+            _validate(l, "+", cat)
+            _validate(r, "+", cat)
+        case _:
+            raise TypeError(f"not a formula: {g!r}")
 
 
 def anf(f):

@@ -433,35 +433,15 @@ def denote_slice(s, cat, cod):
     links, wires = s.links, s.wires
     at = []  # leaf position -> [position of its axiom's output 0, of its output 1, arrow]
     axioms = {}
-
-    def tree(port):
-        # (row, words): the leaves below port spell word row of a words-word ANF
-        lid, slot = port
-        link = links[lid]
-        if isinstance(link, nets.AxLink):
-            ax = axioms.setdefault(lid, [None, None, link.arrow])
-            ax[slot] = len(at)
-            at.append(ax)
-            return 0, 1
-        if isinstance(link, nets.TimesLink):
-            r0, n0 = tree(wires[(lid, 0)])
-            r1, n1 = tree(wires[(lid, 1)])
-            return r0 * n1 + r1, n0 * n1
-        if isinstance(link, nets.PlusLink):
-            r, n = tree(wires[(lid, 0)])
-            k = len(anf(link.other))
-            return r + k * link.right, n + k
-        return 0, 1  # a unit
-
     row = 0
     for port in s.outs:
-        r, n = tree(port)
+        r, n = _tree(port, links, wires, at, axioms)
         row = row * n + r
     n_out = len(at)
     join = {}  # position of an output 1 -> (position of the output 0 it is cut to, arrow)
     for lid in sorted(lid for lid, link in links.items() if isinstance(link, nets.CutLink)):
-        a, (r0, _) = len(at), tree(wires[(lid, 0)])
-        b, (r1, _) = len(at), tree(wires[(lid, 1)])
+        a, (r0, _) = len(at), _tree(wires[(lid, 0)], links, wires, at, axioms)
+        b, (r1, _) = len(at), _tree(wires[(lid, 1)], links, wires, at, axioms)
         g = links[lid].arrow
         if g is not None:
             join[a] = (b, g)
@@ -491,6 +471,27 @@ def denote_slice(s, cat, cod):
     cycles = sorted(axioms) if len(seen) < len(axioms) else ()  # from their least axiom id
     loops = [cat.loop_of(strand(axioms[lid])[1]) for lid in cycles if axioms[lid][0] not in seen]
     return row, _wiring((), cod[row], pairs, loops)
+
+
+def _tree(port, links, wires, at, axioms):
+    """``denote_slice``'s walk: (row, words), the leaves below port spell word row of
+    a words-word ANF; it appends each leaf to ``at`` as its axiom's entry in ``axioms``."""
+    lid, slot = port
+    link = links[lid]
+    if isinstance(link, nets.AxLink):
+        ax = axioms.setdefault(lid, [None, None, link.arrow])
+        ax[slot] = len(at)
+        at.append(ax)
+        return 0, 1
+    if isinstance(link, nets.TimesLink):
+        r0, n0 = _tree(wires[(lid, 0)], links, wires, at, axioms)
+        r1, n1 = _tree(wires[(lid, 1)], links, wires, at, axioms)
+        return r0 * n1 + r1, n0 * n1
+    if isinstance(link, nets.PlusLink):
+        r, n = _tree(wires[(lid, 0)], links, wires, at, axioms)
+        k = len(anf(link.other))
+        return r + k * link.right, n + k
+    return 0, 1  # a unit
 
 
 def denote(net):

@@ -3,10 +3,12 @@
 Scalars are either exact elements of Q(sqrt2, i), each one integer tuple
 (a, b, c, d, den) for (a + b sqrt2 + (c + d sqrt2) i) / den, reduced so that
 equal elements have equal tuples; or booleans with or/and.  Each kind is one
-``Ring`` value, ``ExactRing`` or ``BoolRing``.  Matrices are dense
-lists of such scalars; all comparisons are exact.  No matrix or vector may
-hold more than ``MAX_ENTRIES`` entries: a larger model object, ``eval_free``
-result or ``eval_net`` output is a ``ModelError`` before it is allocated.
+``Ring`` value, ``ExactRing`` or ``BoolRing``.  Exact elements are immutable,
+so a sum with 0 and a product with 1 return an operand as it is.  Matrices
+are dense lists of such scalars; all comparisons are exact.  No matrix or
+vector may hold more than ``MAX_ENTRIES`` entries: a larger model object,
+``eval_free`` result or ``eval_net`` output is a ``ModelError`` before it is
+allocated.
 
 Both evaluators visit only nonzero entries.  ``eval_free`` evaluates a free
 arrow from its wirings.  ``eval_net`` evaluates a net directly along the
@@ -40,7 +42,9 @@ class Qi2:
     It is held as one tuple ``_v = (a, b, c, d, den)`` of ints, with den > 0 and
     gcd(a, b, c, d, den) = 1, so equal elements have equal tuples; equality and
     hashing are the tuple's.  The constructor takes ints or ``Fraction``s, and
-    the properties ``a``..``d`` return ``Fraction``s.
+    the properties ``a``..``d`` return ``Fraction``s.  A sum with 0 and a
+    product with 1 return the other operand itself, not a new element, which
+    is safe because elements are immutable.
     """
 
     __slots__ = ("_v",)
@@ -65,7 +69,11 @@ class Qi2:
 
     def __add__(self, o):
         a1, b1, c1, d1, n = self._v
+        if not (a1 or b1 or c1 or d1):  # 0 + o
+            return o
         a2, b2, c2, d2, m = o._v
+        if not (a2 or b2 or c2 or d2):  # self + 0
+            return self
         if n == m:
             return _make(a1 + a2, b1 + b2, c1 + c2, d1 + d2, n)
         return _make(a1 * m + a2 * n, b1 * m + b2 * n, c1 * m + c2 * n, d1 * m + d2 * n, n * m)
@@ -75,9 +83,16 @@ class Qi2:
         return _make(-a, -b, -c, -d, den)
 
     def __mul__(self, o):
+        v, w = self._v, o._v
+        if v == _ONE:
+            return o
+        if w == _ONE:
+            return self
+        a1, b1, c1, d1, n = v
+        a2, b2, c2, d2, m = w
+        if not (b1 or c1 or d1 or b2 or c2 or d2):  # two rationals
+            return _make(a1 * a2, 0, 0, 0, n * m)
         # (x1 + y1 i)(x2 + y2 i) with x, y in Z[sqrt2], over den1 * den2
-        a1, b1, c1, d1, n = self._v
-        a2, b2, c2, d2, m = o._v
         return _make(
             a1 * a2 + 2 * b1 * b2 - c1 * c2 - 2 * d1 * d2,
             a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
@@ -97,6 +112,10 @@ class Qi2:
         if self._v[1] == self._v[2] == self._v[3] == 0:
             return str(self.a)
         return f"({self.a}, {self.b}, {self.c}, {self.d})"
+
+
+# the tuple of 1: an element has one reduced tuple
+_ONE = (1, 0, 0, 0, 1)
 
 
 def _make(a, b, c, d, den):
@@ -452,6 +471,24 @@ def _then(ring, path, cols):
     return out
 
 
+def _tree(port, links, wires, leaves):
+    """``eval_slice``'s walk: (word index, word count) of the label at port; lists its leaves."""
+    lid = port[0]
+    link = links[lid]
+    if isinstance(link, nets.AxLink):
+        leaves.append(port)
+        return 0, 1
+    if isinstance(link, nets.TimesLink):
+        r0, n0 = _tree(wires[(lid, 0)], links, wires, leaves)
+        r1, n1 = _tree(wires[(lid, 1)], links, wires, leaves)
+        return r0 * n1 + r1, n0 * n1
+    if isinstance(link, nets.PlusLink):
+        r, n = _tree(wires[(lid, 0)], links, wires, leaves)
+        k = len(anf(link.other))
+        return r + k * link.right, n + k
+    return 0, 1  # a unit
+
+
 def eval_slice(s, interp, concl):
     """The nonzero entries of one slice's vector, as (flat index, value) pairs.
 
@@ -464,27 +501,9 @@ def eval_slice(s, interp, concl):
     """
     ring, cat, links, wires = interp.ring, interp.cat, s.links, s.wires
     leaves = []
-
-    def tree(port):
-        # (word index, word count) of the label at port; lists its leaves
-        lid = port[0]
-        link = links[lid]
-        if isinstance(link, nets.AxLink):
-            leaves.append(port)
-            return 0, 1
-        if isinstance(link, nets.TimesLink):
-            r0, n0 = tree(wires[(lid, 0)])
-            r1, n1 = tree(wires[(lid, 1)])
-            return r0 * n1 + r1, n0 * n1
-        if isinstance(link, nets.PlusLink):
-            r, n = tree(wires[(lid, 0)])
-            k = len(anf(link.other))
-            return r + k * link.right, n + k
-        return 0, 1  # a unit
-
     offset, head = 0, 1  # words before the outs' word; its size so far
     for port, pre in zip(s.outs, concl):
-        r, _ = tree(port)
+        r, _ = _tree(port, links, wires, leaves)
         offset = offset * pre[-1] + head * pre[r]
         head *= pre[r + 1] - pre[r]
     outs = list(leaves)
@@ -492,8 +511,8 @@ def eval_slice(s, interp, concl):
     zero = False
     for lid, link in links.items():
         if isinstance(link, nets.CutLink):
-            a, (r0, _) = len(leaves), tree(wires[(lid, 0)])
-            b, (r1, _) = len(leaves), tree(wires[(lid, 1)])
+            a, (r0, _) = len(leaves), _tree(wires[(lid, 0)], links, wires, leaves)
+            b, (r1, _) = len(leaves), _tree(wires[(lid, 1)], links, wires, leaves)
             if link.arrow is not None:
                 nxt[leaves[a]] = (leaves[b], link.arrow)
             elif r0 != r1:

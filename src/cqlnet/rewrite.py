@@ -206,27 +206,28 @@ def canonicalize_slice(s, cat):
              for cid, link in s.links.items() if isinstance(link, nets.CutLink)]
     choices = []
     leaf_of = {}
-
-    def walk(port):
-        lid, slot = port
-        link = s.links[lid]
-        if isinstance(link, nets.AxLink):
-            leaf_of[port] = len(leaf_of)
-        elif isinstance(link, nets.TimesLink):
-            walk(s.wires[(lid, 0)])
-            walk(s.wires[(lid, 1)])
-        elif isinstance(link, nets.PlusLink):
-            choices.append(link.right)
-            walk(s.wires[(lid, 0)])
-        # units contribute nothing
-
     for port in s.outs:
-        walk(port)
+        _walk(port, s, choices, leaf_of)
     # a loop's axiom sits under no out, so each out leaf on an output 0 starts a pair
     pairs = [(k, leaf_of[(lid, 1)], s.links[lid].arrow)
              for (lid, slot), k in leaf_of.items() if slot == 0]
     pairs.sort(key=lambda p: min(p[0], p[1]))
     return CanonicalSlice(tuple(choices), tuple(pairs), tuple(sorted(loops)))
+
+
+def _walk(port, s, choices, leaf_of):
+    """``canonicalize_slice``'s walk: plus bits onto ``choices``, leaves into ``leaf_of``."""
+    lid = port[0]
+    link = s.links[lid]
+    if isinstance(link, nets.AxLink):
+        leaf_of[port] = len(leaf_of)
+    elif isinstance(link, nets.TimesLink):
+        _walk(s.wires[(lid, 0)], s, choices, leaf_of)
+        _walk(s.wires[(lid, 1)], s, choices, leaf_of)
+    elif isinstance(link, nets.PlusLink):
+        choices.append(link.right)
+        _walk(s.wires[(lid, 0)], s, choices, leaf_of)
+    # units contribute nothing
 
 
 def reconstruct_slice(cs, conclusions, cat):

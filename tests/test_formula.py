@@ -310,6 +310,10 @@ def test_parse_formula_errors():
     for text in ["", "(Q x Q", "Q )", "(Q x x Q)", "(Q % Q)", "(Q x Q +)"]:
         with pytest.raises(ParseError):
             parse_formula(text)
+    # a formula parsed on its own, with no line number, reports line 0
+    with pytest.raises(ParseError) as exc:
+        parse_formula("(Q x Q")
+    assert str(exc.value) == "line 0: expected ')' in formula" and exc.value.lineno == 0
 
 
 def _tokenize_by_loop(text, lineno):

@@ -104,6 +104,50 @@ def test_qi2_arithmetic():
     assert ExactRing.one not in (None, Fraction(1))
 
 
+def _qi2_sum(x, y):
+    """The sum from the Fraction components: the reference for ``x + y``."""
+    return Qi2(x.a + y.a, x.b + y.b, x.c + y.c, x.d + y.d)
+
+
+def _qi2_product(x, y):
+    """The general product from the Fraction components: the reference for ``x * y``."""
+    return Qi2(
+        x.a * y.a + 2 * x.b * y.b - x.c * y.c - 2 * x.d * y.d,
+        x.a * y.b + x.b * y.a - x.c * y.d - x.d * y.c,
+        x.a * y.c + 2 * x.b * y.d + x.c * y.a + 2 * x.d * y.b,
+        x.a * y.d + x.b * y.c + x.c * y.b + x.d * y.a,
+    )
+
+
+def test_qi2_short_cuts_equal_the_general_formulas():
+    # 0 + x, x * 1 and two rationals take short cuts: each result must be the
+    # element the general formula gives, with the same tuple, hash and text
+    h = Fraction(1, 2)
+    special = [Qi2(), Qi2(1), Qi2(-1), Qi2(h), Qi2(-h), Qi2(0, 0, 1), Qi2(0, 0, -1),
+               Qi2(0, h), Qi2(h, 0, h)]
+    rng = random.Random(31)
+
+    def draw():
+        if rng.random() < 0.5:
+            return rng.choice(special)
+        den = rng.randint(1, 6)
+        return Qi2(*(Fraction(rng.randint(-3, 3), den) for _ in range(4)))
+
+    for _ in range(2000):
+        x, y = draw(), draw()
+        for got, want in ((x * y, _qi2_product(x, y)), (y * x, _qi2_product(y, x)),
+                          (x + y, _qi2_sum(x, y)), (y + x, _qi2_sum(y, x))):
+            assert got == want and hash(got) == hash(want) and str(got) == str(want)
+            assert got._v == want._v
+    # a sum with 0 and a product with 1 allocate nothing: they return the other operand
+    zero, one = Qi2(), Qi2(1)
+    for x in special + [draw() for _ in range(50)]:
+        if x != one:
+            assert x * one is x and one * x is x
+        if x != zero:
+            assert x + zero is x and zero + x is x
+
+
 def test_exact_ring_parse():
     assert ExactRing.parse("-3/4", 0) == Qi2(Fraction(-3, 4))
     assert ExactRing.parse("(1, 1/2, 0, -2)", 0) == Qi2(
@@ -374,6 +418,26 @@ def test_eval_free_size_limit(pauli8, pauli8_mod):
     assert eval_free(zero(pauli8, narrow, wide), pauli8_mod).shape == (2**11, 2**9)
     with pytest.raises(ModelError, match=f"2048 x 2048: {2**22} entries, more than {2**20}"):
         eval_free(zero(pauli8, wide, wide), pauli8_mod)
+
+
+def test_max_entries_bounds_dims_and_both_evaluators(c2, monkeypatch):
+    # bell.net's vector and its arrow's matrix hold 4 entries, and so does dim Q = 2's
+    # identity: at MAX_ENTRIES = 4 each passes, at 3 each is a ModelError
+    from cqlnet import model
+
+    net = parse_net(fixtures.BELL_NET, c2)
+    fa = denote(net)
+    monkeypatch.setattr(model, "MAX_ENTRIES", 4)
+    mod = load_model(fixtures.C2_MOD, c2)
+    assert eval_net(net, mod).shape == (4, 1)
+    assert eval_free(fa, mod).shape == (4, 1)
+    monkeypatch.setattr(model, "MAX_ENTRIES", 3)
+    with pytest.raises(ModelError, match=r"^dim Q = 2: 4 matrix entries, more than 3$"):
+        load_model(fixtures.C2_MOD, c2)
+    with pytest.raises(ModelError, match=r"^net bell: 4 output entries, more than 3$"):
+        eval_net(net, mod)
+    with pytest.raises(ModelError, match=r"^arrow matrix is 4 x 1: 4 entries, more than 3$"):
+        eval_free(fa, mod)
 
 
 def test_eval_closed_tensor_net(pauli8, pauli8_mod, closed_tensor_net):
