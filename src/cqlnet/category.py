@@ -35,7 +35,7 @@ class Category:
 
     ``arrows`` maps every arrow name (identities included) to ``(dom, cod)``.
     ``compose(f, g)`` is the composite g.f for f: A -> B, g: B -> C.
-    ``atoms`` maps each object to one ``Atom`` and one ``DualAtom``; ``net.labels``
+    ``atoms`` maps each object to one ``Atom`` and one ``DualAtom``; the net checker
     and ``net.cut_inputs`` give only these as atom labels, so those meet by identity.
     ``formula_table()`` is the one table that ``parse_net``, ``parse_formula`` and
     ``freecat.complete`` read and build its formulas through, seeded with those atoms:

@@ -353,8 +353,9 @@ def _tokenize(text, lineno):
 
 # Deepest bracket nesting a formula may have.  Every formula read from text
 # passes through ``_parse``, so this also bounds the recursive walkers
-# (``star``, ``anf``, ``fmt``, ``validate``, ``net.labels``, ...).  Formulas
-# built by ``anf_formula`` are log-depth in their words and literals.
+# (``star``, ``anf``, ``fmt``, ``validate``, ...); the net checker bounds the
+# labels a slice builds by it too (``net._OpenSlice.settle``).  Formulas built by
+# ``anf_formula`` are log-depth in their words and literals.
 MAX_DEPTH = 256
 
 # Most entries a category's formula table may hold: ``Category.formula_table``

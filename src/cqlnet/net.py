@@ -12,39 +12,40 @@ and ``Net`` are mutable.  There is one plus kind, ``PlusLink``: its two classes
 differ only in ``right``, the side of the sum that input 0 fills.  There is one
 builder of identity cuts, ``id_cut``, for the parser and for rewriting.
 
-Slices are typed and built producers first, as proof structures are:
-``_settle`` gives a link its output's label once its inputs have theirs,
-holding it back until then, and a ``SliceBuilder`` makes each link over ports
-that already exist.  ``topo_order`` sorts the links producers first for
+Slices are typed and built producers first, as proof structures are: a link
+gets its output's label once its inputs have theirs, held back until then
+(``_OpenSlice.settle``), and a ``SliceBuilder`` makes each link over ports that
+already exist.  ``topo_order`` sorts the links producers first for
 ``print_net``.  Only ``parse_net`` and ``validate_net`` check a net; what a
 builder makes is not.
 
-The parser reads each slice in one pass (``_OpenSlice``), as ``print_net``
-writes it: each producing line puts its outputs in the slice's table of unused
-outputs, each port is taken out of that table at the line that names it, and
-each link is labelled, each cut oriented and checked, and each unit checked at
-its consumer, at their lines.  A port named before its link is written, or
-spelled another way, and whatever waits on it, is finished through the same
-code once that is read, or at ``end``.  Arrow cuts compare by identity: axiom
-labels and arrow cuts share the category's atoms.  Formulas are read through
-the category's formula table, so the nets parsed over one category share their
-formulas' nodes.  A fault is raised where the checks' order puts it, not where
-it was found: a slice's ports, labels and id cuts at its ``end`` line, its
-output uses, outs, units and arrow cuts once the whole net is read.
+One checker, ``_OpenSlice``, decides what a well-formed slice is, link by link:
+``add`` takes a producing link and ``cut`` a cut, each at its line, and ``end``
+checks what only the whole slice shows; an axiom or unit is handed to ``add``
+with its labels.  ``parse_net`` feeds it each line as it reads it, in one pass,
+as ``print_net`` writes it: each producing line puts its outputs in the slice's
+table of unused outputs, and each port is taken out of that table at the line
+that names it.  A port named before its link is written, or spelled another
+way, and whatever waits on it, is finished through the same code once that is
+read, or at the end line.  ``validate_net`` checks the wiring of a built slice,
+the one check text needs no part of, then feeds the checker each link in
+written order over the ports it is wired from, with no table; it changes
+nothing it checks, and a built cut is checked as it is written.  ``labels``
+feeds it the same way and returns the labels it gave.
 
-``validate_net`` checks a built net: ``validate_wiring``, then ``labels`` (one
-``_settle`` per link in written order), ``validate_uses`` and
-``validate_slice``.  The parser counts output uses with ``validate_uses`` only
-when its table did not end empty with each output taken once.  The two share
-each rule and error text: ``_settle``, ``_check_outs``, ``_unit_fault``,
-``_cut_fault``.
+Arrow cuts compare by identity: axiom labels and arrow cuts share the
+category's atoms.  Formulas are read through the category's formula table, so
+the nets parsed over one category share their formulas' nodes.  A fault is
+raised where the checks' order puts it, not where it was found: a slice's
+ports, labels and id cuts at its end, its output uses, outs, units and cuts
+once the whole net is read (at once, for a built slice).
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import NetError, ParseError
+from .errors import CategoryError, NetError, ParseError
 from .formula import (
     MAX_DEPTH,
     Atom,
@@ -187,74 +188,31 @@ def _ax_labels(cat, arrow):
 _UNIT = Unit()  # the label of every unit link's output
 
 
-def _settle(todo, links, wires, labs, depth, waiting):
-    """Label each link of ``todo`` (taken from its end) that can be, then the links waiting on it.
-
-    An axiom or unit comes labelled.  A times or plus link whose inputs have labels gets its
-    output's; one with an input unlabelled waits on that input's link, the first input's if
-    both are.  Raises NetError on a times link over I and on a label built by more than
-    ``MAX_DEPTH`` nested times and plus links: the parser bounds the formulas it reads, and
-    this bounds the ones a slice builds, before any recursive walker meets them.
-    """
-    while todo:
-        link = links[lid := todo.pop()]
-        if n_in := link.n_in:  # a times or plus link
-            p0 = wires[(lid, 0)]
-            p1 = wires[(lid, 1)] if n_in == 2 else p0
-            if p0 not in labs or p1 not in labs:
-                waiting.setdefault((p1 if p0 in labs else p0)[0], []).append(lid)
-                continue
-            if n_in == 2:
-                l0, l1 = labs[p0], labs[p1]
-                if type(l0) is Unit or type(l1) is Unit:
-                    raise NetError(f"times {lid}: I may not appear under x")
-                out, d = Tensor(l0, l1), 1 + max(depth.get(p0, 0), depth.get(p1, 0))
-            else:
-                out = Plus(link.other, labs[p0]) if link.right else Plus(labs[p0], link.other)
-                d = 1 + depth.get(p0, 0)
-            if d > MAX_DEPTH:
-                raise NetError(f"link {lid}: label nested deeper than {MAX_DEPTH}")
-            labs[(lid, 0)], depth[(lid, 0)] = out, d
-        if waiting:
-            todo += waiting.pop(lid, ())
-
-
-def _none_waiting(waiting):
-    """Raise unless every link got its label: one still waiting lies on a cycle, or above one."""
-    if waiting:
-        raise NetError("cyclic wiring")
-
-
 def labels(slice_, cat):
-    """Formula label of every output port, built producers first in written order.
+    """Formula label of every output port of a built slice, as the checker gives them.
 
-    A link waits on the link of an input with no label yet, until that is labelled
-    (``_settle``).  Raises NetError on cyclic wiring and on the faults ``_settle`` finds.
-    Atom labels are the category's shared ones.
+    The checker is fed each link in written order, and a link waits on the link of an
+    input with no label yet until that is labelled (``_OpenSlice.settle``).  Raises
+    NetError on cyclic wiring and on the faults labelling finds.  Atom labels are the
+    category's shared ones.
     """
-    # port -> its label, and the times and plus links nested in it; link -> what waits on it
-    labs, depth, waiting = {}, {}, {}
-    pairs = {}  # arrow -> its axioms' output labels
-    links, wires = slice_.links, slice_.wires
-    for lid, link in links.items():
-        if type(link) is CutLink:
-            continue
-        if type(link) is AxLink:
-            if (pair := pairs.get(link.arrow)) is None:
-                pair = pairs[link.arrow] = _ax_labels(cat, link.arrow)
-            labs[(lid, 0)], labs[(lid, 1)] = pair
-        elif type(link) is UnitLink:
-            labs[(lid, 0)] = _UNIT
-        _settle([lid], links, wires, labs, depth, waiting)
-    _none_waiting(waiting)
-    return labs
+    return _fed(slice_, cat).all_labels()
 
 
 def cut_inputs(link, cat):
-    """The labels a cut expects on input 0 (plain side) and input 1 (starred side)."""
-    if link.arrow is not None:
-        return cat.atoms[cat.dom(link.arrow)][0], cat.atoms[cat.cod(link.arrow)][1]
-    return link.formula, star(link.formula)
+    """The labels a cut expects on input 0 (plain side) and input 1 (starred side).
+
+    Raises NetError on a cut of neither kind the parser builds: one with both or neither
+    of ``arrow`` and ``formula``, or a formula cut on an atom, which is the arrow cut ``id``.
+    """
+    arrow, f = link.arrow, link.formula
+    if (arrow is None) == (f is None):
+        raise NetError("a cut takes exactly one of an arrow and a formula")
+    if arrow is not None:
+        return cat.atoms[cat.dom(arrow)][0], cat.atoms[cat.cod(arrow)][1]
+    if isinstance(f, (Atom, DualAtom)):
+        raise NetError(f"cut id {fmt(f)}: a cut on an atom is the arrow cut id {f.name}")
+    return f, star(f)
 
 
 def id_cut(cat, formula, port_f, port_fstar):
@@ -308,42 +266,267 @@ def _check_outs(outs, labs, conclusions):
             )
 
 
-def _unit_fault(lid, consumer):
-    """The NetError of unit ``lid`` feeding ``consumer`` (None: a conclusion), if it may not."""
-    if consumer is None:
-        return NetError(f"unit {lid} feeds a conclusion; I must meet a plus or id cut")
-    if not isinstance(consumer, PlusLink) and not (
-        isinstance(consumer, CutLink) and consumer.formula == _UNIT
-    ):
-        return NetError(f"unit {lid} must feed a plus link or an id cut on I")
-    return None
+# the faults a slice holds back, by rank: of those held, the first of the lowest rank is raised
+_LABELS, _ID_CUTS, _OUTS, _UNITS, _CUTS = range(5)
 
 
-def _cut_fault(link, got):
-    """The NetError of a cut whose inputs have the labels ``got``, which it does not take."""
-    label = link.arrow if link.arrow is not None else f"id {fmt(link.formula)}"
-    return NetError(f"cut {label}: inputs {fmt(got[0])}, {fmt(got[1])} do not match")
+def _raise(fault, below=_CUTS + 1):
+    """Raise a held ``fault``, (rank, line, class, args) or None, built only now, if its rank
+    is below ``below``."""
+    if fault is not None and fault[0] < below:
+        raise fault[2](*fault[3])
 
 
-def validate_slice(slice_, cat, conclusions, labs):
-    """The typed checks of a slice that passed ``validate_uses``, with labels ``labs``.
+class _OpenSlice:
+    """The checker of one slice, fed link by link: by ``parse_net`` a line at a time, by
+    ``validate_net`` and ``labels`` each link of a built slice in written order.
 
-    Outs carry the conclusions; each unit feeds a plus or an id cut on I; each cut gets
-    what it takes.
+    ``add`` takes a producing link, ``cut`` a cut, and ``end`` checks the slice once every
+    link is in.  What cannot be finished yet waits, and is finished through the same code:
+    a link over an input with no label yet, once it has one (``settle``); a cut over an
+    unlabelled port, at ``end``; and in text, a times or plus input named before its link
+    is written, at that link's line (``miss``, ``written``), and a port the table does not
+    hold, at the end line (``read_outs``).  The table is the parser's: a built slice names
+    its ports itself, so its uses are always counted.
+
+    A fault found before its turn is held in ``fault``, the first by rank and then by line,
+    as what builds it rather than as an exception, so one raised later holds no frame that
+    holds it.
     """
-    links, wires = slice_.links, slice_.wires
-    _check_outs(slice_.outs, labs, conclusions)
-    units = [lid for lid, link in links.items() if isinstance(link, UnitLink)]
-    rev = slice_.consumers() if units else None
-    for lid in units:
-        consumer = rev.get((lid, 0))
-        if fault := _unit_fault(lid, consumer and links[consumer[0]]):
-            raise fault
-    for cid, link in links.items():
-        if isinstance(link, CutLink):
-            got = labs[wires[(cid, 0)]], labs[wires[(cid, 1)]]
-            if got != cut_inputs(link, cat):
-                raise _cut_fault(link, got)
+
+    __slots__ = ("cat", "text", "links", "cuts", "wires", "labs", "depth", "waiting",
+                 "units", "late_cuts", "fault", "table", "expect", "unread", "spelled")
+
+    def __init__(self, cat, text):
+        self.cat = cat
+        self.text = text  # read from text, where an arrow cut may be written starred side first
+        self.links, self.cuts, self.wires = {}, {}, {}  # producers; cut id -> link; input -> port
+        self.labs, self.depth, self.waiting = {}, {}, {}  # what settle keeps
+        self.units = {}  # unit id -> its line, or its place in a built slice
+        self.late_cuts = []  # each (cut id, label, line) of a cut over a port with no label yet
+        self.fault = None  # (rank, line, error class, args) of the first fault held
+        self.table = {}  # in text, `lid.slot` -> that output, until a use takes it
+        self.expect = {}  # link id -> each unresolved (input, token, line) of a times or plus
+        self.unread = []  # each (input, token, line) of a cut not in the table at its line
+        self.spelled = False  # a use took its port other than out of the table
+
+    def hold(self, rank, lineno, error, *args):
+        """Hold the fault ``error(*args)`` of ``rank`` found at ``lineno``, unless one of a lower
+        rank, or of its rank and found at an earlier line, is held."""
+        if self.fault is None or (rank, lineno) < self.fault[:2]:
+            self.fault = rank, lineno, error, args
+
+    def add(self, lid, link, p0=None, p1=None):
+        """Enter producing link ``lid``, then label it and what waits on it (``settle``).
+
+        A times or plus link has input 0 wired from ``p0`` and a times link input 1 from
+        ``p1``; an input the parser has not resolved yet is ``(link id, None)``, no port.  An
+        axiom or unit comes labelled: its outputs' labels are in ``labs`` before it is added,
+        and a unit's line in ``units``.
+        """
+        self.links[lid] = link
+        if p0 is not None:
+            wires = self.wires
+            wires[(lid, 0)] = p0
+            if p1 is not None:
+                wires[(lid, 1)] = p1
+        if self.expect:
+            self.written(lid)
+        if p0 is not None or lid in self.waiting:
+            self.settle([lid])
+
+    def settle(self, todo):
+        """Label each link of ``todo`` (taken from its end) that can be, then those waiting on it.
+
+        A times or plus link whose inputs have labels gets its output's; one with an input
+        unlabelled waits on that input's link, the first input's if both are.  A times link
+        over I, and a label built by more than ``MAX_DEPTH`` nested times and plus links, is
+        held as labelling's fault, at line 0 so that the first one found stays, and stops
+        labelling: the parser bounds the formulas it reads, and this bounds the ones a slice
+        builds, before any recursive walker meets them.
+        """
+        links, wires, labs, depth, waiting = (self.links, self.wires, self.labs, self.depth,
+                                              self.waiting)
+        while todo:
+            link = links[lid := todo.pop()]
+            if n_in := link.n_in:  # a times or plus link
+                p0 = wires[(lid, 0)]
+                p1 = wires[(lid, 1)] if n_in == 2 else p0
+                if p0 not in labs or p1 not in labs:
+                    waiting.setdefault((p1 if p0 in labs else p0)[0], []).append(lid)
+                    continue
+                if n_in == 2:
+                    l0, l1 = labs[p0], labs[p1]
+                    if type(l0) is Unit or type(l1) is Unit:
+                        return self.hold(_LABELS, 0, NetError,
+                                         f"times {lid}: I may not appear under x")
+                    out, d = Tensor(l0, l1), 1 + max(depth.get(p0, 0), depth.get(p1, 0))
+                else:
+                    out = Plus(link.other, labs[p0]) if link.right else Plus(labs[p0], link.other)
+                    d = 1 + depth.get(p0, 0)
+                if d > MAX_DEPTH:
+                    return self.hold(_LABELS, 0, NetError,
+                                     f"link {lid}: label nested deeper than {MAX_DEPTH}")
+                labs[(lid, 0)], depth[(lid, 0)] = out, d
+            if waiting:
+                todo += waiting.pop(lid, ())
+
+    def cut(self, cid, labelled, p0, p1, lineno):
+        """Enter cut ``cid`` of line ``lineno`` over ports ``p0`` and ``p1`` (None: not read
+        yet), and check it if both have labels, else at ``end``.
+
+        ``labelled`` is the cut's link and what it takes (``cut_inputs``), or None for an
+        ``id`` cut read as text, whose link its inputs' labels decide.  An arrow cut that takes
+        its inputs the other way round is turned in text; any other that does not take them
+        is held as a fault, and so is each unit it meets that it may not.
+        """
+        self.cuts[cid] = labelled and labelled[0]
+        wires, labs = self.wires, self.labs
+        wires[(cid, 0)], wires[(cid, 1)] = p0, p1
+        if p0 not in labs or p1 not in labs:
+            self.late_cuts.append((cid, labelled, lineno))
+            return
+        l0, l1 = labs[p0], labs[p1]
+        if labelled is None:
+            if star(l0) != l1:
+                self.hold(_ID_CUTS, lineno, ParseError, lineno,
+                          f"id cut inputs {fmt(l0)}, {fmt(l1)} are not dual")
+            else:
+                self.cuts[cid], wires[(cid, 0)], wires[(cid, 1)] = id_cut(self.cat, l0, p0, p1)
+            return
+        link, want = labelled
+        if (l0, l1) == want:
+            return
+        if self.text and (l1, l0) == want:  # written starred side first
+            wires[(cid, 0)], wires[(cid, 1)] = p1, p0
+            return
+        if want is not None:  # else the built cut's own fault is held: it takes nothing
+            label = link.arrow if link.arrow is not None else f"id {fmt(link.formula)}"
+            self.hold(_CUTS, lineno, NetError,
+                      f"cut {label}: inputs {fmt(l0)}, {fmt(l1)} do not match")
+        for lid, lab in ((p0[0], l0), (p1[0], l1)):
+            if type(lab) is Unit and link.formula != _UNIT:  # only a unit's output is labelled I
+                self.hold(_UNITS, self.units[lid], NetError,
+                          f"unit {lid} must feed a plus link or an id cut on I")
+
+    def all_labels(self):
+        """The labels, once every link is in; raises labelling's fault, then cyclic wiring."""
+        _raise(self.fault, _ID_CUTS)
+        if self.waiting:  # a link still waiting lies on a cycle, or above one
+            raise NetError("cyclic wiring")
+        return self.labs
+
+    def end(self, s, conclusions):
+        """Check slice ``s``, each link of which is in, and each port resolved.
+
+        Raises labelling's fault, cyclic wiring, then an id cut that is not dual.  Returns
+        the first fault of the slice's uses, outs, units and cuts, held (``_raise``), or None.
+        """
+        labs, wires = self.all_labels(), self.wires
+        for cid, labelled, lineno in self.late_cuts:
+            self.cut(cid, labelled, wires[(cid, 0)], wires[(cid, 1)], lineno)
+        _raise(self.fault, _OUTS)
+        try:
+            # a built slice, or an output no use took out of the table, or one used twice
+            if not self.text or self.table or self.spelled:
+                validate_uses(s)
+            _check_outs(s.outs, labs, conclusions)
+        except NetError as exc:
+            self.hold(_OUTS, 0, NetError, *exc.args)
+            return self.fault
+        for port in s.outs:
+            if type(labs[port]) is Unit:
+                self.hold(_UNITS, self.units[port[0]], NetError,
+                          f"unit {port[0]} feeds a conclusion; I must meet a plus or id cut")
+        return self.fault
+
+    # reading text
+
+    def miss(self, inp, tok, lineno):
+        """The port of a times or plus input ``inp``, written ``tok``, that the table does not hold.
+
+        A port of a link already read is resolved now.  Any other is ``(lid, None)``, no port,
+        until its link's line, so that its link waits on that one's label as ``settle`` has it.
+        """
+        lid = tok.rpartition(".")[0].strip()
+        if lid in self.links and (port := self.resolve(tok, lineno, True)) is not None:
+            return port
+        self.expect.setdefault(lid, []).append((inp, tok, lineno))
+        return lid, None
+
+    def written(self, lid):
+        """Resolve the ports named before link ``lid``'s line, whose outputs are in the table now.
+
+        One that names no output of it stays in ``expect``, as one whose link is never
+        written does, and raises at the end line.
+        """
+        if named := self.expect.pop(lid, None):
+            table, wires = self.table, self.wires
+            for inp, tok, lineno in named:
+                if (port := table.pop(tok, None) or self.resolve(tok, lineno, True)) is not None:
+                    wires[inp] = port
+                else:
+                    self.expect.setdefault(lid, []).append((inp, tok, lineno))
+
+    def resolve(self, tok, lineno, maybe=False):
+        """The port ``tok`` names, which the table does not hold: spelled another way than
+        ``lid.slot``, or taken before.  One that names no output raises ParseError, or
+        gives None if ``maybe``.
+        """
+        try:
+            port = _port(tok, lineno, self.links)
+        except ParseError:
+            if maybe:
+                return None
+            raise
+        self.spelled = True
+        return port
+
+    def read_outs(self, outs):
+        """The ports of the out line ``outs``, (line, tokens), at the slice's end line.
+
+        First the inputs still unresolved get their ports; of those that name no output, and
+        then of the outs, the first written raises ParseError.
+        """
+        wires, table, unread = self.wires, self.table, self.unread
+        if self.expect:  # times and plus ports that name no output
+            unread = sorted(unread + [named for waits in self.expect.values() for named in waits],
+                            key=lambda named: (named[2], named[0][1]))
+        for inp, tok, lineno in unread:
+            wires[inp] = table.pop(tok, None) or self.resolve(tok, lineno)
+        lineno, toks = outs
+        return tuple([table.pop(tok, None) or self.resolve(tok, lineno) for tok in toks])
+
+
+def _fed(slice_, cat):
+    """The checker fed each link of the built ``slice_`` in written order, its place standing
+    for its line."""
+    open_ = _OpenSlice(cat, False)
+    wires, labs, units = slice_.wires, open_.labs, open_.units
+    pairs = {}  # arrow -> its axioms' output labels
+    for k, (lid, link) in enumerate(slice_.links.items()):
+        if type(link) is AxLink:
+            try:
+                if (pair := pairs.get(link.arrow)) is None:
+                    pair = pairs[link.arrow] = _ax_labels(cat, link.arrow)
+            except CategoryError as exc:  # labelling's fault: only the first found is raised
+                open_.hold(_LABELS, 0, CategoryError, *exc.args)
+            else:
+                labs[(lid, 0)], labs[(lid, 1)] = pair
+                open_.add(lid, link)
+        elif type(link) is UnitLink:
+            labs[(lid, 0)], units[lid] = _UNIT, k
+            open_.add(lid, link)
+        elif type(link) is CutLink:
+            try:
+                want = cut_inputs(link, cat)
+            except (NetError, CategoryError) as exc:  # raised in the cuts' turn: it takes nothing
+                want = None
+                open_.hold(_CUTS, k, type(exc), *exc.args)
+            open_.cut(lid, (link, want), wires[(lid, 0)], wires[(lid, 1)], k)
+        else:
+            open_.add(lid, link, wires[(lid, 0)], wires.get((lid, 1)))  # a plus link has no 1
+    return open_
 
 
 def _no_slice_under_zero(net):
@@ -352,15 +535,14 @@ def _no_slice_under_zero(net):
 
 
 def validate_net(net):
-    """Well-formedness of a net built in code: every check ``parse_net`` makes, and the wiring."""
+    """Well-formedness of a net built in code: its wiring, then every check ``parse_net``
+    makes, by the same checker.  Changes nothing it checks."""
     for f in net.conclusions:
         validate(f, net.cat)
     _no_slice_under_zero(net)
     for s in net.slices:
         validate_wiring(s)
-        labs = labels(s, net.cat)
-        validate_uses(s)
-        validate_slice(s, net.cat, net.conclusions, labs)
+        _raise(_fed(s, net.cat).end(s, net.conclusions))
 
 
 # ---------------------------------------------------------------------------
@@ -451,151 +633,15 @@ def _port(tok, lineno, links):
     return lid, slot
 
 
-class _OpenSlice:
-    """The slice ``parse_net`` is reading, between its ``slice`` and ``end`` lines.
-
-    What a line cannot finish waits, and is finished through the same code: a times or
-    plus input named before its link is written, at that link's line (``miss``,
-    ``written``); a link over an input with no label yet, once it has one (``_settle``);
-    a cut's port that the table does not hold, and a cut over an unlabelled port, at
-    ``end``.
-    """
-
-    __slots__ = ("cat", "links", "cuts", "wires", "table", "labs", "depth", "waiting",
-                 "expect", "unread", "late_cuts", "spelled", "bad_cut", "unmatched", "unit_faults")
-
-    def __init__(self, cat):
-        self.cat = cat
-        self.links, self.cuts, self.wires = {}, {}, {}  # producers; cut id -> link; input -> port
-        self.table = {}  # `lid.slot` -> that output, until a use takes it
-        self.labs, self.depth, self.waiting = {}, {}, {}  # what _settle keeps
-        self.expect = {}  # link id -> each unresolved (input, token, line) of a times or plus
-        self.unread = []  # each (input, token, line) of a cut not in the table at its line
-        self.late_cuts = []  # each (cut id, label, line) not oriented at its line
-        self.spelled = False  # a use took its port other than out of the table
-        self.bad_cut = None  # the ParseError of the first id cut, by line, that is not dual
-        self.unmatched = None  # (line, cut id) of the first arrow cut matching in neither order
-        self.unit_faults = {}  # unit id -> the NetError of where its output goes
-
-    def miss(self, inp, tok, lineno):
-        """The port of a times or plus input ``inp``, written ``tok``, that the table does not hold.
-
-        A port of a link already read is resolved now.  Any other is ``(lid, None)``, no port,
-        until its link's line, so that its link waits on that one's label as ``_settle`` has it.
-        """
-        lid = tok.rpartition(".")[0].strip()
-        if lid in self.links and (port := self.resolve(tok, lineno, True)) is not None:
-            return port
-        self.expect.setdefault(lid, []).append((inp, tok, lineno))
-        return lid, None
-
-    def written(self, lid):
-        """Resolve the ports named before link ``lid``'s line, whose outputs are in the table now.
-
-        One that names no output of it stays in ``expect``, as one whose link is never
-        written does, and raises at end.
-        """
-        if named := self.expect.pop(lid, None):
-            table, wires = self.table, self.wires
-            for inp, tok, lineno in named:
-                if (port := table.pop(tok, None) or self.resolve(tok, lineno, True)) is not None:
-                    wires[inp] = port
-                else:
-                    self.expect.setdefault(lid, []).append((inp, tok, lineno))
-
-    def resolve(self, tok, lineno, maybe=False):
-        """The port ``tok`` names, which the table does not hold: spelled another way than
-        ``lid.slot``, or taken before.  One that names no output raises ParseError, or
-        gives None if ``maybe``.
-        """
-        try:
-            port = _port(tok, lineno, self.links)
-        except ParseError:
-            if maybe:
-                return None
-            raise
-        self.spelled = True
-        return port
-
-    def orient(self, cid, arrow_cut, lineno):
-        """Check and orient a cut whose inputs have labels, unless it is an arrow cut that
-        takes them as written: plain side on input 0.
-
-        ``arrow_cut`` is an arrow cut's link and ``cut_inputs``, None for a labelled id.
-        """
-        wires, labs = self.wires, self.labs
-        p0, p1 = wires[(cid, 0)], wires[(cid, 1)]
-        l0, l1 = labs[p0], labs[p1]
-        if arrow_cut is None:
-            if star(l0) != l1:
-                if self.bad_cut is None or lineno < self.bad_cut.lineno:
-                    self.bad_cut = ParseError(
-                        lineno, f"id cut inputs {fmt(l0)}, {fmt(l1)} are not dual"
-                    )
-            else:
-                self.cuts[cid], wires[(cid, 0)], wires[(cid, 1)] = id_cut(self.cat, l0, p0, p1)
-            return
-        link, want = arrow_cut
-        if (l1, l0) == want:  # written starred side first
-            wires[(cid, 0)], wires[(cid, 1)] = p1, p0
-            return
-        if self.unmatched is None or lineno < self.unmatched[0]:
-            self.unmatched = lineno, cid
-        for port, lab in ((p0, l0), (p1, l1)):
-            if type(lab) is Unit:  # only a unit's output is labelled I
-                self.unit_faults[port[0]] = _unit_fault(port[0], link)
-
-    def end(self, outs, fault, conclusions):
-        """The slice and the first fault of its uses, outs, units and arrow cuts, or None.
-
-        Raises what the slice's lines found: a port that names no output, ``fault``
-        (labelling's), cyclic wiring, and an id cut that is not dual.
-        """
-        links, wires, labs = self.links, self.wires, self.labs
-        unread, table = self.unread, self.table
-        if self.expect:  # times and plus ports that name no output: the first one written raises
-            unread = sorted(unread + [named for waits in self.expect.values() for named in waits],
-                            key=lambda named: (named[2], named[0][1]))
-        for inp, tok, lineno in unread:
-            wires[inp] = table.pop(tok, None) or self.resolve(tok, lineno)
-        lineno, toks = outs
-        outs = tuple([table.pop(tok, None) or self.resolve(tok, lineno) for tok in toks])
-        if fault is not None:
-            raise fault
-        _none_waiting(self.waiting)
-        for cid, arrow_cut, lineno in self.late_cuts:
-            if arrow_cut is None or (labs[wires[(cid, 0)]], labs[wires[(cid, 1)]]) != arrow_cut[1]:
-                self.orient(cid, arrow_cut, lineno)
-        if self.bad_cut is not None:
-            raise self.bad_cut
-        links.update(self.cuts)
-        s = Slice(links, wires, outs)
-        try:
-            if table or self.spelled:  # an output no use took out of the table, or one used twice
-                validate_uses(s)
-            _check_outs(outs, labs, conclusions)
-            for port in outs:
-                if type(labs[port]) is Unit:
-                    self.unit_faults[port[0]] = _unit_fault(port[0], None)
-            if self.unit_faults:
-                raise next(self.unit_faults[lid] for lid in links if lid in self.unit_faults)
-            if self.unmatched:
-                cid = self.unmatched[1]
-                raise _cut_fault(links[cid], (labs[wires[(cid, 0)]], labs[wires[(cid, 1)]]))
-        except NetError as exc:
-            return s, exc
-        return s, None
-
-
 def parse_net(text, cat):
     """Parse and check a net file against a category.
 
-    Each slice is read in one pass (``_OpenSlice``).  Formulas are read through the
-    category's formula table, so equal subformulas are one node and no formula text is
-    parsed twice, in this call or any other over ``cat``.  Links are values, so one is
-    made per call for all axioms of one arrow, all plus links of one kind over one formula
-    text, all times links and all unit links.  A label meets its conclusion by identity
-    below the nodes ``_settle`` builds.
+    Each slice is read in one pass: each line is read and fed to the slice's checker
+    (``_OpenSlice``).  Formulas are read through the category's formula table, so equal
+    subformulas are one node and no formula text is parsed twice, in this call or any other
+    over ``cat``.  Links are values, so one is made per call for all axioms of one arrow,
+    all plus links of one kind over one formula text, all times links and all unit links.
+    A label meets its conclusion by identity below the nodes ``_OpenSlice.settle`` builds.
     """
     name = conclusions = None
     read = cat.formula_table()  # formula text -> its checked node, and the shared nodes
@@ -604,7 +650,7 @@ def parse_net(text, cat):
     times_link, unit_link = TimesLink(), UnitLink()
     # cut label, as written and normalized -> its CutLink and what that takes; None for id
     arrow_cuts = {"id": None}
-    slices = []  # each slice, with the fault its checks found
+    slices, faults = [], []  # each slice, and the first fault of its uses, outs, units and cuts
     links = None  # the open slice's producing links, else None
     cut_count = 0
     for lineno, head, rest in directives(text):
@@ -623,10 +669,10 @@ def parse_net(text, cat):
                     ax = axioms[arrow] = axioms.setdefault(norm, ax)
                 if not (lid := lid.strip()).isidentifier() or lid in links:
                     _link_id(lid, lineno, links)
-                links[lid] = link = ax[0]
                 table[f"{lid}.0"] = p0 = (lid, 0)
                 table[f"{lid}.1"] = p1 = (lid, 1)
                 labs[p0], labs[p1] = ax[1]
+                add(lid, ax[0])
             elif head == "cut":
                 body, colon, label = rest.rpartition(":")
                 if not colon:
@@ -634,6 +680,7 @@ def parse_net(text, cat):
                 ports = split_top(body, ",", lineno)
                 if len(ports) != 2:
                     raise ParseError(lineno, "cut takes exactly two ports")
+                tok0, tok1 = ports
                 if label not in arrow_cuts:
                     if (norm := " ".join(label.split())) not in arrow_cuts:
                         if norm not in cat.arrows:
@@ -642,20 +689,11 @@ def parse_net(text, cat):
                     arrow_cuts[label] = arrow_cuts[norm]
                 cid = f"#c{cut_count}"
                 cut_count += 1
-                arrow_cut = arrow_cuts[label]
-                cuts[cid] = arrow_cut and arrow_cut[0]
-                i0, i1 = (cid, 0), (cid, 1)
-                if (p0 := table.pop(ports[0], None)) is None:
-                    unread.append((i0, ports[0], lineno))
-                if (p1 := table.pop(ports[1], None)) is None:
-                    unread.append((i1, ports[1], lineno))
-                wires[i0], wires[i1] = p0, p1
-                if p0 in labs and p1 in labs and fault is None:
-                    if arrow_cut is None or (labs[p0], labs[p1]) != arrow_cut[1]:
-                        open_.orient(cid, arrow_cut, lineno)
-                else:
-                    late_cuts.append((cid, arrow_cut, lineno))
-                continue
+                if (p0 := table.pop(tok0, None)) is None:
+                    unread.append(((cid, 0), tok0, lineno))
+                if (p1 := table.pop(tok1, None)) is None:
+                    unread.append(((cid, 1), tok1, lineno))
+                cut(cid, arrow_cuts[label], p0, p1, lineno)
             elif head == "times":
                 lid, eq, ports = rest.partition("=")
                 if not eq:
@@ -667,13 +705,10 @@ def parse_net(text, cat):
                     raise ParseError(lineno, "times takes exactly two ports")
                 if not (lid := lid.strip()).isidentifier() or lid in links:
                     _link_id(lid, lineno, links)
-                links[lid] = link = times_link
+                p0 = table.pop(toks[0], None) or miss((lid, 0), toks[0], lineno)
+                p1 = table.pop(toks[1], None) or miss((lid, 1), toks[1], lineno)
                 table[f"{lid}.0"] = (lid, 0)
-                if (p0 := table.pop(toks[0], None)) is None:
-                    p0 = open_.miss((lid, 0), toks[0], lineno)
-                if (p1 := table.pop(toks[1], None)) is None:
-                    p1 = open_.miss((lid, 1), toks[1], lineno)
-                wires[(lid, 0)], wires[(lid, 1)] = p0, p1
+                add(lid, times_link, p0, p1)
             elif head in ("plus1", "plus2"):
                 lid, eq, body = rest.partition("=")
                 if not eq or "|" not in body:
@@ -686,46 +721,39 @@ def parse_net(text, cat):
                     kind = Plus2Link if head == "plus2" else Plus1Link
                     link = kind(_text_node(other.strip(), cat, lineno, read))
                     plus_links[(head, other)] = link
-                links[lid] = link
+                tok = tok.strip()
+                p0 = table.pop(tok, None) or miss((lid, 0), tok, lineno)
                 table[f"{lid}.0"] = (lid, 0)
-                if (p0 := table.pop(tok := tok.strip(), None)) is None:
-                    p0 = open_.miss((lid, 0), tok, lineno)
-                wires[(lid, 0)] = p0
+                add(lid, link, p0)
             elif head == "unit":
                 if not rest.isidentifier() or rest in links:
                     _link_id(rest, lineno, links)
-                links[lid := rest] = link = unit_link
-                table[f"{lid}.0"] = p0 = (lid, 0)
-                labs[p0] = _UNIT
+                table[f"{rest}.0"] = p0 = (rest, 0)
+                labs[p0], units[rest] = _UNIT, lineno
+                add(rest, unit_link)
             else:  # out
                 if outs is not None:
                     raise ParseError(lineno, "duplicate out line")
                 outs = (lineno, split_top(rest, ",", lineno) if rest else ())
-                continue
-            # a link with id lid is read: resolve what named it before, then label it
-            if expect:
-                open_.written(lid)
-            if fault is None and (waiting or link.n_in):
-                try:
-                    _settle([lid], links, wires, labs, depth, waiting)
-                except NetError as exc:
-                    fault = exc  # raised at end, after the slice's ports
         elif head == "end" and not rest:
             if links is None:
                 raise ParseError(lineno, "end outside slice")
             if outs is None:
                 raise ParseError(lineno, "slice has no out line")
-            slices.append(open_.end(outs, fault, conclusions))
+            s = Slice(links, open_.wires, open_.read_outs(outs))
+            slices.append(s)
+            faults.append(open_.end(s, conclusions))
+            links.update(open_.cuts)  # a slice lists its cuts after its producers
             links = None
         elif head == "slice" and not rest:
             if conclusions is None:
                 raise ParseError(lineno, "slice before conclusions")
             if links is not None:
                 raise ParseError(lineno, "nested slice")
-            open_ = _OpenSlice(cat)
-            links, cuts, wires, table = open_.links, open_.cuts, open_.wires, open_.table
-            labs, depth, waiting, expect = open_.labs, open_.depth, open_.waiting, open_.expect
-            unread, late_cuts, outs, fault = open_.unread, open_.late_cuts, None, None
+            open_ = _OpenSlice(cat, True)
+            links, table, labs, unread = open_.links, open_.table, open_.labs, open_.unread
+            units, outs = open_.units, None
+            add, cut, miss = open_.add, open_.cut, open_.miss
         elif head == "net":
             if name is not None:
                 raise ParseError(lineno, "duplicate net line")
@@ -744,11 +772,10 @@ def parse_net(text, cat):
     if conclusions is None:
         raise ParseError(1, "missing conclusions line")
 
-    net = Net(name, conclusions, tuple(s for s, _ in slices), cat)
+    net = Net(name, conclusions, tuple(slices), cat)
     _no_slice_under_zero(net)
-    for _, fault in slices:
-        if fault is not None:
-            raise fault
+    for fault in faults:
+        _raise(fault)
     return net
 
 

@@ -1073,6 +1073,32 @@ def test_validate_net_errors_pinned(pauli8):
         with pytest.raises(NetError) as exc:
             validate_net(_built(links, wires, outs, conclusions, pauli8))
         assert str(exc.value) == message
+    # the faults print_net can write: parsing the text gives the same verdict.  The
+    # others differ by design: u0.1 is a ParseError in text, print_net writes a
+    # formula cut as id, and it raises on cyclic wiring
+    for (links, wires, outs, conclusions), message in cases[:2] + cases[3:8]:
+        text = print_net(_built(links, wires, outs, conclusions, pauli8))
+        with pytest.raises(NetError) as exc:
+            parse_net(text, pauli8)
+        assert str(exc.value) == message, text
+    # cuts the parser never builds, which would crash normalize: rejected, so a
+    # caller that checks first never gets that far
+    ends = {("#c0", 0): ("a", 1), ("#c0", 1): ("b", 0)}
+    for cut, message in [
+        (CutLink(formula=Atom("Q")), "cut id Q: a cut on an atom is the arrow cut id Q"),
+        (CutLink(formula=DualAtom("Q")), "cut id Q*: a cut on an atom is the arrow cut id Q"),
+        (CutLink(), "a cut takes exactly one of an arrow and a formula"),
+        (CutLink(arrow="id Q", formula=Atom("Q")),
+         "a cut takes exactly one of an arrow and a formula"),
+        (CutLink(arrow="X", formula=parse_formula("(Q x Q*)")),
+         "a cut takes exactly one of an arrow and a formula"),
+    ]:
+        net = _built({"a": AxLink("id Q"), "b": AxLink("id Q"), "#c0": cut}, ends,
+                     (("a", 0), ("b", 1)), ["Q*", "Q"], pauli8)
+        with pytest.raises(NetError) as exc:
+            validate_net(net)
+            normalize(net)
+        assert str(exc.value) == message
     zero = Net("built", (parse_formula("0"),), (Slice(b.links, b.wires, ((t, 0), (u, 0))),), pauli8)
     with pytest.raises(NetError) as exc:
         validate_net(zero)
@@ -1087,6 +1113,37 @@ def test_validate_net_errors_pinned(pauli8):
     with pytest.raises(NetError) as exc:
         validate_net(net)
     assert str(exc.value) == f"link p{MAX_DEPTH}: label nested deeper than {MAX_DEPTH}"
+
+
+def _snapshot(net):
+    return [(list(s.links.items()), list(s.wires.items()), s.outs) for s in net.slices]
+
+
+def test_validate_net_changes_nothing_it_checks(pauli8, c2, corpus):
+    # a built cut is checked as written, never turned: no slice's links, wires or
+    # outs change, nor their order, whether the net passes or not
+    rng = random.Random(41)
+    nets = [parse_net(t, pauli8) for name, t in fixtures.EXAMPLES.items() if name.endswith(".net")]
+    nets += corpus + [random_net(c2 if i % 2 else pauli8, rng, max_links=24) for i in range(100)]
+    rejected = 0
+    for net in nets:
+        before = _snapshot(net)
+        validate_net(net)
+        assert _snapshot(net) == before
+        # the first cut of each slice with its inputs swapped
+        slices = tuple(Slice(dict(s.links), dict(s.wires), s.outs) for s in net.slices)
+        for s in slices:
+            if cuts := [cid for cid, link in s.links.items() if isinstance(link, CutLink)]:
+                w = s.wires
+                w[(cuts[0], 0)], w[(cuts[0], 1)] = w[(cuts[0], 1)], w[(cuts[0], 0)]
+        swapped = Net(net.name, net.conclusions, slices, net.cat)
+        before = _snapshot(swapped)
+        try:
+            validate_net(swapped)
+        except NetError as exc:
+            rejected += "do not match" in str(exc)
+        assert _snapshot(swapped) == before
+    assert rejected > 50
 
 
 def test_unusual_port_spellings(pauli8):
