@@ -25,13 +25,14 @@ checks what only the whole slice shows; an axiom or unit is handed to ``add``
 with its labels.  ``parse_net`` feeds it each line as it reads it, in one pass,
 as ``print_net`` writes it: each producing line puts its outputs in the slice's
 table of unused outputs, and each port is taken out of that table at the line
-that names it.  A port named before its link is written, or spelled another
-way, and whatever waits on it, is finished through the same code once that is
-read, or at the end line.  ``validate_net`` checks the wiring of a built slice,
-the one check text needs no part of, then feeds the checker each link in
-written order over the ports it is wired from, with no table; it changes
-nothing it checks, and a built cut is checked as it is written.  ``labels``
-feeds it the same way and returns the labels it gave.
+that names it, or resolved there if it is spelled another way.  Any port named
+before its link is written waits for that link's line, and one that names no
+output raises at the end line.  ``validate_net`` checks the wiring of a built
+slice, the one check text needs no part of, then feeds the checker each link
+in written order over the ports it is wired from, with no table, and changes
+nothing it checks: a built cut is checked as written, and an unknown arrow or
+a bad plus side is a NetError in the parser's words.  ``labels`` feeds it the
+same way and returns the labels it gave.
 
 Arrow cuts compare by identity: axiom labels and arrow cuts share the
 category's atoms.  Formulas are read through the category's formula table, so
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import CategoryError, NetError, ParseError
+from .errors import FormulaError, NetError, ParseError
 from .formula import (
     MAX_DEPTH,
     Atom,
@@ -57,6 +58,7 @@ from .formula import (
     _Empty,
     _Record,
     _text_node,
+    _validate,
     _Value,
     directives,
     fmt,
@@ -202,13 +204,15 @@ def labels(slice_, cat):
 def cut_inputs(link, cat):
     """The labels a cut expects on input 0 (plain side) and input 1 (starred side).
 
-    Raises NetError on a cut of neither kind the parser builds: one with both or neither
-    of ``arrow`` and ``formula``, or a formula cut on an atom, which is the arrow cut ``id``.
+    Raises NetError on a cut the parser never builds: with both or neither of ``arrow`` and
+    ``formula``, on an arrow the category lacks, or on an atom (that is the arrow cut id).
     """
     arrow, f = link.arrow, link.formula
     if (arrow is None) == (f is None):
         raise NetError("a cut takes exactly one of an arrow and a formula")
     if arrow is not None:
+        if arrow not in cat.arrows:
+            raise NetError(f"unknown cut label {arrow!r}")
         return cat.atoms[cat.dom(arrow)][0], cat.atoms[cat.cod(arrow)][1]
     if isinstance(f, (Atom, DualAtom)):
         raise NetError(f"cut id {fmt(f)}: a cut on an atom is the arrow cut id {f.name}")
@@ -243,27 +247,24 @@ def validate_wiring(slice_):
 
 
 def validate_uses(slice_):
-    """Outs name outputs of a slice with sound wiring, and each output is used once."""
+    """The text of a soundly wired slice's fault: an out naming no output, or a use count not 1."""
     seen_out = {(lid, slot): 0 for lid, link in slice_.links.items() for slot in range(link.n_out)}
     for port in (*slice_.wires.values(), *slice_.outs):
         if port not in seen_out:  # only an out can name no output: the wiring is sound
-            raise NetError(f"out lists unknown port {_fmt_port(port)}")
+            return f"out lists unknown port {_fmt_port(port)}"
         seen_out[port] += 1
     for port, n in seen_out.items():
         if n != 1:
-            raise NetError(f"port {_fmt_port(port)} used {n} times, want exactly 1")
+            return f"port {_fmt_port(port)} used {n} times, want exactly 1"
 
 
 def _check_outs(outs, labs, conclusions):
-    """The outs, with labels ``labs``, carry the conclusions."""
+    """The text of the fault of outs, with labels ``labs``, that do not carry the conclusions."""
     if len(outs) != len(conclusions):
-        raise NetError(f"slice has {len(outs)} conclusions, net declares {len(conclusions)}")
+        return f"slice has {len(outs)} conclusions, net declares {len(conclusions)}"
     for port, want in zip(outs, conclusions):
-        got = labs[port]
-        if got != want:
-            raise NetError(
-                f"conclusion mismatch: {fmt(got)} at {_fmt_port(port)}, want {fmt(want)}"
-            )
+        if (got := labs[port]) != want:
+            return f"conclusion mismatch: {fmt(got)} at {_fmt_port(port)}, want {fmt(want)}"
 
 
 # the faults a slice holds back, by rank: of those held, the first of the lowest rank is raised
@@ -284,10 +285,10 @@ class _OpenSlice:
     ``add`` takes a producing link, ``cut`` a cut, and ``end`` checks the slice once every
     link is in.  What cannot be finished yet waits, and is finished through the same code:
     a link over an input with no label yet, once it has one (``settle``); a cut over an
-    unlabelled port, at ``end``; and in text, a times or plus input named before its link
-    is written, at that link's line (``miss``, ``written``), and a port the table does not
-    hold, at the end line (``read_outs``).  The table is the parser's: a built slice names
-    its ports itself, so its uses are always counted.
+    unlabelled port, at ``end``; and in text, an input named before its link is written,
+    at that link's line (``miss``, ``written``).  One whose link is never written, or that
+    names no output of it, raises at the end line (``read_outs``).  The table is the
+    parser's: a built slice names its ports itself, so its uses are always counted.
 
     A fault found before its turn is held in ``fault``, the first by rank and then by line,
     as what builds it rather than as an exception, so one raised later holds no frame that
@@ -295,7 +296,7 @@ class _OpenSlice:
     """
 
     __slots__ = ("cat", "text", "links", "cuts", "wires", "labs", "depth", "waiting",
-                 "units", "late_cuts", "fault", "table", "expect", "unread", "spelled")
+                 "units", "late_cuts", "fault", "table", "expect", "spelled")
 
     def __init__(self, cat, text):
         self.cat = cat
@@ -306,8 +307,7 @@ class _OpenSlice:
         self.late_cuts = []  # each (cut id, label, line) of a cut over a port with no label yet
         self.fault = None  # (rank, line, error class, args) of the first fault held
         self.table = {}  # in text, `lid.slot` -> that output, until a use takes it
-        self.expect = {}  # link id -> each unresolved (input, token, line) of a times or plus
-        self.unread = []  # each (input, token, line) of a cut not in the table at its line
+        self.expect = {}  # link id -> each unresolved (input, token, line) naming it
         self.spelled = False  # a use took its port other than out of the table
 
     def hold(self, rank, lineno, error, *args):
@@ -426,13 +426,9 @@ class _OpenSlice:
         for cid, labelled, lineno in self.late_cuts:
             self.cut(cid, labelled, wires[(cid, 0)], wires[(cid, 1)], lineno)
         _raise(self.fault, _OUTS)
-        try:
-            # a built slice, or an output no use took out of the table, or one used twice
-            if not self.text or self.table or self.spelled:
-                validate_uses(s)
-            _check_outs(s.outs, labs, conclusions)
-        except NetError as exc:
-            self.hold(_OUTS, 0, NetError, *exc.args)
+        recount = not self.text or self.table or self.spelled  # built, or a port left or spelled
+        if fault := recount and validate_uses(s) or _check_outs(s.outs, labs, conclusions):
+            self.hold(_OUTS, 0, NetError, fault)
             return self.fault
         for port in s.outs:
             if type(labs[port]) is Unit:
@@ -443,10 +439,10 @@ class _OpenSlice:
     # reading text
 
     def miss(self, inp, tok, lineno):
-        """The port of a times or plus input ``inp``, written ``tok``, that the table does not hold.
+        """The port of input ``inp``, written ``tok``, that the table does not hold.
 
         A port of a link already read is resolved now.  Any other is ``(lid, None)``, no port,
-        until its link's line, so that its link waits on that one's label as ``settle`` has it.
+        until its link's line (``written``): a link waits on its label, a cut is checked at end.
         """
         lid = tok.rpartition(".")[0].strip()
         if lid in self.links and (port := self.resolve(tok, lineno, True)) is not None:
@@ -485,32 +481,30 @@ class _OpenSlice:
     def read_outs(self, outs):
         """The ports of the out line ``outs``, (line, tokens), at the slice's end line.
 
-        First the inputs still unresolved get their ports; of those that name no output, and
-        then of the outs, the first written raises ParseError.
+        An input still unresolved names no output: the first, by line and then slot, raises
+        ParseError; else the first out that names none does.
         """
-        wires, table, unread = self.wires, self.table, self.unread
-        if self.expect:  # times and plus ports that name no output
-            unread = sorted(unread + [named for waits in self.expect.values() for named in waits],
-                            key=lambda named: (named[2], named[0][1]))
-        for inp, tok, lineno in unread:
-            wires[inp] = table.pop(tok, None) or self.resolve(tok, lineno)
-        lineno, toks = outs
+        if self.expect:
+            _, tok, lineno = min((named for waits in self.expect.values() for named in waits),
+                                 key=lambda named: (named[2], named[0][1]))
+            _port(tok, lineno, self.links)  # raises
+        table, (lineno, toks) = self.table, outs
         return tuple([table.pop(tok, None) or self.resolve(tok, lineno) for tok in toks])
 
 
 def _fed(slice_, cat):
     """The checker fed each link of the built ``slice_`` in written order, its place standing
-    for its line."""
+    for its line.  An axiom on an arrow the category lacks, and a plus link whose other side
+    may not stand under +, are labelling's faults, in the parser's words."""
     open_ = _OpenSlice(cat, False)
     wires, labs, units = slice_.wires, open_.labs, open_.units
-    pairs = {}  # arrow -> its axioms' output labels
+    pairs, sides = {}, set()  # arrow -> its axioms' output labels; each plus side checked
     for k, (lid, link) in enumerate(slice_.links.items()):
         if type(link) is AxLink:
-            try:
-                if (pair := pairs.get(link.arrow)) is None:
-                    pair = pairs[link.arrow] = _ax_labels(cat, link.arrow)
-            except CategoryError as exc:  # labelling's fault: only the first found is raised
-                open_.hold(_LABELS, 0, CategoryError, *exc.args)
+            if (pair := pairs.get(arrow := link.arrow)) is None and arrow in cat.arrows:
+                pair = pairs[arrow] = _ax_labels(cat, arrow)
+            if pair is None:
+                open_.hold(_LABELS, 0, NetError, f"unknown arrow {arrow!r}")
             else:
                 labs[(lid, 0)], labs[(lid, 1)] = pair
                 open_.add(lid, link)
@@ -520,11 +514,17 @@ def _fed(slice_, cat):
         elif type(link) is CutLink:
             try:
                 want = cut_inputs(link, cat)
-            except (NetError, CategoryError) as exc:  # raised in the cuts' turn: it takes nothing
+            except NetError as exc:  # raised in the cuts' turn: it takes nothing
                 want = None
-                open_.hold(_CUTS, k, type(exc), *exc.args)
+                open_.hold(_CUTS, k, NetError, *exc.args)
             open_.cut(lid, (link, want), wires[(lid, 0)], wires[(lid, 1)], k)
         else:
+            if link.n_in == 1 and link.other not in sides:  # a plus link's other side, once
+                sides.add(link.other)
+                try:
+                    _validate(link.other, "+", cat)
+                except FormulaError as exc:
+                    open_.hold(_LABELS, 0, NetError, *exc.args)
             open_.add(lid, link, wires[(lid, 0)], wires.get((lid, 1)))  # a plus link has no 1
     return open_
 
@@ -689,10 +689,8 @@ def parse_net(text, cat):
                     arrow_cuts[label] = arrow_cuts[norm]
                 cid = f"#c{cut_count}"
                 cut_count += 1
-                if (p0 := table.pop(tok0, None)) is None:
-                    unread.append(((cid, 0), tok0, lineno))
-                if (p1 := table.pop(tok1, None)) is None:
-                    unread.append(((cid, 1), tok1, lineno))
+                p0 = table.pop(tok0, None) or miss((cid, 0), tok0, lineno)
+                p1 = table.pop(tok1, None) or miss((cid, 1), tok1, lineno)
                 cut(cid, arrow_cuts[label], p0, p1, lineno)
             elif head == "times":
                 lid, eq, ports = rest.partition("=")
@@ -718,9 +716,10 @@ def parse_net(text, cat):
                     _link_id(lid, lineno, links)
                 other, tok = (lhs, rhs) if head == "plus2" else (rhs, lhs)
                 if (link := plus_links.get((head, other))) is None:
+                    if type(side := _text_node(other.strip(), cat, lineno, read)) is Zero:
+                        raise ParseError(lineno, "0 may only appear as a whole formula")
                     kind = Plus2Link if head == "plus2" else Plus1Link
-                    link = kind(_text_node(other.strip(), cat, lineno, read))
-                    plus_links[(head, other)] = link
+                    link = plus_links[(head, other)] = kind(side)
                 tok = tok.strip()
                 p0 = table.pop(tok, None) or miss((lid, 0), tok, lineno)
                 table[f"{lid}.0"] = (lid, 0)
@@ -751,7 +750,7 @@ def parse_net(text, cat):
             if links is not None:
                 raise ParseError(lineno, "nested slice")
             open_ = _OpenSlice(cat, True)
-            links, table, labs, unread = open_.links, open_.table, open_.labs, open_.unread
+            links, table, labs = open_.links, open_.table, open_.labs
             units, outs = open_.units, None
             add, cut, miss = open_.add, open_.cut, open_.miss
         elif head == "net":

@@ -364,6 +364,7 @@ def test_fmt_parse_round_trip(pauli8):
         f = random_free_arrow(pauli8, rng)
         back = parse_arrow(fmt_arrow(f), pauli8)
         assert fa_equal(back, f)
+        assert str(f) == fmt_arrow(f) and f != str(f)
         assert back.dom == f.dom and back.cod == f.cod
     for fa in [eta(pauli8, _anf("((Q x Q) + I)", pauli8)), scalar(pauli8, [Loop("Q", "X")])]:
         assert fa_equal(parse_arrow(fmt_arrow(fa), pauli8), fa)

@@ -97,6 +97,7 @@ def test_qi2_arithmetic():
     assert (y + z).a.denominator == 3
     assert all(type(f) is Fraction for f in (y.a, y.b, y.c, y.d))
     assert (y.a, y.b, y.c, y.d) == (Fraction(1, 2), Fraction(1, 3), 0, -2)
+    assert repr(y) == "Qi2(Fraction(1, 2), Fraction(1, 3), Fraction(0, 1), Fraction(-2, 1))"
     # comparisons with other types answer instead of raising
     assert Qi2() != 0
     assert not (ExactRing.one == 1)
@@ -208,6 +209,7 @@ def test_matrix_trace_column_str():
     assert m.trace() == _q(5)
     assert m.column() == _qcol([1, 2, 3, 4])
     assert str(m) == "[ [1, 2] ; [3, 4] ]"
+    assert m != m.rows  # a Matrix equals only a Matrix
     with pytest.raises(ValueError, match="non-square"):
         _qm([[1, 2]]).trace()
 

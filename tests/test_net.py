@@ -8,11 +8,13 @@ from collections import Counter
 import pytest
 
 from cqlnet import fixtures, load_category
-from cqlnet.errors import NetError, ParseError
+from cqlnet.errors import FormulaError, NetError, ParseError
 from cqlnet import category as category_module
 from cqlnet import formula as formula_module
 from cqlnet import net as net_module
-from cqlnet.formula import MAX_DEPTH, Atom, DualAtom, Plus, Tensor, Unit, fmt, parse_formula
+from cqlnet.formula import (
+    MAX_DEPTH, Atom, DualAtom, Plus, Tensor, Unit, Zero, fmt, parse_formula, star,
+)
 from cqlnet.freecat import complete, denote, fa_equal, fmt_arrow
 from cqlnet.randgen import random_free_arrow, random_net
 from cqlnet.model import eval_net
@@ -1092,6 +1094,7 @@ def test_validate_net_errors_pinned(pauli8):
          "a cut takes exactly one of an arrow and a formula"),
         (CutLink(arrow="X", formula=parse_formula("(Q x Q*)")),
          "a cut takes exactly one of an arrow and a formula"),
+        (CutLink(arrow="nope"), "unknown cut label 'nope'"),
     ]:
         net = _built({"a": AxLink("id Q"), "b": AxLink("id Q"), "#c0": cut}, ends,
                      (("a", 0), ("b", 1)), ["Q*", "Q"], pauli8)
@@ -1099,6 +1102,29 @@ def test_validate_net_errors_pinned(pauli8):
             validate_net(net)
             normalize(net)
         assert str(exc.value) == message
+    # an arrow or a plus side the text could not name: the parser's words, and the
+    # printed text fails at the link's line
+    ax = _built({"a": AxLink("nope")}, {}, (("a", 0), ("a", 1)), ["Q*", "Q"], pauli8)
+    with pytest.raises(NetError) as exc:
+        validate_net(ax)
+    assert str(exc.value) == "unknown arrow 'nope'"
+    q = Atom("Q")
+    for side, message in [
+        (Atom("Nope"), "unknown atom 'Nope'"),
+        (Tensor(Unit(), q), "I may not appear under x"),
+        (Zero(), "0 may only appear as a whole formula"),
+    ]:
+        # both sides of an id cut on (Q + side), as validate_net took them before
+        net = _built({"a": AxLink("id Q"), "b": AxLink("id Q"), "p": Plus1Link(side),
+                      "r": Plus1Link(star(side)), "#c0": CutLink(formula=Plus(q, side))},
+                     {("p", 0): ("a", 1), ("r", 0): ("b", 0), ("#c0", 0): ("p", 0),
+                      ("#c0", 1): ("r", 0)}, (("a", 0), ("b", 1)), ["Q*", "Q"], pauli8)
+        with pytest.raises(NetError) as exc:
+            validate_net(net)
+        assert str(exc.value) == message
+        with pytest.raises(ParseError) as exc:
+            parse_net(print_net(net), pauli8)
+        assert str(exc.value) == f"line 6: {message}"
     zero = Net("built", (parse_formula("0"),), (Slice(b.links, b.wires, ((t, 0), (u, 0))),), pauli8)
     with pytest.raises(NetError) as exc:
         validate_net(zero)
@@ -1113,6 +1139,102 @@ def test_validate_net_errors_pinned(pauli8):
     with pytest.raises(NetError) as exc:
         validate_net(net)
     assert str(exc.value) == f"link p{MAX_DEPTH}: label nested deeper than {MAX_DEPTH}"
+
+
+def _one_link_mutants(net, rng):
+    """Each (slice index, slice) that changes one link, wire or out of a slice of ``net``: an
+    arrow the category lacks, a plus side that may not stand under +, an input wired from
+    another output, an out dropped or repeated."""
+    bad_sides = (Atom("Nope"), Tensor(Unit(), Atom(net.cat.objects[0])), Zero())
+    for k, s in enumerate(net.slices):
+        for lid, link in s.links.items():
+            links = dict(s.links)
+            if isinstance(link, AxLink):
+                links[lid] = AxLink("nope")
+            elif isinstance(link, CutLink) and link.arrow is not None:
+                links[lid] = CutLink(arrow="nope")
+            elif isinstance(link, PlusLink):
+                links[lid] = type(link)(rng.choice(bad_sides))
+            else:
+                continue
+            yield k, Slice(links, dict(s.wires), s.outs)
+        ports = [(lid, n) for lid, link in s.links.items() for n in range(link.n_out)]
+        for _ in range(3):
+            wires = dict(s.wires)
+            wires[rng.choice(sorted(wires))] = rng.choice(ports)
+            yield k, Slice(dict(s.links), wires, s.outs)
+        if s.outs:
+            outs = list(s.outs)
+            del outs[rng.randrange(len(outs))]
+            yield k, Slice(dict(s.links), dict(s.wires), tuple(outs))
+            yield k, Slice(dict(s.links), dict(s.wires), s.outs + (rng.choice(s.outs),))
+
+
+def _in_print_order(s):
+    """``s`` with its links listed as ``print_net`` writes them: producers first, then cuts
+    by number.  Raises NetError on cyclic wiring, as ``print_net`` does."""
+    cuts = sorted(sorted(lid for lid, link in s.links.items() if isinstance(link, CutLink)),
+                  key=len)
+    return Slice({lid: s.links[lid] for lid in topo_order(s) + cuts}, s.wires, s.outs)
+
+
+def _cut_differs_by_design(s, cat):
+    """A cut ``print_net`` cannot write as built: a formula cut (written ``id``) whose inputs'
+    labels are not its own, or an arrow cut whose inputs carry its labels starred side first
+    (the parser turns it)."""
+    try:
+        labs = labels(s, cat)
+    except NetError:  # labelling's fault comes first on both routes
+        return False
+    for cid, link in s.links.items():
+        if isinstance(link, CutLink):
+            got = labs.get(s.wires[(cid, 0)]), labs.get(s.wires[(cid, 1)])
+            try:
+                want = cut_inputs(link, cat)
+            except NetError:  # an arrow the category lacks: text fails at the cut's line
+                continue
+            if got != want and (link.formula is not None or got[::-1] == want):
+                return True
+    return False
+
+
+def test_built_and_printed_nets_get_one_verdict(pauli8, inclusion):
+    # validate_net on a built net and parse_net on its print pass or fail together,
+    # with one text; a link the text could not hold fails there with the same words.
+    # Each slice lists its links as print_net writes them, so that of two faults of one
+    # kind, each found by a scan over the links, both routes name the same one
+    rng = random.Random(33)
+    compared = Counter()
+    for i in range(100):
+        net = random_net(inclusion if i % 2 else pauli8, rng, max_links=16)
+        for k, mutant in [(0, net.slices[0]), *_one_link_mutants(net, rng)]:
+            try:
+                mutant = _in_print_order(mutant)
+            except NetError:  # cyclic wiring: print_net writes no text
+                continue
+            if _cut_differs_by_design(mutant, net.cat):
+                continue
+            slices = net.slices[:k] + (mutant,) + net.slices[k + 1:]
+            net_k = Net(net.name, net.conclusions, slices, net.cat)
+            text = print_net(net_k)
+            try:
+                validate_net(net_k)
+                built = None
+            except (NetError, FormulaError) as exc:
+                built = exc
+            try:
+                parse_net(text, net.cat)
+                parsed = None
+            except (NetError, ParseError) as exc:
+                parsed = exc
+            assert (built is None) == (parsed is None), (text, built, parsed)
+            if isinstance(parsed, ParseError):
+                assert type(built) is NetError and str(parsed) == f"line {parsed.lineno}: {built}"
+            elif parsed is not None:
+                assert type(built) is NetError and str(parsed) == str(built), text
+            compared[type(parsed).__name__] += 1
+    assert compared["NoneType"] > 100 and compared["NetError"] > 300
+    assert compared["ParseError"] > 300, compared
 
 
 def _snapshot(net):

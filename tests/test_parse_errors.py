@@ -127,6 +127,11 @@ NET_CASES = [
      "  plus1 r = q.0 | (Q + R)\n", "line 7: unknown atom 'R'"),
     ("net n\nconclusions\nslice\n  ax a : X\n  ax b : X\n  cut a.1 , b.1 : id\n"
      "  out a.0 , b.0\nend\n", "line 6: id cut inputs Q, Q are not dual"),
+    # a plus link's other side obeys the rules of a formula under +
+    (NET + "  ax a : X\n  plus1 p = a.1 | Nope\n", "line 5: unknown atom 'Nope'"),
+    (NET + "  ax a : X\n  plus2 p = (I x Q) | a.1\n", "line 5: I may not appear under x"),
+    (NET + "  ax a : X\n  plus1 p = a.1 | 0\n", "line 5: 0 may only appear as a whole formula"),
+    (NET + "  ax a : X\n  plus2 p = 0 | a.1\n", "line 5: 0 may only appear as a whole formula"),
 ]
 
 ARROW_CASES = [
