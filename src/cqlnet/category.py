@@ -34,7 +34,9 @@ class Category:
     """A finite category presented by a total composition table and a dagger.
 
     ``arrows`` maps every arrow name (identities included) to ``(dom, cod)``.
-    ``compose(f, g)`` is the composite g.f for f: A -> B, g: B -> C.
+    ``compose(f, g)`` is the composite g.f for f: A -> B, g: B -> C, and ``composable`` lists
+    every such pair ``(f, g)``, by f and then g in the order of ``arrows``: the category's
+    laws, its loop classes and a model's functor check walk it.
     ``atoms`` maps each object to one ``Atom`` and one ``DualAtom``; the net checker
     and ``net.cut_inputs`` give only these as atom labels, so those meet by identity.
     ``formula_table()`` is the one table that ``parse_net``, ``parse_formula`` and
@@ -62,10 +64,10 @@ class Category:
                 raise CategoryError(f"arrow {f}: unknown object")
             self.arrows[f] = (a, b)
 
-        self._table = {}
+        self._table = comp = {}  # (f, g) -> g.f
         for f, (a, b) in self.arrows.items():
-            self._table[(self.identity(a), f)] = f
-            self._table[(f, self.identity(b))] = f
+            comp[(self.identity(a), f)] = f
+            comp[(f, self.identity(b))] = f
         for (f, g), h in table.items():
             self._require_arrow(f)
             self._require_arrow(g)
@@ -74,28 +76,24 @@ class Category:
                 raise CategoryError(f"compose {f} ; {g}: not composable")
             if self.dom(h) != self.dom(f) or self.cod(h) != self.cod(g):
                 raise CategoryError(f"compose {f} ; {g} = {h}: composite has wrong type")
-            old = self._table.get((f, g))
+            old = comp.get((f, g))
             if old is not None and old != h:
                 raise CategoryError(f"compose {f} ; {g}: conflicts with identity law")
-            self._table[(f, g)] = h
+            comp[(f, g)] = h
 
-        for f in self.arrows:
-            for g in self.arrows:
-                if self.cod(f) == self.dom(g) and (f, g) not in self._table:
-                    raise CategoryError(f"composition not total: {f} ; {g} undefined")
-        for f in self.arrows:
-            for g in self.arrows:
-                if self.cod(f) != self.dom(g):
-                    continue
-                for h in self.arrows:
-                    if self.dom(h) != self.cod(g):
-                        continue
-                    left = self._table[(self._table[(f, g)], h)]
-                    right = self._table[(f, self._table[(g, h)])]
-                    if left != right:
-                        raise CategoryError(
-                            f"associativity fails on {f} ; {g} ; {h}: {left} != {right}"
-                        )
+        leaving = {obj: [] for obj in self.objects}  # object -> the arrows out of it
+        for g, (a, _) in self.arrows.items():
+            leaving[a].append(g)
+        self.composable = [(f, g) for f, (_, b) in self.arrows.items() for g in leaving[b]]
+        for f, g in self.composable:
+            if (f, g) not in comp:
+                raise CategoryError(f"composition not total: {f} ; {g} undefined")
+        for f, g in self.composable:
+            for h in leaving[self.cod(g)]:
+                if (left := comp[(comp[(f, g)], h)]) != (right := comp[(f, comp[(g, h)])]):
+                    raise CategoryError(
+                        f"associativity fails on {f} ; {g} ; {h}: {left} != {right}"
+                    )
 
         self._dagger = {self.identity(obj): self.identity(obj) for obj in self.objects}
         for f, g in dagger.items():
@@ -113,14 +111,9 @@ class Category:
                 raise CategoryError(f"dagger {f} = {g}: wrong type")
             if self._dagger[g] != f:
                 raise CategoryError(f"dagger not involutive on {f}")
-        for f in self.arrows:
-            for g in self.arrows:
-                if self.cod(f) != self.dom(g):
-                    continue
-                gf = self._table[(f, g)]
-                want = self._table[(self._dagger[g], self._dagger[f])]
-                if self._dagger[gf] != want:
-                    raise CategoryError(f"dagger not contravariant on {f} ; {g}")
+        for f, g in self.composable:
+            if self._dagger[comp[(f, g)]] != comp[(self._dagger[g], self._dagger[f])]:
+                raise CategoryError(f"dagger not contravariant on {f} ; {g}")
 
         self._loop_rep = self._close_loops()
 
@@ -184,10 +177,9 @@ class Category:
             if rx != ry:
                 parent[rx] = ry
 
-        for f, (a, b) in self.arrows.items():
-            for g, (c, d) in self.arrows.items():
-                if b == c and d == a:
-                    union(self._table[(f, g)], self._table[(g, f)])
+        for f, g in self.composable:
+            if self.cod(g) == self.dom(f):
+                union(self._table[(f, g)], self._table[(g, f)])
         reps = {}
         classes = {}
         for e in parent:
@@ -209,14 +201,14 @@ class Category:
         return self._loop_rep[self._dagger[loop.arrow]]
 
 
-def _arrow_name(tok, lineno, what="arrow"):
+def _arrow_name(tok, lineno):
     name = " ".join(tok.split())
     if name.startswith("id "):
         _check_name(name[3:], lineno)
         return name
     _check_name(name, lineno)
     if name == "id":
-        raise ParseError(lineno, f"{what} name 'id' is reserved")
+        raise ParseError(lineno, "arrow name 'id' is reserved")
     return name
 
 

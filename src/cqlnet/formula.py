@@ -182,6 +182,14 @@ def _validate(g, under, cat):
         raise TypeError(f"not a formula: {g!r}")
 
 
+def _too_deep(g, depth=0):
+    """Whether ``g`` nests times and plus nodes deeper than ``MAX_DEPTH``, as ``_parse``
+    refuses; the walk stops there, so a built formula of any depth can be tested."""
+    if isinstance(g, _Binary):
+        return depth == MAX_DEPTH or _too_deep(g.left, depth + 1) or _too_deep(g.right, depth + 1)
+    return False
+
+
 def anf(f):
     """The additive normal form: a tuple of tensor words, computed once per node."""
     if (out := getattr(f, "_anf", None)) is not None:
@@ -356,7 +364,8 @@ def _tokenize(text, lineno):
 # Deepest bracket nesting a formula may have.  Every formula read from text
 # passes through ``_parse``, so this also bounds the recursive walkers
 # (``star``, ``anf``, ``fmt``, ``validate``, ...); the net checker bounds the
-# labels a slice builds by it too (``net._OpenSlice.settle``).  Formulas built by
+# labels a slice builds by it too (``net._OpenSlice.settle``), and a built slice's
+# plus sides and cut formulas (``_too_deep``).  Formulas built by
 # ``anf_formula`` are log-depth in their words and literals.
 MAX_DEPTH = 256
 

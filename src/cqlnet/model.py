@@ -302,13 +302,9 @@ class Interpretation:
         for f in cat.arrows:
             if f not in self.mats:
                 raise ModelError(f"no matrix for arrow {f}")
-        for f in cat.arrows:
-            for g in cat.arrows:
-                if cat.cod(f) != cat.dom(g):
-                    continue
-                h = cat.compose(f, g)
-                if self.mats[h] != self.mats[g].mul(self.mats[f]):
-                    raise ModelError(f"matrices break composition on {f} ; {g} = {h}")
+        for f, g in cat.composable:
+            if self.mats[h := cat.compose(f, g)] != self.mats[g].mul(self.mats[f]):
+                raise ModelError(f"matrices break composition on {f} ; {g} = {h}")
         for f in cat.arrows:
             if self.mats[cat.dagger(f)] != self.mats[f].dagger():
                 raise ModelError(f"matrices break dagger on {f}")

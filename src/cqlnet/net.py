@@ -58,6 +58,7 @@ from .formula import (
     _Empty,
     _Record,
     _text_node,
+    _too_deep,
     _validate,
     _Value,
     directives,
@@ -205,7 +206,8 @@ def cut_inputs(link, cat):
     """The labels a cut expects on input 0 (plain side) and input 1 (starred side).
 
     Raises NetError on a cut the parser never builds: with both or neither of ``arrow`` and
-    ``formula``, on an arrow the category lacks, or on an atom (that is the arrow cut id).
+    ``formula``, on an arrow the category lacks, on an atom (that is the arrow cut id), or
+    on a formula nested deeper than the parser reads.
     """
     arrow, f = link.arrow, link.formula
     if (arrow is None) == (f is None):
@@ -216,6 +218,8 @@ def cut_inputs(link, cat):
         return cat.atoms[cat.dom(arrow)][0], cat.atoms[cat.cod(arrow)][1]
     if isinstance(f, (Atom, DualAtom)):
         raise NetError(f"cut id {fmt(f)}: a cut on an atom is the arrow cut id {f.name}")
+    if _too_deep(f):
+        raise NetError(f"formula nested deeper than {MAX_DEPTH}")
     return f, star(f)
 
 
@@ -247,15 +251,16 @@ def validate_wiring(slice_):
 
 
 def validate_uses(slice_):
-    """The text of a soundly wired slice's fault: an out naming no output, or a use count not 1."""
+    """The text of a soundly wired slice's fault: the first out naming no output, else the
+    port whose use count is not 1 that comes first by its text, whatever the links' order."""
     seen_out = {(lid, slot): 0 for lid, link in slice_.links.items() for slot in range(link.n_out)}
     for port in (*slice_.wires.values(), *slice_.outs):
         if port not in seen_out:  # only an out can name no output: the wiring is sound
             return f"out lists unknown port {_fmt_port(port)}"
         seen_out[port] += 1
-    for port, n in seen_out.items():
-        if n != 1:
-            return f"port {_fmt_port(port)} used {n} times, want exactly 1"
+    if bad := [port for port, n in seen_out.items() if n != 1]:
+        port = min(bad, key=_fmt_port)
+        return f"port {_fmt_port(port)} used {seen_out[port]} times, want exactly 1"
 
 
 def _check_outs(outs, labs, conclusions):
@@ -495,10 +500,11 @@ class _OpenSlice:
 def _fed(slice_, cat):
     """The checker fed each link of the built ``slice_`` in written order, its place standing
     for its line.  An axiom on an arrow the category lacks, and a plus link whose other side
-    may not stand under +, are labelling's faults, in the parser's words."""
+    is nested deeper than the parser reads or may not stand under +, are labelling's faults,
+    in the parser's words."""
     open_ = _OpenSlice(cat, False)
     wires, labs, units = slice_.wires, open_.labs, open_.units
-    pairs, sides = {}, set()  # arrow -> its axioms' output labels; each plus side checked
+    pairs, sides = {}, set()  # arrow -> its axioms' output labels; the id of each plus side checked
     for k, (lid, link) in enumerate(slice_.links.items()):
         if type(link) is AxLink:
             if (pair := pairs.get(arrow := link.arrow)) is None and arrow in cat.arrows:
@@ -519,12 +525,15 @@ def _fed(slice_, cat):
                 open_.hold(_CUTS, k, NetError, *exc.args)
             open_.cut(lid, (link, want), wires[(lid, 0)], wires[(lid, 1)], k)
         else:
-            if link.n_in == 1 and link.other not in sides:  # a plus link's other side, once
-                sides.add(link.other)
-                try:
-                    _validate(link.other, "+", cat)
-                except FormulaError as exc:
-                    open_.hold(_LABELS, 0, NetError, *exc.args)
+            if link.n_in == 1 and id(link.other) not in sides:  # a plus link's other side, once
+                sides.add(id(link.other))  # by identity: a hash would walk it at any depth
+                if _too_deep(link.other):
+                    open_.hold(_LABELS, 0, NetError, f"formula nested deeper than {MAX_DEPTH}")
+                else:
+                    try:
+                        _validate(link.other, "+", cat)
+                    except FormulaError as exc:
+                        open_.hold(_LABELS, 0, NetError, *exc.args)
             open_.add(lid, link, wires[(lid, 0)], wires.get((lid, 1)))  # a plus link has no 1
     return open_
 

@@ -1,7 +1,12 @@
+import random
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
 from cqlnet.category import Category, Loop, load_category
-from cqlnet.errors import CategoryError, ParseError
+from cqlnet.errors import CategoryError, ModelError, ParseError
+from cqlnet.model import ExactRing, Interpretation, Matrix
 from cqlnet import fixtures
 
 
@@ -251,3 +256,188 @@ def test_lookup_errors_pinned():
         with pytest.raises(CategoryError) as exc:
             call()
         assert str(exc.value) == message
+
+
+def _arguments(cat):
+    """``Category``'s arguments that make ``cat``: objects, arrows, every composite, daggers."""
+    arrows = {f: t for f, t in cat.arrows.items() if not cat.is_identity(f)}
+    table = {(f, g): cat.compose(f, g)
+             for f in cat.arrows for g in cat.arrows if cat.cod(f) == cat.dom(g)}
+    return cat.objects, arrows, table, {f: cat.dagger(f) for f in arrows}
+
+
+def _pauli8_copies(pauli8, n):
+    """The arguments of n disjoint copies of pauli8, copy k on object Q_k with arrows f_k."""
+    objects, arrows, table, dagger = _arguments(pauli8)
+
+    def name(f, k):
+        return f"id Q_{k}" if f == "id Q" else f"{f}_{k}"
+
+    return ([f"Q_{k}" for k in range(n)],
+            {name(f, k): (f"Q_{k}", f"Q_{k}") for k in range(n) for f in arrows},
+            {(name(f, k), name(g, k)): name(h, k) for k in range(n) for (f, g), h in table.items()},
+            {name(f, k): name(g, k) for k in range(n) for f, g in dagger.items()})
+
+
+def _indiscrete(n):
+    """The arguments of the category with one arrow ``aij`` from each object Oi to each other
+    Oj, for n at most 10."""
+    def arrow(i, j):
+        return f"id O{i}" if i == j else f"a{i}{j}"
+
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    return ([f"O{i}" for i in range(n)], {arrow(i, j): (f"O{i}", f"O{j}") for i, j in pairs},
+            {(arrow(i, j), arrow(j, k)): arrow(i, k) for i, j in pairs for k in range(n) if k != j},
+            {arrow(i, j): arrow(j, i) for i, j in pairs})
+
+
+def _reference(objects, arrows, table, dagger):
+    """What the full scans over every pair, and triple, of arrows make of ``Category``'s
+    arguments, each arrow known and typed: the first failure's text, else the composable
+    pairs and each endo's loop class."""
+    arrows = {**{f"id {a}": (a, a) for a in objects}, **arrows}
+    comp = {}
+    for f, (a, b) in arrows.items():
+        comp[(f"id {a}", f)] = comp[(f, f"id {b}")] = f
+    for (f, g), h in table.items():
+        if comp.get((f, g), h) != h:
+            return f"compose {f} ; {g}: conflicts with identity law"
+        comp[(f, g)] = h
+    pairs = [(f, g) for f in arrows for g in arrows if arrows[f][1] == arrows[g][0]]
+    for f, g in pairs:
+        if (f, g) not in comp:
+            return f"composition not total: {f} ; {g} undefined"
+    for f, g in pairs:
+        for h in arrows:
+            if arrows[h][0] == arrows[g][1]:
+                left, right = comp[(comp[(f, g)], h)], comp[(f, comp[(g, h)])]
+                if left != right:
+                    return f"associativity fails on {f} ; {g} ; {h}: {left} != {right}"
+    dag = {f"id {a}": f"id {a}" for a in objects}
+    for f, g in dagger.items():
+        if dag.get(f, g) != g:
+            return f"dagger {f}: conflicting declaration"
+        dag[f] = g
+    for f in arrows:
+        if f not in dag:
+            return f"dagger undefined for {f}"
+    for f, (a, b) in arrows.items():
+        if arrows[dag[f]] != (b, a):
+            return f"dagger {f} = {dag[f]}: wrong type"
+        if dag[dag[f]] != f:
+            return f"dagger not involutive on {f}"
+    for f, g in pairs:
+        if dag[comp[(f, g)]] != comp[(dag[g], dag[f])]:
+            return f"dagger not contravariant on {f} ; {g}"
+    endos = [f for f, (a, b) in arrows.items() if a == b]
+    classes = {e: {e} for e in endos}  # merged whole, with no union-find
+    for f, g in pairs:
+        if arrows[g][1] == arrows[f][0]:
+            merged = classes[comp[(f, g)]] | classes[comp[(g, f)]]
+            for e in merged:
+                classes[e] = merged
+    return pairs, {e: min(Loop(arrows[m][0], m) for m in classes[e]) for e in endos}
+
+
+def _reference_functor(cat, ring, dims, mats):
+    """The first failure of the functor check's full scans over every pair of arrows."""
+    mats = {**{cat.identity(a): Matrix.identity(ring, dims[a]) for a in cat.objects}, **mats}
+    for f in cat.arrows:
+        for g in cat.arrows:
+            if cat.cod(f) == cat.dom(g):
+                h = cat.compose(f, g)
+                if mats[h] != mats[g].mul(mats[f]):
+                    return f"matrices break composition on {f} ; {g} = {h}"
+    for f in cat.arrows:
+        if mats[cat.dagger(f)] != mats[f].dagger():
+            return f"matrices break dagger on {f}"
+
+
+def _mutants(args, rng, k):
+    """``k`` seeded mutants of Category's arguments: a composite dropped, or changed to another
+    arrow of its type; a dagger changed to another arrow of the reversed type, or the daggers
+    with two arrows of one type swapped, which keeps them an involution."""
+    objects, arrows, table, dagger = args
+    typed = {**{f"id {a}": (a, a) for a in objects}, **arrows}
+    plain = sorted(key for key in table if key[0] in arrows and key[1] in arrows)
+    for _ in range(k):
+        table2, dagger2 = dict(table), dict(dagger)
+        kind = rng.randrange(4)
+        if kind == 0:
+            del table2[rng.choice(plain)]
+        elif kind == 1:
+            f, g = key = rng.choice(sorted(table))
+            want = typed[f][0], typed[g][1]
+            table2[key] = rng.choice([h for h, t in typed.items() if t == want])
+        elif kind == 2:
+            f = rng.choice(sorted(dagger))
+            dagger2[f] = rng.choice([g for g, t in typed.items() if t == typed[f][::-1]])
+        else:
+            f = rng.choice(sorted(arrows))
+            g = rng.choice([g for g in sorted(arrows) if arrows[g] == arrows[f]])
+            swap = {f: g, g: f}
+            dagger2 = {swap.get(x, x): swap.get(y, y) for x, y in dagger.items()}
+        yield objects, arrows, table2, dagger2
+
+
+FAULTS = ("identity law", "not total", "associativity", "not involutive", "not contravariant",
+          "break composition", "break dagger")
+
+
+def test_composable_pairs_give_what_the_full_scans_give(
+    c2, c2_mod, pauli8, pauli8_mod, inclusion, inclusion_mod, hy, hy_mod
+):
+    # the laws, the loop classes and a model's functor check walk Category.composable;
+    # the reference scans every pair of arrows, and every triple for associativity.  An
+    # indiscrete category's models are 1 x 1: every arrow [1], or Oi -> Oj 2^(j - i), a
+    # functor that keeps no dagger
+    cases = [(_arguments(cat), mod) for cat, mod in
+             ((c2, c2_mod), (pauli8, pauli8_mod), (inclusion, inclusion_mod), (hy, hy_mod))]
+    cases += [(_pauli8_copies(pauli8, n), pauli8_mod) for n in range(2, 6)]
+    cases += [(_indiscrete(n), scale) for n in range(2, 7) for scale in (1, 2)]
+    rng = random.Random(34)
+    seen = Counter()
+    for args, mod in cases:
+        for mutant in [args, *_mutants(args, rng, 24)]:
+            want = _reference(*mutant)
+            try:
+                cat = Category("c", *mutant)
+            except CategoryError as exc:
+                assert str(exc) == want
+                seen[next(k for k in FAULTS if k in want)] += 1
+                continue
+            pairs, loops = want
+            assert cat.composable == pairs
+            assert {e: cat.loop_of(e) for e in cat.endos()} == loops
+            seen["loaded"] += 1
+            if mutant is not args:
+                continue
+            # the model, the same on each copy, then with one entry of one matrix changed
+            if isinstance(mod, int):  # aij, Oi -> Oj, is mod^(j - i)
+                ring, dims = ExactRing, dict.fromkeys(cat.objects, 1)
+                powers = {f: Fraction(mod) ** (int(f[2]) - int(f[1])) for f in cat.arrows
+                          if not cat.is_identity(f)}
+                base = {f: Matrix(ring, [[ring.parse(str(x), 0)]]) for f, x in powers.items()}
+            else:
+                ring = mod.ring
+                dims = {a: mod.dims[a.partition("_")[0]] for a in cat.objects}
+                base = {f: mod.mats[f.partition("_")[0]]
+                        for f in cat.arrows if not cat.is_identity(f)}
+            for changed in [None, *rng.sample(sorted(base), min(6, len(base)))]:
+                mats = dict(base)
+                if changed is not None:
+                    m = mats[changed]
+                    i, j = rng.randrange(m.nrows), rng.randrange(m.ncols)
+                    rows = [list(r) for r in m.rows]
+                    rows[i][j] = ring.add(rows[i][j], ring.one)
+                    mats[changed] = Matrix(ring, rows)
+                fault = _reference_functor(cat, ring, dims, mats)
+                try:
+                    Interpretation("m", cat, ring, dims, mats)
+                except ModelError as exc:
+                    assert str(exc) == fault
+                    seen[next(k for k in FAULTS if k in fault)] += 1
+                else:
+                    assert fault is None
+                    seen["model loaded"] += 1
+    assert len(seen) == len(FAULTS) + 2, seen

@@ -1139,13 +1139,72 @@ def test_validate_net_errors_pinned(pauli8):
     with pytest.raises(NetError) as exc:
         validate_net(net)
     assert str(exc.value) == f"link p{MAX_DEPTH}: label nested deeper than {MAX_DEPTH}"
+    # a plus side, or a cut's formula, nested deeper than the parser reads: the parser's
+    # words, in labelling's turn and in the cuts' turn, at any depth and with no walk that
+    # recurses past the bound
+    for n in (300, 3000):
+        side, dual = _nested_sum(n, q), _nested_sum(n, DualAtom("Q"))
+        net = _built({"a": AxLink("id Q"), "b": AxLink("id Q"), "p": Plus2Link(side),
+                      "r": Plus2Link(dual), "#c0": CutLink(formula=Plus(side, q))},
+                     {("p", 0): ("a", 1), ("r", 0): ("b", 0), ("#c0", 0): ("p", 0),
+                      ("#c0", 1): ("r", 0)}, (("a", 0), ("b", 1)), ["Q*", "Q"], pauli8)
+        with pytest.raises(NetError) as exc:
+            validate_net(net)
+        assert str(exc.value) == f"formula nested deeper than {MAX_DEPTH}"
+        if n == 300:  # printable: its text fails at the plus link's line
+            with pytest.raises(ParseError) as exc:
+                parse_net(print_net(net), pauli8)
+            assert str(exc.value) == f"line 6: formula nested deeper than {MAX_DEPTH}"
+        # the cut's fault, and in the cuts' turn: after a unit's that feeds a conclusion
+        ends = {("#c0", 0): ("a", 1), ("#c0", 1): ("b", 0)}
+        for extra, outs, message in [
+            ({}, (("a", 0), ("b", 1)), f"formula nested deeper than {MAX_DEPTH}"),
+            ({"u": UnitLink()}, (("a", 0), ("b", 1), ("u", 0)),
+             "unit u feeds a conclusion; I must meet a plus or id cut"),
+        ]:
+            links = {"a": AxLink("id Q"), "b": AxLink("id Q"), **extra,
+                     "#c0": CutLink(formula=side)}
+            with pytest.raises(NetError) as exc:
+                validate_net(_built(links, ends, outs, ["Q*", "Q", "I"][:len(outs)], pauli8))
+            assert str(exc.value) == message
+        with pytest.raises(NetError) as exc:
+            cut_inputs(CutLink(formula=side), pauli8)
+        assert str(exc.value) == f"formula nested deeper than {MAX_DEPTH}"
+
+
+def test_of_two_misused_ports_both_routes_name_the_least_by_its_text(pauli8):
+    # b.1 is used twice and a's ports not at all; the built slice lists b first and
+    # print_net writes a first, yet in any line order both routes name a.0
+    links = {"b": AxLink("id Q"), "t": TimesLink(), "a": AxLink("id Q")}
+    net = _built(links, {("t", 0): ("b", 1), ("t", 1): ("b", 1)}, (("b", 0), ("t", 0)),
+                 ["Q*", "(Q x Q)"], pauli8)
+    message = "port a.0 used 0 times, want exactly 1"
+    with pytest.raises(NetError) as exc:
+        validate_net(net)
+    assert str(exc.value) == message
+    text = print_net(net)
+    assert text.index("ax a") < text.index("ax b")
+    rng = random.Random(34)
+    for permute in (list, lambda ls: ls[::-1], *[lambda ls: rng.sample(ls, len(ls))] * 8):
+        written = _permute_link_lines(text, permute)
+        with pytest.raises(NetError) as exc:
+            parse_net(written, pauli8)
+        assert str(exc.value) == message, written
+
+
+def _nested_sum(n, base):
+    """``base`` under ``n`` nested ``(... + I)``, built with no walk that recurses."""
+    for _ in range(n):
+        base = Plus(base, Unit())
+    return base
 
 
 def _one_link_mutants(net, rng):
     """Each (slice index, slice) that changes one link, wire or out of a slice of ``net``: an
-    arrow the category lacks, a plus side that may not stand under +, an input wired from
-    another output, an out dropped or repeated."""
+    arrow the category lacks, a plus side that may not stand under + or is nested deeper
+    than the parser reads, an input wired from another output, an out dropped or repeated."""
     bad_sides = (Atom("Nope"), Tensor(Unit(), Atom(net.cat.objects[0])), Zero())
+    deep = _nested_sum(300, Atom(net.cat.objects[0]))  # too deep to read, not to print
     for k, s in enumerate(net.slices):
         for lid, link in s.links.items():
             links = dict(s.links)
@@ -1155,6 +1214,7 @@ def _one_link_mutants(net, rng):
                 links[lid] = CutLink(arrow="nope")
             elif isinstance(link, PlusLink):
                 links[lid] = type(link)(rng.choice(bad_sides))
+                yield k, Slice({**s.links, lid: type(link)(deep)}, dict(s.wires), s.outs)
             else:
                 continue
             yield k, Slice(links, dict(s.wires), s.outs)
@@ -1233,8 +1293,9 @@ def test_built_and_printed_nets_get_one_verdict(pauli8, inclusion):
             elif parsed is not None:
                 assert type(built) is NetError and str(parsed) == str(built), text
             compared[type(parsed).__name__] += 1
+            compared["deep side"] += "formula nested deeper" in str(built)
     assert compared["NoneType"] > 100 and compared["NetError"] > 300
-    assert compared["ParseError"] > 300, compared
+    assert compared["ParseError"] > 300 and compared["deep side"] > 50, compared
 
 
 def _snapshot(net):
