@@ -42,6 +42,9 @@ class Category:
     ``formula_table()`` is the one table that ``parse_net``, ``parse_formula`` and
     ``freecat.complete`` read and build its formulas through, seeded with those atoms:
     a formula read or built before is the same node, with its ``anf`` and ``fmt`` caches.
+    ``parse_net`` also keeps there what each arrow, cut label, plus side and conclusions
+    line it checked means, so every net over the category shares one ``AxLink`` per arrow,
+    which ``validate_net`` and cut elimination take from there too.
     """
 
     def __init__(self, name, objects, arrows, table, dagger):
@@ -125,7 +128,9 @@ class Category:
 
         It maps each formula text read and checked over this category to its node, and
         each node's class with its atom name or the ids of its shared parts to the node
-        (see ``formula._node``).  A caller keeps the table it got for its whole call.
+        (see ``formula._node``); ``parse_net`` keys what a line's text means by the line's
+        head and the text, which no formula text or node key equals.  A caller keeps the
+        table it got for its whole call.
         """
         if len(self.formulas) >= MAX_FORMULAS:
             self._reset_formulas()

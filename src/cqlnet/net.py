@@ -35,8 +35,9 @@ a bad plus side is a NetError in the parser's words.  ``labels`` feeds it the
 same way and returns the labels it gave.
 
 Arrow cuts compare by identity: axiom labels and arrow cuts share the
-category's atoms.  Formulas are read through the category's formula table, so
-the nets parsed over one category share their formulas' nodes.  A fault is
+category's atoms.  Texts are read through the category's formula table, so
+the nets parsed over one category share their formulas' nodes and their
+links, and ``rewrite`` takes each axiom it makes from there too.  A fault is
 raised where the checks' order puts it, not where it was found: a slice's
 ports, labels and id cuts at its end, its output uses, outs, units and cuts
 once the whole net is read (at once, for a built slice).
@@ -182,13 +183,18 @@ def topo_order(slice_):
     return order
 
 
-def _ax_labels(cat, arrow):
-    """The labels of an axiom's outputs 0 and 1: the category's shared atoms dom(f)* and cod(f)."""
-    atoms = cat.atoms
-    return atoms[cat.dom(arrow)][1], atoms[cat.cod(arrow)][0]
+def _axiom(cat, arrow, table):
+    """The one ``AxLink`` for ``arrow``, an arrow of ``cat``, and its outputs' labels, the
+    category's shared atoms dom(f)* and cod(f): kept in ``cat``'s formula table ``table``."""
+    if (ax := table.get(key := ("ax", arrow))) is None:
+        atoms = cat.atoms
+        ax = table[key] = AxLink(arrow), (atoms[cat.dom(arrow)][1], atoms[cat.cod(arrow)][0])
+    return ax
 
 
 _UNIT = Unit()  # the label of every unit link's output
+_TIMES_LINK, _UNIT_LINK = TimesLink(), UnitLink()  # links are values: one of each serves all
+_ID_CUT = (None, None)  # an id cut read as text: its inputs' labels decide its link
 
 
 def labels(slice_, cat):
@@ -237,17 +243,33 @@ def id_cut(cat, formula, port_f, port_fstar):
     return CutLink(formula=formula), port_f, port_fstar
 
 
+_LINK_CLASSES = (AxLink, CutLink, TimesLink, Plus1Link, Plus2Link, UnitLink)
+
+
+def _is_port(p):
+    """Whether ``p`` has a port's shape: a pair of a link id, a ``str``, and a slot, an ``int``."""
+    return type(p) is tuple and len(p) == 2 and type(p[0]) is str and type(p[1]) is int
+
+
 def validate_wiring(slice_):
-    """Each input of a slice built in code is wired once, from an output that exists."""
+    """A slice built in code has a slice's shape, and each input is wired once, from an
+    output that exists: checked before anything reads the slice."""
     links, wires = slice_.links, slice_.wires
+    for lid, link in links.items():
+        if type(lid) is not str or type(link) not in _LINK_CLASSES:
+            raise NetError(f"bad link {lid!r}: {link!r}")
     want_in = {(lid, slot) for lid, link in links.items() for slot in range(link.n_in)}
-    if wires.keys() != want_in:
+    if wires.keys() != want_in:  # so each key is a port, or equal to one and read as it
         missing, extra = want_in - wires.keys(), wires.keys() - want_in
-        raise NetError(f"bad wiring: missing inputs {sorted(missing)}, stray {sorted(extra)}")
+        raise NetError(f"bad wiring: missing inputs {sorted(missing)}, "
+                       f"stray {sorted(extra, key=str)}")
     ports = {(lid, slot) for lid, link in links.items() for slot in range(link.n_out)}
     for inp, outp in wires.items():
-        if outp not in ports:
+        if not _is_port(outp) or outp not in ports:
             raise NetError(f"wire into {inp} from unknown port {outp}")
+    for port in slice_.outs:
+        if not _is_port(port):
+            raise NetError(f"out lists bad port {port!r}")
 
 
 def validate_uses(slice_):
@@ -380,26 +402,26 @@ class _OpenSlice:
         """Enter cut ``cid`` of line ``lineno`` over ports ``p0`` and ``p1`` (None: not read
         yet), and check it if both have labels, else at ``end``.
 
-        ``labelled`` is the cut's link and what it takes (``cut_inputs``), or None for an
-        ``id`` cut read as text, whose link its inputs' labels decide.  An arrow cut that takes
-        its inputs the other way round is turned in text; any other that does not take them
-        is held as a fault, and so is each unit it meets that it may not.
+        ``labelled`` is the cut's link and what it takes (``cut_inputs``), or ``_ID_CUT`` for
+        an ``id`` cut read as text, whose link its inputs' labels decide.  An arrow cut that
+        takes its inputs the other way round is turned in text; any other that does not take
+        them is held as a fault, and so is each unit it meets that it may not.
         """
-        self.cuts[cid] = labelled and labelled[0]
+        link, want = labelled
+        self.cuts[cid] = link
         wires, labs = self.wires, self.labs
         wires[(cid, 0)], wires[(cid, 1)] = p0, p1
         if p0 not in labs or p1 not in labs:
             self.late_cuts.append((cid, labelled, lineno))
             return
         l0, l1 = labs[p0], labs[p1]
-        if labelled is None:
+        if link is None:
             if star(l0) != l1:
                 self.hold(_ID_CUTS, lineno, ParseError, lineno,
                           f"id cut inputs {fmt(l0)}, {fmt(l1)} are not dual")
             else:
                 self.cuts[cid], wires[(cid, 0)], wires[(cid, 1)] = id_cut(self.cat, l0, p0, p1)
             return
-        link, want = labelled
         if (l0, l1) == want:
             return
         if self.text and (l1, l0) == want:  # written starred side first
@@ -503,17 +525,15 @@ def _fed(slice_, cat):
     is nested deeper than the parser reads or may not stand under +, are labelling's faults,
     in the parser's words."""
     open_ = _OpenSlice(cat, False)
-    wires, labs, units = slice_.wires, open_.labs, open_.units
-    pairs, sides = {}, set()  # arrow -> its axioms' output labels; the id of each plus side checked
+    wires, labs, units, table = slice_.wires, open_.labs, open_.units, cat.formula_table()
+    sides = set()  # the id of each plus side checked
     for k, (lid, link) in enumerate(slice_.links.items()):
         if type(link) is AxLink:
-            if (pair := pairs.get(arrow := link.arrow)) is None and arrow in cat.arrows:
-                pair = pairs[arrow] = _ax_labels(cat, arrow)
-            if pair is None:
-                open_.hold(_LABELS, 0, NetError, f"unknown arrow {arrow!r}")
-            else:
-                labs[(lid, 0)], labs[(lid, 1)] = pair
+            if (arrow := link.arrow) in cat.arrows:
+                labs[(lid, 0)], labs[(lid, 1)] = _axiom(cat, arrow, table)[1]
                 open_.add(lid, link)
+            else:
+                open_.hold(_LABELS, 0, NetError, f"unknown arrow {arrow!r}")
         elif type(link) is UnitLink:
             labs[(lid, 0)], units[lid] = _UNIT, k
             open_.add(lid, link)
@@ -531,7 +551,7 @@ def _fed(slice_, cat):
                     open_.hold(_LABELS, 0, NetError, f"formula nested deeper than {MAX_DEPTH}")
                 else:
                     try:
-                        _validate(link.other, "+", cat)
+                        _validate(link.other, "+", cat, set())
                     except FormulaError as exc:
                         open_.hold(_LABELS, 0, NetError, *exc.args)
             open_.add(lid, link, wires[(lid, 0)], wires.get((lid, 1)))  # a plus link has no 1
@@ -595,13 +615,13 @@ class SliceBuilder:
         """
         match formula:
             case Unit():
-                return self.add("u", UnitLink()), 0
+                return self.add("u", _UNIT_LINK), 0
             case Atom(_) | DualAtom(_):
                 return next(leaves)
             case Tensor(l, r):
                 below_l = self.realize_choices(l, choices, leaves)
                 below_r = self.realize_choices(r, choices, leaves)
-                return self.add("t", TimesLink(), below_l, below_r), 0
+                return self.add("t", _TIMES_LINK, below_l, below_r), 0
             case Plus(l, r):
                 if next(choices):
                     return self.add("p", Plus2Link(l), self.realize_choices(r, choices, leaves)), 0
@@ -646,19 +666,16 @@ def parse_net(text, cat):
     """Parse and check a net file against a category.
 
     Each slice is read in one pass: each line is read and fed to the slice's checker
-    (``_OpenSlice``).  Formulas are read through the category's formula table, so equal
-    subformulas are one node and no formula text is parsed twice, in this call or any other
-    over ``cat``.  Links are values, so one is made per call for all axioms of one arrow,
-    all plus links of one kind over one formula text, all times links and all unit links.
-    A label meets its conclusion by identity below the nodes ``_OpenSlice.settle`` builds.
+    (``_OpenSlice``).  What a text means over ``cat`` is kept in the category's formula
+    table once it is checked, so no text is read twice, in this call or any other over
+    ``cat``: each formula text (equal subformulas are one node), and, keyed by the line's
+    head and the text as written, each arrow, cut label, plus side and conclusions line.
+    Links are values, so over one category one serves all axioms of one arrow, one all
+    plus links of one kind over one side text, and one all times links and all unit
+    links.  A label meets its conclusion by identity below the nodes ``settle`` builds.
     """
     name = conclusions = None
-    read = cat.formula_table()  # formula text -> its checked node, and the shared nodes
-    axioms = {}  # arrow text, as written and normalized -> its AxLink and its outputs' labels
-    plus_links = {}  # (plus1 or plus2, other side as written) -> its PlusLink
-    times_link, unit_link = TimesLink(), UnitLink()
-    # cut label, as written and normalized -> its CutLink and what that takes; None for id
-    arrow_cuts = {"id": None}
+    read = cat.formula_table()  # what each text read and checked over cat means
     slices, faults = [], []  # each slice, and the first fault of its uses, outs, units and cuts
     links = None  # the open slice's producing links, else None
     cut_count = 0
@@ -670,12 +687,11 @@ def parse_net(text, cat):
                 lid, colon, arrow = rest.partition(":")
                 if not colon:
                     raise ParseError(lineno, "expected 'ax id : f'")
-                if (ax := axioms.get(arrow)) is None:
+                if (ax := read.get(("ax", arrow))) is None:
                     norm = " ".join(arrow.split())
                     if norm not in cat.arrows:
                         raise ParseError(lineno, f"unknown arrow {norm!r}")
-                    ax = (AxLink(norm), _ax_labels(cat, norm))
-                    ax = axioms[arrow] = axioms.setdefault(norm, ax)
+                    ax = read[("ax", arrow)] = _axiom(cat, norm, read)
                 if not (lid := lid.strip()).isidentifier() or lid in links:
                     _link_id(lid, lineno, links)
                 table[f"{lid}.0"] = p0 = (lid, 0)
@@ -690,17 +706,20 @@ def parse_net(text, cat):
                 if len(ports) != 2:
                     raise ParseError(lineno, "cut takes exactly two ports")
                 tok0, tok1 = ports
-                if label not in arrow_cuts:
-                    if (norm := " ".join(label.split())) not in arrow_cuts:
-                        if norm not in cat.arrows:
-                            raise ParseError(lineno, f"unknown cut label {norm!r}")
-                        arrow_cuts[norm] = (link := CutLink(arrow=norm)), cut_inputs(link, cat)
-                    arrow_cuts[label] = arrow_cuts[norm]
+                if (labelled := read.get(("cut", label))) is None:
+                    norm = " ".join(label.split())
+                    if norm == "id":
+                        labelled = _ID_CUT
+                    elif norm in cat.arrows:
+                        labelled = (link := CutLink(arrow=norm)), cut_inputs(link, cat)
+                    else:
+                        raise ParseError(lineno, f"unknown cut label {norm!r}")
+                    labelled = read[("cut", label)] = read.setdefault(("cut", norm), labelled)
                 cid = f"#c{cut_count}"
                 cut_count += 1
                 p0 = table.pop(tok0, None) or miss((cid, 0), tok0, lineno)
                 p1 = table.pop(tok1, None) or miss((cid, 1), tok1, lineno)
-                cut(cid, arrow_cuts[label], p0, p1, lineno)
+                cut(cid, labelled, p0, p1, lineno)
             elif head == "times":
                 lid, eq, ports = rest.partition("=")
                 if not eq:
@@ -715,7 +734,7 @@ def parse_net(text, cat):
                 p0 = table.pop(toks[0], None) or miss((lid, 0), toks[0], lineno)
                 p1 = table.pop(toks[1], None) or miss((lid, 1), toks[1], lineno)
                 table[f"{lid}.0"] = (lid, 0)
-                add(lid, times_link, p0, p1)
+                add(lid, _TIMES_LINK, p0, p1)
             elif head in ("plus1", "plus2"):
                 lid, eq, body = rest.partition("=")
                 if not eq or "|" not in body:
@@ -724,11 +743,11 @@ def parse_net(text, cat):
                 if not (lid := lid.strip()).isidentifier() or lid in links:
                     _link_id(lid, lineno, links)
                 other, tok = (lhs, rhs) if head == "plus2" else (rhs, lhs)
-                if (link := plus_links.get((head, other))) is None:
+                if (link := read.get((head, other))) is None:
                     if type(side := _text_node(other.strip(), cat, lineno, read)) is Zero:
                         raise ParseError(lineno, "0 may only appear as a whole formula")
                     kind = Plus2Link if head == "plus2" else Plus1Link
-                    link = plus_links[(head, other)] = kind(side)
+                    link = read[(head, other)] = kind(side)
                 tok = tok.strip()
                 p0 = table.pop(tok, None) or miss((lid, 0), tok, lineno)
                 table[f"{lid}.0"] = (lid, 0)
@@ -738,7 +757,7 @@ def parse_net(text, cat):
                     _link_id(rest, lineno, links)
                 table[f"{rest}.0"] = p0 = (rest, 0)
                 labs[p0], units[rest] = _UNIT, lineno
-                add(rest, unit_link)
+                add(rest, _UNIT_LINK)
             else:  # out
                 if outs is not None:
                     raise ParseError(lineno, "duplicate out line")
@@ -769,8 +788,10 @@ def parse_net(text, cat):
         elif head == "conclusions":
             if conclusions is not None:
                 raise ParseError(lineno, "duplicate conclusions line")
-            parts = split_top(rest, ",", lineno) if rest else ()
-            conclusions = tuple(_text_node(part, cat, lineno, read) for part in parts)
+            if (conclusions := read.get(("conclusions", rest))) is None:
+                parts = split_top(rest, ",", lineno) if rest else ()
+                conclusions = tuple(_text_node(part, cat, lineno, read) for part in parts)
+                read[("conclusions", rest)] = conclusions
         else:
             raise ParseError(lineno, f"unknown directive {head!r}")
     if links is not None:

@@ -53,10 +53,15 @@ def _rule(s, cat, cid):
     return _FORMULA_RULES[type(link.formula)]
 
 
+def _redexes(s, cat):
+    """The rule of each redex of a slice, by cut id in sorted order."""
+    cuts = sorted([lid for lid, link in s.links.items() if type(link) is nets.CutLink])
+    return {cid: rule for cid in cuts if (rule := _rule(s, cat, cid)) is not None}
+
+
 def find_redexes(s, cat):
     """All redexes of a slice, sorted by cut id."""
-    cuts = sorted([lid for lid, link in s.links.items() if type(link) is nets.CutLink])
-    return [Redex(cid, rule) for cid in cuts if (rule := _rule(s, cat, cid)) is not None]
+    return [Redex(cid, rule) for cid, rule in _redexes(s, cat).items()]
 
 
 class _Work:
@@ -65,10 +70,10 @@ class _Work:
     ``cons`` maps each output port to its consumer, or to ``(None, k)`` if out ``k``.
     """
 
-    def __init__(self, s):
+    def __init__(self, s, cat):
         self.links, self.wires, self.outs = dict(s.links), dict(s.wires), list(s.outs)
         self.cons = {port: (None, k) for k, port in enumerate(s.outs)} | s.consumers()
-        self.axioms = {}  # arrow -> the one AxLink the ax-ax rule made for it
+        self.table = cat.formula_table()  # where the category keeps its one AxLink per arrow
 
     def drop(self, lid):
         for slot in range(self.links[lid].n_in):
@@ -84,7 +89,7 @@ def _rewrite(w, cat, cid, rule):
         # the cut already runs from the axiom's output 1 to its output 0
         ax = wires[(cid, 0)][0]
         loop_arrow = cat.compose(links[ax].arrow, link.arrow)
-        links[ax] = nets.AxLink(loop_arrow)
+        links[ax] = nets._axiom(cat, loop_arrow, w.table)[0]
         links[cid] = nets.CutLink(arrow=cat.identity(cat.dom(loop_arrow)))
         return ()  # now a closed loop
     if rule == "ax-ax":
@@ -95,18 +100,18 @@ def _rewrite(w, cat, cid, rule):
         composite = cat.compose(cat.compose(links[f_ax].arrow, link.arrow), links[h_ax].arrow)
         del links[cid], links[f_ax], links[h_ax], cons[(f_ax, 1)], cons[(h_ax, 0)]
         nid = min(f_ax, h_ax)
-        if (ax := w.axioms.get(composite)) is None:
-            ax = w.axioms[composite] = nets.AxLink(composite)
-        links[nid] = ax
+        links[nid] = nets._axiom(cat, composite, w.table)[0]
+        # the end of the other axiom moves to nid; the end of nid keeps its port
+        old, new = ((h_ax, 1), (nid, 1)) if nid == f_ax else ((f_ax, 0), (nid, 0))
+        lid, k = cons[new] = cons.pop(old)
+        if lid is None:
+            w.outs[k] = new
+        else:
+            wires[(lid, k)] = new
         touched = []
-        for old, new in (((f_ax, 0), (nid, 0)), ((h_ax, 1), (nid, 1))):
-            lid, k = cons[new] = cons.pop(old)
-            if lid is None:
-                w.outs[k] = new
-            else:
-                wires[(lid, k)] = new
-                if type(links[lid]) is nets.CutLink:
-                    touched.append(lid)
+        for lid, _ in (cons[(nid, 0)], cons[(nid, 1)]):
+            if lid is not None and type(links[lid]) is nets.CutLink:
+                touched.append(lid)
         return touched
     # a cut on a compound formula meets the two links that built it and
     # its dual: cut each joined sub-formula instead, input k against input k
@@ -133,7 +138,7 @@ def step(s, cat, redex):
         raise ValueError(f"stale redex: no cut {redex.cut}")
     if (rule := _rule(s, cat, redex.cut)) != redex.rule:
         raise ValueError(f"stale redex: cut {redex.cut} is now {rule or 'a closed loop'}")
-    w = _Work(s)
+    w = _Work(s, cat)
     if _rewrite(w, cat, redex.cut, redex.rule) is None:
         return None
     return nets.Slice(w.links, w.wires, tuple(w.outs))
@@ -151,7 +156,7 @@ def normalize_slice(s, cat, strategy="min", rng=None, on_step=None):
     two; ``normalize`` checks it.  ``on_step`` gets each step's cut, rule and
     links left.
     """
-    live = dict(find_redexes(s, cat))
+    live = _redexes(s, cat)
     if not live:
         return s, 0  # already normal: nothing to copy
     pool = list(live)  # sorted, so already a heap
@@ -163,7 +168,7 @@ def normalize_slice(s, cat, strategy="min", rng=None, on_step=None):
             pool[k], pool[-1] = pool[-1], pool[k]
             return pool.pop()
         put = list.append
-    w = _Work(s)
+    w = _Work(s, cat)
     steps = 0
     while live:
         cid = take(pool)

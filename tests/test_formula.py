@@ -149,6 +149,49 @@ def test_star_matches_a_recursive_walk(pauli8, c2, corpus, wide_corpus):
             star(bad)
 
 
+def _doubled(n, base):
+    """``base`` under ``n`` levels of ``g = Plus(g, g)``: n + 1 nodes that stand for 2^n leaves."""
+    for _ in range(n):
+        base = Plus(base, base)
+    return base
+
+
+def test_walkers_visit_a_shared_part_once(c2):
+    q = Atom("Q")
+    g = _doubled(60, Plus(q, Unit()))
+    validate(g, c2)
+    assert not formula_module._too_deep(g)
+    s = star(g)
+    for _ in range(60):
+        assert s.left is s.right
+        s = s.left
+    assert s == Plus(DualAtom("Q"), Unit())
+    assert formula_module._too_deep(_doubled(MAX_DEPTH + 1, q))
+    assert not formula_module._too_deep(_doubled(MAX_DEPTH, q))
+    # a part that passed is walked again when met deeper: h, 200 sums deep, stands
+    # first under one sum and then under m + 1 of them
+    h = _doubled(200, q)
+    for m, deep in ((MAX_DEPTH - 201, False), (MAX_DEPTH - 200, True)):
+        k = h
+        for _ in range(m):
+            k = Plus(k, Unit())
+        assert formula_module._too_deep(Plus(h, k)) is deep
+
+
+def test_validate_finds_the_first_fault_of_a_shared_formula_as_of_its_tree(c2):
+    # a copy with no shared part (star twice, as a plain walk) is the reference
+    q, r, i = Atom("Q"), Atom("R"), Unit()
+    g = _doubled(6, Plus(q, i))
+    for f in (Plus(g, Tensor(g, i)), Tensor(g, Plus(r, Tensor(i, g))),
+              Plus(Tensor(g, Zero()), Plus(g, r)), Plus(Plus(g, r), Tensor(g, Zero()))):
+        tree = _star_by_recursion(_star_by_recursion(f))
+        with pytest.raises(FormulaError) as shared:
+            validate(f, c2)
+        with pytest.raises(FormulaError) as unshared:
+            validate(tree, c2)
+        assert str(shared.value) == str(unshared.value)
+
+
 def test_validate_anf_and_fmt_reject_what_is_not_a_formula():
     for walk in (validate, anf, fmt):
         for bad, text in ((3, "3"), ("Q", "'Q'"), (Tensor(Atom("Q"), 3), "3")):

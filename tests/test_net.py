@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import re
+import time
 import tracemalloc
 from collections import Counter
 
@@ -18,7 +19,7 @@ from cqlnet.formula import (
 from cqlnet.freecat import complete, denote, fa_equal, fmt_arrow
 from cqlnet.randgen import random_free_arrow, random_net
 from cqlnet.model import eval_net
-from cqlnet.rewrite import normalize
+from cqlnet.rewrite import normalize, normalize_slice
 from cqlnet.net import (
     AxLink,
     CutLink,
@@ -423,6 +424,90 @@ def test_nets_parsed_across_a_reset_of_the_table_are_equal(swap_tree_net, monkey
     assert print_net(complete(denote(before))) == completed
     # the two tables' nodes still meet by ==
     validate_net(Net("mixed", before.conclusions, after.slices, cat))
+
+
+def _keeps(table, written):
+    """Whether ``table`` holds an entry keyed by the line text ``written``."""
+    return any(type(key) is tuple and written in key[1:] for key in table)
+
+
+def test_a_bad_arrow_cut_label_or_plus_side_fails_on_every_parse_at_its_own_line(pauli8):
+    # an arrow, a cut label or a plus side is stored only once it is checked, as a
+    # formula text is, so no parse is served a failed read
+    ends = ("ax a : id Q", "ax b : id Q")
+    for lineno, written, message, text in (
+        (4, " nope", "unknown arrow 'nope'", _net("Q* , Q", "ax a : nope", "out a.0 , a.1")),
+        (6, " nope", "unknown cut label 'nope'",
+         _net("Q* , Q", *ends, "cut a.1 , b.0 : nope", "out a.0 , b.1")),
+        (6, " 0", "0 may only appear as a whole formula",
+         _net("Q* , Q", *ends, "plus1 p = b.1 | 0", "out a.0 , p.0")),
+        (6, " (I x Q)", "I may not appear under x",
+         _net("Q* , Q", *ends, "plus1 p = b.1 | (I x Q)", "out a.0 , p.0")),
+    ):
+        for _ in range(2):
+            with pytest.raises(ParseError) as exc:
+                parse_net(text, pauli8)
+            assert str(exc.value) == f"line {lineno}: {message}"
+        assert not _keeps(pauli8.formula_table(), written)
+
+
+def test_each_category_reads_its_own_arrows():
+    # an arrow one category read and checked is read and checked again by another:
+    # Z is an arrow of pauli8, not of c2
+    text = _net("Q* , Q", "ax a : Z", "out a.0 , a.1")
+    for order in ((fixtures.PAULI8_CAT, fixtures.C2_CAT), (fixtures.C2_CAT, fixtures.PAULI8_CAT)):
+        cats = [load_category(cat_text) for cat_text in order]
+        for _ in range(2):
+            for cat in cats:
+                if "Z" in cat.arrows:
+                    assert parse_net(text, cat).slices[0].links["a"] == AxLink("Z")
+                else:
+                    with pytest.raises(ParseError) as exc:
+                        parse_net(text, cat)
+                    assert str(exc.value) == "line 4: unknown arrow 'Z'"
+
+
+def test_parses_over_one_category_share_its_links(cut_chain_net):
+    cat = load_category(fixtures.PAULI8_CAT)
+
+    def links(net):
+        return [link for s in net.slices for link in s.links.values()]
+
+    text = _net("Q* , (Q + Q) , Q* , (Q + Q)", "ax a : X", "ax b :  X", "plus1 p = a.1 | Q",
+                "plus1 q = b.1 |  Q", "out a.0 , p.0 , b.0 , q.0")
+    one, two = links(parse_net(text, cat)), links(parse_net(text, cat))
+    assert one[0] is one[1] is two[0] is two[1]  # one AxLink for X, as written either way
+    assert one[2] is two[2] and one[3] is two[3]  # one PlusLink per written side
+    assert one[2] == one[3] and one[2] is not one[3]
+    # normalizing a chain of X axioms joined by Z cuts gives the category's one
+    # AxLink for the composite, the one a parse of that arrow gives
+    composite = cat.compose(cat.compose("X", "Z"), "X")
+    nf, _ = normalize_slice(parse_net(cut_chain_net(2), cat).slices[0], cat)
+    axiom = links(parse_net(_net("Q* , Q", f"ax a : {composite}", "out a.0 , a.1"), cat))[0]
+    assert list(nf.links.values()) == [axiom] and nf.links["a0"] is axiom
+
+
+def test_line_entries_start_over_with_the_formula_table(monkeypatch):
+    limit = 8
+    monkeypatch.setattr(category_module, "MAX_FORMULAS", limit)
+    cat = load_category(fixtures.PAULI8_CAT)
+    text = _net("Q* , (Q + Q)", "ax a : X", "ax b : Z", "plus1 p = b.1 | Q", "cut a.1 , b.0 : Z",
+                "out a.0 , p.0")
+    table = cat.formula_table()
+    before = parse_net(text, cat)
+    assert _keeps(table, " X") and _keeps(table, " Z") and _keeps(table, "Q* , (Q + Q)")
+    assert len(table) >= limit  # so the next call starts a new table
+    after = parse_net(text, cat)
+    assert cat.formulas is not table and _keeps(cat.formulas, " X")
+    links, again = before.slices[0].links, after.slices[0].links
+    assert all(again[lid] is not links[lid] for lid in ("a", "b", "p", "#c0"))
+    assert after == before and print_net(after) == print_net(before)
+    assert normalize(after) == normalize(before)
+    # each spelling of one arrow is an entry, yet the table never grows past its limit
+    # by more than one call's entries
+    for k in range(10_000):
+        parse_net(_net("Q* , Q", "ax a :" + " " * k + "X", "out a.0 , a.1"), cat)
+        assert len(cat.formulas) < limit + 6
 
 
 def test_print_net_formats_each_distinct_node_once(swap_tree_net, monkeypatch):
@@ -1070,6 +1155,21 @@ def test_validate_net_errors_pinned(pauli8):
          "bad wiring: missing inputs [], stray [('b', 0)]"),
         (({"a": AxLink("id Q"), "t": TimesLink()}, {("t", 0): ("a", 0), ("t", 1): ("a", 2)},
           (("t", 0),), ["(Q* x Q)"]), "wire into ('t', 1) from unknown port ('a', 2)"),
+        # shapes only a slice built in code can have, checked before anything reads them
+        (({"a": AxLink("id Q")}, {}, ("a", ("a", 1)), ["Q*", "Q"]), "out lists bad port 'a'"),
+        (({"a": AxLink("id Q")}, {}, (3, ("a", 1)), ["Q*", "Q"]), "out lists bad port 3"),
+        (({"a": AxLink("id Q")}, {}, (("a", 0, 0), ("a", 1)), ["Q*", "Q"]),
+         "out lists bad port ('a', 0, 0)"),
+        (({"a": AxLink("id Q"), "x": "x"}, {}, (("a", 0), ("a", 1)), ["Q*", "Q"]),
+         "bad link 'x': 'x'"),
+        (({"a": AxLink("id Q"), 1: UnitLink()}, {}, (("a", 0), ("a", 1)), ["Q*", "Q"]),
+         "bad link 1: UnitLink()"),
+        (({"a": AxLink("id Q"), "p": PlusLink(Atom("Q"))}, {("p", 0): ("a", 1)},
+          (("a", 0), ("p", 0)), ["Q*", "(Q + Q)"]), "bad link 'p': PlusLink(other=Atom(name='Q'))"),
+        (({"a": AxLink("id Q")}, {("z", 0): ("a", 0), (1, 0): ("a", 1)}, (), []),
+         "bad wiring: missing inputs [], stray [('z', 0), (1, 0)]"),
+        (({"a": AxLink("id Q"), "t": TimesLink()}, {("t", 0): ("a", 0), ("t", 1): ["a", 1]},
+          (("t", 0),), ["(Q* x Q)"]), "wire into ('t', 1) from unknown port ['a', 1]"),
     ]
     for (links, wires, outs, conclusions), message in cases:
         with pytest.raises(NetError) as exc:
@@ -1190,6 +1290,29 @@ def test_of_two_misused_ports_both_routes_name_the_least_by_its_text(pauli8):
         with pytest.raises(NetError) as exc:
             parse_net(written, pauli8)
         assert str(exc.value) == message, written
+
+
+def test_validate_net_walks_a_shared_part_of_a_built_formula_once(pauli8):
+    # g = (g + g), 40 levels: 41 nodes that stand for 2^40 leaves
+    q, g = Atom("Q"), Atom("Q")
+    for _ in range(40):
+        g = Plus(g, g)
+    side = Net("built", (DualAtom("Q"), Plus(q, g)),
+               (Slice({"a": AxLink("id Q"), "p": Plus1Link(g)}, {("p", 0): ("a", 1)},
+                      (("a", 0), ("p", 0))),), pauli8)
+    start = time.perf_counter()
+    validate_net(side)
+    # a formula cut on (g + Q), written first: its depth and its dual are taken where
+    # the checker meets it, and the bad atom on its other input's side is labelling's
+    # fault, raised before the cut's inputs are compared
+    cut = _built({"#c0": CutLink(formula=Plus(g, q)), "a": AxLink("id Q"), "b": AxLink("id Q"),
+                  "p": Plus2Link(g), "r": Plus2Link(Plus(star(g), Atom("Nope")))},
+                 {("p", 0): ("a", 1), ("r", 0): ("b", 0), ("#c0", 0): ("p", 0),
+                  ("#c0", 1): ("r", 0)}, (("a", 0), ("b", 1)), ["Q*", "Q"], pauli8)
+    with pytest.raises(NetError) as exc:
+        validate_net(cut)
+    assert str(exc.value) == "unknown atom 'Nope'"
+    assert time.perf_counter() - start < 0.5
 
 
 def _nested_sum(n, base):
