@@ -39,9 +39,9 @@ class Category:
     laws, its loop classes and a model's functor check walk it.
     ``atoms`` maps each object to one ``Atom`` and one ``DualAtom``; the net checker
     and ``net.cut_inputs`` give only these as atom labels, so those meet by identity.
-    ``formula_table()`` is the one table that ``parse_net``, ``parse_formula`` and
-    ``freecat.complete`` read and build its formulas through, seeded with those atoms:
-    a formula read or built before is the same node, with its ``anf`` and ``fmt`` caches.
+    ``formula_table()`` is the one table that ``parse_net``, ``parse_formula``,
+    ``validate_net`` and ``freecat.complete`` read, check and build formulas through,
+    seeded with those atoms: a formula met before is the same node, with its caches.
     ``parse_net`` also keeps there what each arrow, cut label, plus side and conclusions
     line it checked means, so every net over the category shares one ``AxLink`` per arrow,
     which ``validate_net`` and cut elimination take from there too.
@@ -128,9 +128,9 @@ class Category:
 
         It maps each formula text read and checked over this category to its node, and
         each node's class with its atom name or the ids of its shared parts to the node
-        (see ``formula._node``); ``parse_net`` keys what a line's text means by the line's
-        head and the text, which no formula text or node key equals.  A caller keeps the
-        table it got for its whole call.
+        (see ``formula._node``), those of the formulas ``validate_net`` checks too;
+        ``parse_net`` keys what a line's text means by the line's head and the text, which
+        no formula text or node key equals.  A caller keeps the table it got for its call.
         """
         if len(self.formulas) >= MAX_FORMULAS:
             self._reset_formulas()

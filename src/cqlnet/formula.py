@@ -11,9 +11,9 @@ of literals, the empty word being ``I``; the empty ANF is ``0``.
 
 Formula nodes are immutable slotted classes, equal only within one class;
 literals are named tuples.  ``anf`` and ``fmt`` cache a node's ANF and text on
-the node, outside ``==``, ``hash`` and ``repr``.  Reading a formula over a
-category, or building one for ``complete``, goes through the category's
-formula table, so equal formulas are one node, with one set of caches.
+the node, outside ``==``, ``hash`` and ``repr``.  Reading or checking a formula
+over a category (one walk, ``_intern``), or building one for ``complete``, goes
+through the category's formula table: equal formulas are one node, one set of caches.
 """
 
 from __future__ import annotations
@@ -150,60 +150,6 @@ def star(f):
     if not isinstance(f, Formula):
         raise TypeError(f"not a formula: {f!r}")
     return _dual(f, {}, {})
-
-
-def validate(f, cat=None):
-    """Check the unit and zero restrictions (and atom names, given a category)."""
-    if isinstance(f, Zero):
-        return
-    _validate(f, None, cat, set())
-
-
-def _validate(g, under, cat, passed):
-    """``validate``'s walk over ``g``, the operand of an ``under`` node ("x", "+" or None).
-
-    ``passed`` holds the id of each times or plus node that passed, whatever it sits
-    under, so a part shared in a built formula is walked once.  It dispatches on the
-    exact class, about five times faster than class patterns on CPython 3.11;
-    ``net._fed`` runs it on each plus side of a built slice.
-    """
-    kind = type(g)
-    if kind is Tensor or kind is Plus:
-        if (key := id(g)) not in passed:
-            op = "x" if kind is Tensor else "+"
-            _validate(g.left, op, cat, passed)
-            _validate(g.right, op, cat, passed)
-            passed.add(key)
-    elif kind is Atom or kind is DualAtom:
-        if cat is not None and g.name not in cat.objects:
-            raise FormulaError(f"unknown atom {g.name!r}")
-    elif kind is Unit:
-        if under == "x":
-            raise FormulaError("I may not appear under x")
-    elif kind is Zero:
-        raise FormulaError("0 may only appear as a whole formula")
-    else:
-        raise TypeError(f"not a formula: {g!r}")
-
-
-def _too_deep(g, depth=0, passed=None):
-    """Whether ``g`` nests times and plus nodes deeper than ``MAX_DEPTH``, as ``_parse``
-    refuses; the walk stops there, so a built formula of any depth can be tested.
-
-    ``passed`` maps the id of each node that passed to the greatest depth it passed at,
-    so a shared part is walked again only when met deeper.
-    """
-    if isinstance(g, _Binary):
-        if passed is None:
-            passed = {}
-        if depth == MAX_DEPTH:
-            return True
-        if passed.get(key := id(g), -1) >= depth:
-            return False
-        if _too_deep(g.left, depth + 1, passed) or _too_deep(g.right, depth + 1, passed):
-            return True
-        passed[key] = depth
-    return False
 
 
 def anf(f):
@@ -378,12 +324,13 @@ def _tokenize(text, lineno):
 
 
 # Deepest bracket nesting a formula may have.  Every formula read from text
-# passes through ``_parse``, so this also bounds the recursive walkers
-# (``star``, ``anf``, ``fmt``, ``validate``, ...); the net checker bounds the
-# labels a slice builds by it too (``net._OpenSlice.settle``), and a built slice's
-# plus sides and cut formulas (``_too_deep``).  Formulas built by
-# ``anf_formula`` are log-depth in their words and literals.
+# passes through ``_parse``, and every formula a built net names through
+# ``_intern``, so this also bounds the recursive walkers (``star``, ``anf``,
+# ``fmt``, ...); the net checker bounds the labels a slice builds by it too
+# (``net._OpenSlice.settle``).  Formulas built by ``anf_formula`` are log-depth
+# in their words and literals.
 MAX_DEPTH = 256
+_TOO_DEEP = f"formula nested deeper than {MAX_DEPTH}"
 
 # Most entries a category's formula table may hold: ``Category.formula_table``
 # starts it over from the category's atoms once it is this full.
@@ -410,13 +357,48 @@ def _dual(f, nodes, duals):
     return f
 
 
+def _intern(g, under, depth, cat, nodes, seen):
+    """The node of ``nodes``, keyed as ``_parse`` keys, for formula ``g``, ``depth`` deep
+    under an ``under`` node ("x", "+" or None): the one walk that checks a formula's node
+    classes, nesting, unit and zero rules, and atoms given a category (FormulaError).
+
+    ``seen`` maps the id of each times or plus node that passed to its node and the greatest
+    depth it passed at, so a shared part is walked again only when met deeper.
+    """
+    kind = type(g)
+    if kind is Tensor or kind is Plus:
+        if (hit := seen.get(id(g))) is not None and hit[1] >= depth:
+            return hit[0]
+        if depth == MAX_DEPTH:
+            raise FormulaError(_TOO_DEEP)
+        op = "x" if kind is Tensor else "+"
+        left = _intern(g.left, op, depth + 1, cat, nodes, seen)
+        right = _intern(g.right, op, depth + 1, cat, nodes, seen)
+        node = _node(nodes, (kind, id(left), id(right)), left, right)
+        seen[id(g)] = node, depth
+        return node
+    if kind is Atom or kind is DualAtom:
+        if cat is not None and g.name not in cat.objects:
+            raise FormulaError(f"unknown atom {g.name!r}")
+        return _node(nodes, (kind, g.name), g.name)
+    if kind is Unit:
+        if under == "x":
+            raise FormulaError("I may not appear under x")
+    elif kind is Zero:
+        if under is not None:
+            raise FormulaError("0 may only appear as a whole formula")
+    else:
+        raise FormulaError(f"not a formula: {g!r}")
+    return _node(nodes, (kind,))
+
+
 def _parse(toks, pos, lineno, nodes, depth=0):
     if pos >= len(toks):
         raise ParseError(lineno, "unexpected end of formula")
     t = toks[pos]
     if t == "(":
         if depth == MAX_DEPTH:
-            raise ParseError(lineno, f"formula nested deeper than {MAX_DEPTH}")
+            raise ParseError(lineno, _TOO_DEEP)
         left, pos = _parse(toks, pos + 1, lineno, nodes, depth + 1)
         if pos >= len(toks) or toks[pos] not in ("x", "+"):
             raise ParseError(lineno, "expected 'x' or '+' in formula")
@@ -463,10 +445,9 @@ def _read(text, cat, lineno, nodes):
     if pos != len(toks):
         raise ParseError(lineno, f"trailing tokens after formula: {' '.join(toks[pos:])}")
     try:
-        validate(node, cat)
+        return _intern(node, None, 0, cat, nodes, {})
     except FormulaError as exc:
         raise ParseError(lineno, str(exc)) from exc
-    return node
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,9 @@ output raises at the end line.  ``validate_net`` checks the wiring of a built
 slice, the one check text needs no part of, then feeds the checker each link
 in written order over the ports it is wired from, with no table, and changes
 nothing it checks: a built cut is checked as written, and an unknown arrow or
-a bad plus side is a NetError in the parser's words.  ``labels`` feeds it the
-same way and returns the labels it gave.
+a bad plus side is a NetError in the parser's words.  Each formula it names is
+checked by the walk that checks text (``formula._intern``), and is labelled over
+its node in the formula table.  ``labels`` feeds it so and returns the labels.
 
 Arrow cuts compare by identity: axiom labels and arrow cuts share the
 category's atoms.  Texts are read through the category's formula table, so
@@ -56,18 +57,18 @@ from .formula import (
     Tensor,
     Unit,
     Zero,
+    _dual,
     _Empty,
+    _intern,
     _Record,
     _text_node,
-    _too_deep,
-    _validate,
+    _TOO_DEEP,
     _Value,
     directives,
     fmt,
     parse_nat,
     split_top,
     star,
-    validate,
 )
 
 _BAD_ID = re.compile(r"[\s.,:|=#()\[\]]")  # what a link id may not hold; \s is str.isspace
@@ -213,20 +214,23 @@ def cut_inputs(link, cat):
 
     Raises NetError on a cut the parser never builds: with both or neither of ``arrow`` and
     ``formula``, on an arrow the category lacks, on an atom (that is the arrow cut id), or
-    on a formula nested deeper than the parser reads.
+    on a formula the parser refuses, in its words; else the table's nodes for them.
     """
     arrow, f = link.arrow, link.formula
     if (arrow is None) == (f is None):
         raise NetError("a cut takes exactly one of an arrow and a formula")
     if arrow is not None:
-        if arrow not in cat.arrows:
+        if type(arrow) is not str or arrow not in cat.arrows:
             raise NetError(f"unknown cut label {arrow!r}")
         return cat.atoms[cat.dom(arrow)][0], cat.atoms[cat.cod(arrow)][1]
     if isinstance(f, (Atom, DualAtom)):
         raise NetError(f"cut id {fmt(f)}: a cut on an atom is the arrow cut id {f.name}")
-    if _too_deep(f):
-        raise NetError(f"formula nested deeper than {MAX_DEPTH}")
-    return f, star(f)
+    table = cat.formula_table()
+    try:
+        f = _intern(f, None, 0, cat, table, {})
+    except FormulaError as exc:
+        raise NetError(*exc.args) from None
+    return f, _dual(f, table, {})
 
 
 def id_cut(cat, formula, port_f, port_fstar):
@@ -522,14 +526,15 @@ class _OpenSlice:
 def _fed(slice_, cat):
     """The checker fed each link of the built ``slice_`` in written order, its place standing
     for its line.  An axiom on an arrow the category lacks, and a plus link whose other side
-    is nested deeper than the parser reads or may not stand under +, are labelling's faults,
-    in the parser's words."""
+    the parser refuses, are labelling's faults, in the parser's words.  A plus link is fed
+    over its side's node in the category's formula table, so the labels share the table's
+    nodes; ``slice_`` is left as it is."""
     open_ = _OpenSlice(cat, False)
     wires, labs, units, table = slice_.wires, open_.labs, open_.units, cat.formula_table()
-    sides = set()  # the id of each plus side checked
+    seen = {}  # the plus sides' nodes that passed (``_intern``)
     for k, (lid, link) in enumerate(slice_.links.items()):
         if type(link) is AxLink:
-            if (arrow := link.arrow) in cat.arrows:
+            if type(arrow := link.arrow) is str and arrow in cat.arrows:
                 labs[(lid, 0)], labs[(lid, 1)] = _axiom(cat, arrow, table)[1]
                 open_.add(lid, link)
             else:
@@ -545,15 +550,12 @@ def _fed(slice_, cat):
                 open_.hold(_CUTS, k, NetError, *exc.args)
             open_.cut(lid, (link, want), wires[(lid, 0)], wires[(lid, 1)], k)
         else:
-            if link.n_in == 1 and id(link.other) not in sides:  # a plus link's other side, once
-                sides.add(id(link.other))  # by identity: a hash would walk it at any depth
-                if _too_deep(link.other):
-                    open_.hold(_LABELS, 0, NetError, f"formula nested deeper than {MAX_DEPTH}")
-                else:
-                    try:
-                        _validate(link.other, "+", cat, set())
-                    except FormulaError as exc:
-                        open_.hold(_LABELS, 0, NetError, *exc.args)
+            if link.n_in == 1:  # a plus link
+                try:
+                    if (side := _intern(link.other, "+", 0, cat, table, seen)) is not link.other:
+                        link = type(link)(side)
+                except FormulaError as exc:
+                    open_.hold(_LABELS, 0, NetError, *exc.args)
             open_.add(lid, link, wires[(lid, 0)], wires.get((lid, 1)))  # a plus link has no 1
     return open_
 
@@ -564,14 +566,28 @@ def _no_slice_under_zero(net):
 
 
 def validate_net(net):
-    """Well-formedness of a net built in code: its wiring, then every check ``parse_net``
-    makes, by the same checker.  Changes nothing it checks."""
+    """Well-formedness of a net built in code: its conclusions (a FormulaError; one too deep
+    once a slice's labels are checked), its wiring, then every check ``parse_net`` makes, by
+    the same checker.  Changes nothing it checks."""
+    cat = net.cat
+    table, seen, conclusions, deep = cat.formula_table(), {}, [], False
     for f in net.conclusions:
-        validate(f, net.cat)
+        try:
+            conclusions.append(_intern(f, None, 0, cat, table, seen))
+        except FormulaError as exc:
+            if exc.args != (_TOO_DEEP,):
+                raise
+            deep = True
     _no_slice_under_zero(net)
     for s in net.slices:
         validate_wiring(s)
-        _raise(_fed(s, net.cat).end(s, net.conclusions))
+        open_ = _fed(s, cat)
+        if deep:
+            open_.all_labels()
+            break
+        _raise(open_.end(s, conclusions))
+    if deep:
+        raise FormulaError(_TOO_DEEP)
 
 
 # ---------------------------------------------------------------------------

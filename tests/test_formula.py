@@ -27,7 +27,6 @@ from cqlnet.formula import (
     plus_path,
     split_top,
     star,
-    validate,
 )
 from cqlnet.net import PlusLink, parse_net
 from cqlnet.randgen import random_anf, random_net
@@ -149,6 +148,22 @@ def test_star_matches_a_recursive_walk(pauli8, c2, corpus, wide_corpus):
             star(bad)
 
 
+def _intern(f, cat=None):
+    """``f``'s node from the one walk that checks a formula, as ``validate_net`` runs it on a
+    conclusion, over a table of its own."""
+    return formula_module._intern(f, None, 0, cat, {}, {})
+
+
+def _too_deep(f):
+    """Whether the walk refuses ``f`` as nested deeper than ``MAX_DEPTH``."""
+    try:
+        _intern(f)
+    except FormulaError as exc:
+        assert str(exc) == f"formula nested deeper than {MAX_DEPTH}"
+        return True
+    return False
+
+
 def _doubled(n, base):
     """``base`` under ``n`` levels of ``g = Plus(g, g)``: n + 1 nodes that stand for 2^n leaves."""
     for _ in range(n):
@@ -159,15 +174,17 @@ def _doubled(n, base):
 def test_walkers_visit_a_shared_part_once(c2):
     q = Atom("Q")
     g = _doubled(60, Plus(q, Unit()))
-    validate(g, c2)
-    assert not formula_module._too_deep(g)
+    _intern(g, c2)
+    assert not _too_deep(g)
+    f = parse_formula("((Q x Q*) + (I + Q))", c2)  # a node read over c2 is its own node
+    assert formula_module._intern(f, None, 0, c2, c2.formula_table(), {}) is f
     s = star(g)
     for _ in range(60):
         assert s.left is s.right
         s = s.left
     assert s == Plus(DualAtom("Q"), Unit())
-    assert formula_module._too_deep(_doubled(MAX_DEPTH + 1, q))
-    assert not formula_module._too_deep(_doubled(MAX_DEPTH, q))
+    assert _too_deep(_doubled(MAX_DEPTH + 1, q))
+    assert not _too_deep(_doubled(MAX_DEPTH, q))
     # a part that passed is walked again when met deeper: h, 200 sums deep, stands
     # first under one sum and then under m + 1 of them
     h = _doubled(200, q)
@@ -175,7 +192,7 @@ def test_walkers_visit_a_shared_part_once(c2):
         k = h
         for _ in range(m):
             k = Plus(k, Unit())
-        assert formula_module._too_deep(Plus(h, k)) is deep
+        assert _too_deep(Plus(h, k)) is deep
 
 
 def test_validate_finds_the_first_fault_of_a_shared_formula_as_of_its_tree(c2):
@@ -186,16 +203,16 @@ def test_validate_finds_the_first_fault_of_a_shared_formula_as_of_its_tree(c2):
               Plus(Tensor(g, Zero()), Plus(g, r)), Plus(Plus(g, r), Tensor(g, Zero()))):
         tree = _star_by_recursion(_star_by_recursion(f))
         with pytest.raises(FormulaError) as shared:
-            validate(f, c2)
+            _intern(f, c2)
         with pytest.raises(FormulaError) as unshared:
-            validate(tree, c2)
+            _intern(tree, c2)
         assert str(shared.value) == str(unshared.value)
 
 
 def test_validate_anf_and_fmt_reject_what_is_not_a_formula():
-    for walk in (validate, anf, fmt):
+    for walk, error in ((_intern, FormulaError), (anf, TypeError), (fmt, TypeError)):
         for bad, text in ((3, "3"), ("Q", "'Q'"), (Tensor(Atom("Q"), 3), "3")):
-            with pytest.raises(TypeError) as exc:
+            with pytest.raises(error) as exc:
                 walk(bad)
             assert str(exc.value) == f"not a formula: {text}"
 
@@ -330,23 +347,23 @@ def test_anf_kron_word_limit():
 
 
 def test_validate_unit_restriction():
-    validate(parse_formula("(Q + I)"))
+    _intern(parse_formula("(Q + I)"))
     with pytest.raises(FormulaError, match="I may not"):
-        validate(Tensor(Unit(), Atom("Q")))
+        _intern(Tensor(Unit(), Atom("Q")))
 
 
 def test_validate_zero_restriction():
-    validate(Zero())
+    _intern(Zero())
     with pytest.raises(FormulaError, match="0 may only"):
-        validate(Tensor(Zero(), Atom("Q")))
+        _intern(Tensor(Zero(), Atom("Q")))
     with pytest.raises(FormulaError, match="0 may only"):
-        validate(Plus(Atom("Q"), Zero()))
+        _intern(Plus(Atom("Q"), Zero()))
 
 
 def test_validate_atom_names(c2):
-    validate(parse_formula("(Q x Q*)"), c2)
+    _intern(parse_formula("(Q x Q*)"), c2)
     with pytest.raises(FormulaError, match="unknown atom"):
-        validate(parse_formula("R"), c2)
+        _intern(parse_formula("R"), c2)
 
 
 def test_parse_formula_errors():

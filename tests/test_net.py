@@ -1170,6 +1170,10 @@ def test_validate_net_errors_pinned(pauli8):
          "bad wiring: missing inputs [], stray [('z', 0), (1, 0)]"),
         (({"a": AxLink("id Q"), "t": TimesLink()}, {("t", 0): ("a", 0), ("t", 1): ["a", 1]},
           (("t", 0),), ["(Q* x Q)"]), "wire into ('t', 1) from unknown port ['a', 1]"),
+        # fields of a type text cannot give: labelling's faults, in the parser's words
+        (({"a": AxLink(["X"])}, {}, (("a", 0), ("a", 1)), ["Q*", "Q"]), "unknown arrow ['X']"),
+        (({"a": AxLink("id Q"), "p": Plus1Link("Q")}, {("p", 0): ("a", 1)},
+          (("a", 0), ("p", 0)), ["Q*", "(Q + Q)"]), "not a formula: 'Q'"),
     ]
     for (links, wires, outs, conclusions), message in cases:
         with pytest.raises(NetError) as exc:
@@ -1195,6 +1199,7 @@ def test_validate_net_errors_pinned(pauli8):
         (CutLink(arrow="X", formula=parse_formula("(Q x Q*)")),
          "a cut takes exactly one of an arrow and a formula"),
         (CutLink(arrow="nope"), "unknown cut label 'nope'"),
+        (CutLink(arrow=["X"]), "unknown cut label ['X']"),
     ]:
         net = _built({"a": AxLink("id Q"), "b": AxLink("id Q"), "#c0": cut}, ends,
                      (("a", 0), ("b", 1)), ["Q*", "Q"], pauli8)
@@ -1225,6 +1230,12 @@ def test_validate_net_errors_pinned(pauli8):
         with pytest.raises(ParseError) as exc:
             parse_net(print_net(net), pauli8)
         assert str(exc.value) == f"line 6: {message}"
+    # a conclusion the walk refuses: its FormulaError, before the slices are read
+    one = Slice({"a": AxLink("id Q")}, {}, (("a", 0), ("a", 1)))
+    for conclusion, message in [("Q*", "not a formula: 'Q*'"), (DualAtom("R"), "unknown atom 'R'")]:
+        with pytest.raises(FormulaError) as exc:
+            validate_net(Net("built", (conclusion, q), (one,), pauli8))
+        assert str(exc.value) == message
     zero = Net("built", (parse_formula("0"),), (Slice(b.links, b.wires, ((t, 0), (u, 0))),), pauli8)
     with pytest.raises(NetError) as exc:
         validate_net(zero)
@@ -1243,6 +1254,12 @@ def test_validate_net_errors_pinned(pauli8):
     # words, in labelling's turn and in the cuts' turn, at any depth and with no walk that
     # recurses past the bound
     for n in (300, 3000):
+        # a conclusion nested as deep: the walk's FormulaError, once the slice is labelled
+        # and before any out is compared with it, and with no slice
+        for slices in ((one,), ()):
+            with pytest.raises(FormulaError) as exc:
+                validate_net(Net("built", (DualAtom("Q"), _nested_sum(n, q)), slices, pauli8))
+            assert str(exc.value) == f"formula nested deeper than {MAX_DEPTH}"
         side, dual = _nested_sum(n, q), _nested_sum(n, DualAtom("Q"))
         net = _built({"a": AxLink("id Q"), "b": AxLink("id Q"), "p": Plus2Link(side),
                       "r": Plus2Link(dual), "#c0": CutLink(formula=Plus(side, q))},
@@ -1293,10 +1310,7 @@ def test_of_two_misused_ports_both_routes_name_the_least_by_its_text(pauli8):
 
 
 def test_validate_net_walks_a_shared_part_of_a_built_formula_once(pauli8):
-    # g = (g + g), 40 levels: 41 nodes that stand for 2^40 leaves
-    q, g = Atom("Q"), Atom("Q")
-    for _ in range(40):
-        g = Plus(g, g)
+    q, g = Atom("Q"), _doubled_sum(40)
     side = Net("built", (DualAtom("Q"), Plus(q, g)),
                (Slice({"a": AxLink("id Q"), "p": Plus1Link(g)}, {("p", 0): ("a", 1)},
                       (("a", 0), ("p", 0))),), pauli8)
@@ -1312,7 +1326,31 @@ def test_validate_net_walks_a_shared_part_of_a_built_formula_once(pauli8):
     with pytest.raises(NetError) as exc:
         validate_net(cut)
     assert str(exc.value) == "unknown atom 'Nope'"
+    # the cut on (g + Q) over sides g and g* from three copies of g built apart: the
+    # checker meets them as one node of the category's formula table, and compares
+    # the cut's inputs with its formula by identity below the labels it builds
+    g1, g2, g3 = (_doubled_sum(40) for _ in range(3))
+    validate_net(_built({"#c0": CutLink(formula=Plus(g1, q)), "a": AxLink("id Q"),
+                         "b": AxLink("id Q"), "p": Plus2Link(g2), "r": Plus2Link(star(g3))},
+                        {("p", 0): ("a", 1), ("r", 0): ("b", 0), ("#c0", 0): ("p", 0),
+                         ("#c0", 1): ("r", 0)}, (("a", 0), ("b", 1)), ["Q*", "Q"], pauli8))
     assert time.perf_counter() - start < 0.5
+    # by count, on any machine: two copies are one node, which adds its 40 sums to a
+    # fresh category's table, whose atoms it starts with
+    cat = load_category(fixtures.PAULI8_CAT)
+    table = cat.formula_table()
+    before = len(table)
+    assert len({id(formula_module._intern(_doubled_sum(40), None, 0, cat, table, {}))
+                for _ in range(2)}) == 1
+    assert len(table) - before <= 41
+
+
+def _doubled_sum(n):
+    """``g = (g + g)`` over Q, ``n`` levels: n + 1 nodes that stand for 2^n leaves."""
+    g = Atom("Q")
+    for _ in range(n):
+        g = Plus(g, g)
+    return g
 
 
 def _nested_sum(n, base):
