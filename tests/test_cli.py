@@ -13,6 +13,8 @@ from cqlnet.freecat import denote, embed, fa_equal, fmt_arrow, identity, name_of
 from cqlnet.model import MAX_ENTRIES
 from cqlnet.net import parse_net
 
+from families import closed_tensor, plus_chain
+
 
 @pytest.fixture(scope="module")
 def exdir(tmp_path_factory):
@@ -252,18 +254,18 @@ def test_formula_at_depth_limit_is_accepted(exdir, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_deep_link_chain_exits_two(exdir, tmp_path, capsys, plus_chain_net):
+def test_deep_link_chain_exits_two(exdir, tmp_path, capsys):
     net = tmp_path / "chain.net"
-    net.write_text(plus_chain_net(1500))
+    net.write_text(plus_chain(1500))
     for cmd in ("check", "dot"):
         assert cli.main([cmd, "--category", _p(exdir, "pauli8.cat"), str(net)]) == 2
         err = capsys.readouterr().err
         assert err.strip() == "error: link l256: label nested deeper than 256"
 
 
-def test_link_chain_at_depth_limit_passes_every_command(exdir, tmp_path, capsys, plus_chain_net):
+def test_link_chain_at_depth_limit_passes_every_command(exdir, tmp_path, capsys):
     net = tmp_path / "chain.net"
-    net.write_text(plus_chain_net(MAX_DEPTH, top_down=True))
+    net.write_text(plus_chain(MAX_DEPTH, top_down=True))
     cat = ["--category", _p(exdir, "pauli8.cat")]
     for args in (
         ["check"],
@@ -323,9 +325,9 @@ def test_anf_word_limit_exits_two(exdir, tmp_path, capsys, pauli8):
     assert err == f"error: ANF of {2**13} words, more than {MAX_WORDS}"
 
 
-def test_eval_closed_tensor_net_exits_zero(exdir, tmp_path, capsys, closed_tensor_net):
+def test_eval_closed_tensor_net_exits_zero(exdir, tmp_path, capsys):
     net = tmp_path / "closed16.net"
-    net.write_text(closed_tensor_net(16))
+    net.write_text(closed_tensor(16))
     argv = ["eval", "--category", _p(exdir, "pauli8.cat"), "--model", _p(exdir, "pauli8.mod")]
     assert cli.main(argv + [str(net)]) == 0
     assert capsys.readouterr() == ("[65536]\n", "")

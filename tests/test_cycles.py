@@ -19,6 +19,8 @@ from cqlnet.net import (
 )
 from cqlnet.rewrite import beta_equal, normalize, to_net
 
+from families import swap_tree
+
 NETS = ("bell.net", "bellx.net", "chain.net", "ring.net", "swapping.net")
 
 
@@ -39,12 +41,12 @@ def _pipeline(net, mods):
 
 
 def test_no_call_leaves_cyclic_garbage(
-    c2, pauli8, c2_mod, c2_bool_mod, pauli8_mod, swap_tree_net, corpus, wide_corpus
+    c2, pauli8, c2_mod, c2_bool_mod, pauli8_mod, corpus, wide_corpus
 ):
     mods = {c2: (c2_mod, c2_bool_mod), pauli8: (pauli8_mod,)}
     nets = [parse_net(fixtures.EXAMPLES[name], pauli8) for name in NETS]
     nets += [parse_net(fixtures.BELL_NET, c2), parse_net(fixtures.BELLX_NET, c2)]
-    nets.append(parse_net(swap_tree_net(3, 2, ["X", "Z", "XZ"]), pauli8))
+    nets.append(parse_net(swap_tree(3, 2, ["X", "Z", "XZ"]), pauli8))
     nets += corpus + wide_corpus
     gc.collect()
     gc.disable()

@@ -39,6 +39,8 @@ from cqlnet.net import AxLink, Net, Slice, parse_net, print_net, validate_net
 from cqlnet.randgen import random_anf, random_free_arrow, random_net, random_wiring
 from cqlnet.rewrite import normalize, to_net
 
+from families import balanced_times, cut_chain, plus_chain, swap_tree
+
 
 def _anf(text, cat):
     return anf(parse_formula(text, cat))
@@ -501,8 +503,8 @@ def test_denote_ignores_link_ids(c2, pauli8):
     assert permuted > 10
 
 
-def test_denote_deep_sum_tree(pauli8, pauli8_mod, swap_tree_net):
-    net = parse_net(swap_tree_net(5, 2, sorted(pauli8.arrows)), pauli8)
+def test_denote_deep_sum_tree(pauli8, pauli8_mod):
+    net = parse_net(swap_tree(5, 2, sorted(pauli8.arrows)), pauli8)
     assert len(net.slices) == 32
     fa = denote(net)
     assert len(fa.entries) == 32
@@ -540,22 +542,22 @@ def test_to_net_and_complete_check_nothing(pauli8, monkeypatch):
     assert fa_equal(denote(back), name_of(denote(swap)))
 
 
-def test_denote_plus_chain_checks_and_composes_no_wiring(pauli8, plus_chain_net, monkeypatch):
+def test_denote_plus_chain_checks_and_composes_no_wiring(pauli8, monkeypatch):
     # a plus link moves the slice's row; it adds no wiring to check or compose
     calls = _count_calls(monkeypatch, "wiring", "wiring_compose")
     for n in (64, 256):
-        net = parse_net(plus_chain_net(n), pauli8)
+        net = parse_net(plus_chain(n), pauli8)
         calls.clear()
         denote(net)
         assert calls == {}
 
 
-def test_denote_builds_each_anf_once_and_eval_net_none(swap_tree_net, monkeypatch):
+def test_denote_builds_each_anf_once_and_eval_net_none(monkeypatch):
     # plus links share their other side with the conclusions, so the one ANF
     # denote builds for the conclusions covers every plus link's word count
     cat = load_category(fixtures.PAULI8_CAT)  # no node of its formula table has an ANF yet
     mod = load_model(fixtures.PAULI8_MOD, cat)
-    text = swap_tree_net(5, 2, sorted(cat.arrows))
+    text = swap_tree(5, 2, sorted(cat.arrows))
     net = parse_net(text, cat)
     calls = _count_calls(monkeypatch, "anf", module=formula)  # anf's own recursion
     denote(net)
@@ -576,9 +578,7 @@ def _tower_slice(second):
     )
 
 
-def test_denote_builds_one_wiring_per_nonzero_slice_and_one_arrow(
-    pauli8, monkeypatch, cut_chain_net
-):
+def test_denote_builds_one_wiring_per_nonzero_slice_and_one_arrow(pauli8, monkeypatch):
     # each slice's wiring is read off its strands, with no composite of wirings;
     # only the sum is a FreeArrow
     tower = "net tower\nconclusions Q* , Q\n" + _tower_slice("plus2 q = I | v.0")
@@ -586,7 +586,7 @@ def test_denote_builds_one_wiring_per_nonzero_slice_and_one_arrow(
     swap = parse_net(fixtures.SWAPPING_NET, pauli8)
     calls = _count_calls(monkeypatch, "wiring_compose", "_wiring", "_arrow")
     for net, nonzero in (
-        (parse_net(cut_chain_net(800), pauli8), 1),
+        (parse_net(cut_chain(800), pauli8), 1),
         (swap, len(swap.slices)),
         (parse_net(tower, pauli8), 1),
     ):
@@ -669,14 +669,12 @@ def _cycle_net(cat, arrows, joins, ids):
     return parse_net("\n".join(lines + ["  out", "end"]) + "\n", cat)
 
 
-def test_denote_matches_composing_names_with_roots(
-    c2, pauli8, inclusion, hy, corpus, wide_corpus, swap_tree_net, cut_chain_net
-):
+def test_denote_matches_composing_names_with_roots(c2, pauli8, inclusion, hy, corpus, wide_corpus):
     # the strand walk against the wiring_compose construction it replaced
     cases = [parse_net(t, pauli8) for name, t in fixtures.EXAMPLES.items() if name.endswith(".net")]
     cases += corpus + wide_corpus
-    cases += [parse_net(swap_tree_net(d, 2, sorted(pauli8.arrows)), pauli8) for d in range(1, 7)]
-    cases += [parse_net(cut_chain_net(n), pauli8) for n in (1, 2, 3, 40)]
+    cases += [parse_net(swap_tree(d, 2, sorted(pauli8.arrows)), pauli8) for d in range(1, 7)]
+    cases += [parse_net(cut_chain(n), pauli8) for n in (1, 2, 3, 40)]
     cases += [_cycle_net(pauli8, ["X"] * k, ["Z"] * k, [f"a{i}" for i in range(k)]) for k in (1, 2, 7)]
     cases.append(_cycle_net(pauli8, ["X", "Z", "XZ", "mX", "Z"], [None, "X", None, "Z", "XZ"],
                             [f"a{i}" for i in range(5)]))
@@ -688,10 +686,10 @@ def test_denote_matches_composing_names_with_roots(
 
 
 def test_denote_reads_each_out_word_off_the_conclusions(
-    c2, pauli8, inclusion, hy, corpus, swap_tree_net, monkeypatch
+    c2, pauli8, inclusion, hy, corpus, monkeypatch
 ):
     # each wiring's codomain is the very word of the conclusions' ANF, not a rebuilt copy
-    cases = [parse_net(swap_tree_net(d, 2, sorted(pauli8.arrows)), pauli8) for d in range(1, 6)]
+    cases = [parse_net(swap_tree(d, 2, sorted(pauli8.arrows)), pauli8) for d in range(1, 6)]
     rng = random.Random(23)
     cases += [random_net(cat, rng) for cat in (c2, pauli8, inclusion, hy) for _ in range(30)]
     built = []
@@ -711,8 +709,8 @@ def test_denote_reads_each_out_word_off_the_conclusions(
                 assert t.cod is cod[row]
 
 
-def test_denote_of_a_cut_chain_looks_up_no_domain_or_codomain(pauli8, cut_chain_net, monkeypatch):
-    net = parse_net(cut_chain_net(3200), pauli8)
+def test_denote_of_a_cut_chain_looks_up_no_domain_or_codomain(pauli8, monkeypatch):
+    net = parse_net(cut_chain(3200), pauli8)
     want = fmt_arrow(denote(net))
     calls = _count_calls(monkeypatch, "dom", "cod", module=Category)
     assert fmt_arrow(denote(net)) == want
@@ -756,16 +754,14 @@ def test_a_loop_class_does_not_depend_on_where_its_cycle_starts(pauli8):
         assert fmt_arrow(denote(net)) == want
 
 
-def test_what_the_library_builds_passes_the_checks_it_skips(
-    c2, pauli8, corpus, wide_corpus, swap_tree_net, plus_chain_net
-):
+def test_what_the_library_builds_passes_the_checks_it_skips(c2, pauli8, corpus, wide_corpus):
     # to_net, complete, denote and parse_arrow do not check what they return;
     # validate_net and the checking FreeArrow(...) accept all of it
     def rebuilt(fa):
         return FreeArrow(fa.cat, fa.dom, fa.cod, fa.entries)
 
     texts = [fixtures.BELL_NET, fixtures.BELLX_NET, fixtures.CHAIN_NET, fixtures.RING_NET,
-             fixtures.SWAPPING_NET, swap_tree_net(5, 2, sorted(pauli8.arrows)), plus_chain_net(64)]
+             fixtures.SWAPPING_NET, swap_tree(5, 2, sorted(pauli8.arrows)), plus_chain(64)]
     arrows = []
     for net in [parse_net(t, pauli8) for t in texts] + corpus + wide_corpus:
         validate_net(to_net(normalize(net), net.cat))
@@ -784,13 +780,11 @@ def _links(net, kind=object):
     return sum(isinstance(link, kind) for s in net.slices for link in s.links.values())
 
 
-def test_completed_sum_trees_round_trip_with_d_times_2_to_the_d_plus_links(
-    pauli8, swap_tree_net
-):
+def test_completed_sum_trees_round_trip_with_d_times_2_to_the_d_plus_links(pauli8):
     # each of the 2^d slices picks its word under d balanced sums; at depth 8,
     # sums nested to the left over words of 3 tensors would be 258 deep
     for d in range(1, 9):
-        net = parse_net(swap_tree_net(d, 2, sorted(pauli8.arrows)), pauli8)
+        net = parse_net(swap_tree(d, 2, sorted(pauli8.arrows)), pauli8)
         fa = denote(net)
         back = complete(fa)
         validate_net(back)
@@ -810,10 +804,10 @@ def test_every_net_denote_accepts_completes(corpus, wide_corpus, inclusion, hy):
         assert fa_equal(denote(back), name_of(fa)), print_net(net)
 
 
-def test_completing_a_parsed_word_of_258_literals_round_trips(pauli8, balanced_times_net):
+def test_completing_a_parsed_word_of_258_literals_round_trips(pauli8):
     # the parsed conclusion is 9 deep; its one word of 258 literals, tensored
     # to the left, would be 257 deep
-    net = parse_net(balanced_times_net(129), pauli8)
+    net = parse_net(balanced_times(129), pauli8)
     fa = denote(net)
     back = parse_net(print_net(complete(fa)), pauli8)
     assert fa_equal(denote(back), fa)

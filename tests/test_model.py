@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,8 @@ from cqlnet.model import (
 )
 from cqlnet.net import AxLink, Net, Slice, TimesLink, parse_net, print_net, validate_net
 from cqlnet.randgen import random_anf, random_free_arrow, random_net, random_wiring
+
+from families import closed_tensor, cut_chain, parallel_axioms
 
 
 def _q(n):
@@ -442,34 +445,55 @@ def test_max_entries_bounds_dims_and_both_evaluators(c2, monkeypatch):
         eval_free(fa, mod)
 
 
-def test_eval_closed_tensor_net(pauli8, pauli8_mod, closed_tensor_net):
+def _count_ring(monkeypatch, mod):
+    """A Counter of the ``mul`` and ``add`` calls made through ``mod.ring`` from here on."""
+    calls, ring = Counter(), mod.ring
+
+    def counted(name):
+        def op(x, y):
+            calls[name] += 1
+            return getattr(ring, name)(x, y)
+
+        return op
+
+    monkeypatch.setattr(mod, "ring", ring._replace(mul=counted("mul"), add=counted("add")))
+    return calls
+
+
+def test_eval_closed_tensor_net(pauli8, pauli8_mod, monkeypatch):
     # K axioms on one cycle through the formula cut: the value is the trace 2^K
     for k in (12, 16):
-        net = parse_net(closed_tensor_net(k), pauli8)
+        net = parse_net(closed_tensor(k), pauli8)
         assert str(eval_net(net, pauli8_mod)) == f"[ [{2**k}] ]"
-    big = parse_net(closed_tensor_net(256), pauli8)
+    big = parse_net(closed_tensor(256), pauli8)
     start = time.perf_counter()
     assert eval_net(big, pauli8_mod).column() == [_q(2**256)]
     assert time.perf_counter() - start < 1.0
+    # beside the time bound, one in ring operations that no machine moves
+    calls = _count_ring(monkeypatch, pauli8_mod)
+    for k in (12, 16, 256):
+        net = parse_net(closed_tensor(k), pauli8)
+        calls.clear()
+        eval_net(net, pauli8_mod)
+        assert calls["mul"] <= 3 * k and calls["add"] <= 2 * k + 1
 
 
-def _parallel_net(n):
-    """n axioms X side by side, conclusions Q* , Q repeated n times."""
-    lines = ["net par", "conclusions " + " , ".join(["Q* , Q"] * n), "slice"]
-    lines += [f"  ax a{k} : X" for k in range(n)]
-    lines += ["  out " + " , ".join(f"a{k}.0 , a{k}.1" for k in range(n)), "end"]
-    return "\n".join(lines) + "\n"
-
-
-def test_eval_free_parallel_axioms_agrees_with_eval_net(pauli8, pauli8_mod):
+def test_eval_free_parallel_axioms_agrees_with_eval_net(pauli8, pauli8_mod, monkeypatch):
     # 2^16 entries, 2^8 of them nonzero
-    net = parse_net(_parallel_net(8), pauli8)
+    net = parse_net(parallel_axioms(8), pauli8)
     fa = denote(net)
     start = time.perf_counter()
     free = eval_free(fa, pauli8_mod)
     assert time.perf_counter() - start < 1.0
     assert free == eval_net(net, pauli8_mod)
     assert sum(x != ExactRing.zero for x in free.column()) == 2**8
+    # beside the time bound, one in ring operations that no machine moves
+    calls = _count_ring(monkeypatch, pauli8_mod)
+    for n in (4, 6, 8):
+        fa = denote(parse_net(parallel_axioms(n), pauli8))
+        calls.clear()
+        eval_free(fa, pauli8_mod)
+        assert calls["mul"] <= 2 ** (n + 1) - 2 and calls["add"] <= 2**n
 
 
 def test_validate_net_rejects_the_cyclic_wiring_eval_net_trusts(pauli8):
@@ -561,20 +585,10 @@ def test_eval_cut_chain_contracts_each_cut_early(c2, c2_bool_mod, monkeypatch):
     # Following the one path multiplies each matrix into a 2 x 2 product,
     # so the multiplications grow linearly with n instead of as 2^n.
     n = 14
-    lines = ["net chain", "conclusions Q* , Q", "slice"]
-    lines += [f"  ax a{k} : X" for k in range(n)]
-    lines += [f"  cut a{k}.1 , a{k + 1}.0 : X" for k in range(n - 1)]
-    lines += [f"  out a0.0 , a{n - 1}.1", "end"]
-    chain = parse_net("\n".join(lines) + "\n", c2)
-    calls = []
-
-    def mul(x, y):
-        calls.append(None)
-        return x and y
-
-    monkeypatch.setattr(c2_bool_mod, "ring", BoolRing._replace(mul=mul))
+    chain = parse_net(cut_chain(n, cuts=("X",)), c2)
+    calls = _count_ring(monkeypatch, c2_bool_mod)
     assert eval_net(chain, c2_bool_mod).column() == [False, True, True, False]
-    assert len(calls) <= 16 * n
+    assert calls["mul"] <= 16 * n
 
 
 def test_eval_non_square_model_agrees_with_free(inclusion, inclusion_mod):

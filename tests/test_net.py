@@ -41,6 +41,8 @@ from cqlnet.net import (
     validate_net,
 )
 
+from families import balanced_times, cut_chain, permute_link_lines, plus_chain, swap_tree
+
 
 def test_parse_bell(pauli8):
     net = parse_net(fixtures.BELL_NET, pauli8)
@@ -236,9 +238,7 @@ def test_plus_sides_print_and_reparse(pauli8):
     assert parse_net(print_net(net), pauli8).slices[0].links == s.links
 
 
-def test_parse_labels_each_link_once_at_its_line_without_labels(
-    pauli8, balanced_times_net, monkeypatch
-):
+def test_parse_labels_each_link_once_at_its_line_without_labels(pauli8, monkeypatch):
     # parse labels each link where it reads it, or once what it waits on is read:
     # never through labels, and one label node per times or plus link
     def no_labels(slice_, cat):
@@ -252,17 +252,17 @@ def test_parse_labels_each_link_once_at_its_line_without_labels(
     monkeypatch.setattr(net_module, "labels", no_labels)
     monkeypatch.setattr(net_module, "Tensor", counted(Tensor))
     monkeypatch.setattr(net_module, "Plus", counted(Plus))
-    for text in (fixtures.SWAPPING_NET, balanced_times_net(8)):
+    for text in (fixtures.SWAPPING_NET, balanced_times(8)):
         for permute in (list, lambda ls: ls[::-1]):
             built.clear()
-            net = parse_net(_permute_link_lines(text, permute), pauli8)
+            net = parse_net(permute_link_lines(text, permute), pauli8)
             kinds = Counter(type(link).__name__ for s in net.slices for link in s.links.values())
             assert built["Tensor"] == kinds["TimesLink"]
             assert built["Plus"] == kinds["Plus1Link"] + kinds["Plus2Link"]
             assert built["Tensor"] + built["Plus"] > 0
 
 
-def test_parse_orients_arrow_cuts_by_identity(pauli8, cut_chain_net, monkeypatch):
+def test_parse_orients_arrow_cuts_by_identity(pauli8, monkeypatch):
     # axiom labels and arrow cuts share the category's atoms, so orienting a cut
     # compares no atoms by name; only the conclusion checks do, whatever the length
     calls = []
@@ -276,14 +276,14 @@ def test_parse_orients_arrow_cuts_by_identity(pauli8, cut_chain_net, monkeypatch
     counts = []
     for n in (16, 64):
         calls.clear()
-        parse_net(cut_chain_net(n), pauli8)
+        parse_net(cut_chain(n), pauli8)
         counts.append(len(calls))
     # Q* and Q each met once by the check for a 0 conclusion and once by their out
     assert counts == [4, 4]
 
 
-def test_parse_shares_one_node_per_formula_text(pauli8, swap_tree_net):
-    net = parse_net(swap_tree_net(4, 2, sorted(pauli8.arrows)), pauli8)
+def test_parse_shares_one_node_per_formula_text(pauli8):
+    net = parse_net(swap_tree(4, 2, sorted(pauli8.arrows)), pauli8)
     by_text = {}
     for s in net.slices:
         for link in s.links.values():
@@ -293,7 +293,7 @@ def test_parse_shares_one_node_per_formula_text(pauli8, swap_tree_net):
     assert net.conclusions[1] is net.conclusions[3] and net.conclusions[2] is net.conclusions[4]
 
 
-def test_parse_reads_each_formula_text_once(swap_tree_net, monkeypatch):
+def test_parse_reads_each_formula_text_once(monkeypatch):
     calls = []
     real = formula_module._read
 
@@ -303,7 +303,7 @@ def test_parse_reads_each_formula_text_once(swap_tree_net, monkeypatch):
 
     monkeypatch.setattr(formula_module, "_read", counted)
     cat = load_category(fixtures.PAULI8_CAT)  # its formula table has read nothing yet
-    text = swap_tree_net(4, 2, sorted(cat.arrows))
+    text = swap_tree(4, 2, sorted(cat.arrows))
     net = parse_net(text, cat)
     # the depth-4 sum tree, Q* and Q, and the trees of depth 0 to 3 under plus
     # links, each once though each slice writes them again
@@ -336,9 +336,7 @@ def _others(net):
             if isinstance(link, PlusLink)]
 
 
-def test_parse_shares_subformulas_so_conclusion_checks_stay_on_one_spine(
-    pauli8, swap_tree_net, monkeypatch
-):
+def test_parse_shares_subformulas_so_conclusion_checks_stay_on_one_spine(pauli8, monkeypatch):
     # each plus link's other side is a node of the conclusions, so checking a
     # slice's conclusion descends only the d fresh sums labels built
     compares = []
@@ -351,7 +349,7 @@ def test_parse_shares_subformulas_so_conclusion_checks_stay_on_one_spine(
     monkeypatch.setattr(Plus, "__eq__", counted)
     for d in range(2, 8):
         compares.clear()
-        net = parse_net(swap_tree_net(d, 2, sorted(pauli8.arrows)), pauli8)
+        net = parse_net(swap_tree(d, 2, sorted(pauli8.arrows)), pauli8)
         assert len(compares) <= 2 * d * len(net.slices)
         nodes = _nodes(net.conclusions)
         assert len(nodes) == d + 3  # the sum trees of depth 0 to d, Q* and Q
@@ -408,10 +406,10 @@ def test_the_formula_table_starts_over_at_its_limit(monkeypatch):
     assert all(parse_formula(text, cat) == parse_formula(text) for text in texts)
 
 
-def test_nets_parsed_across_a_reset_of_the_table_are_equal(swap_tree_net, monkeypatch):
+def test_nets_parsed_across_a_reset_of_the_table_are_equal(monkeypatch):
     monkeypatch.setattr(category_module, "MAX_FORMULAS", 8)
     cat = load_category(fixtures.PAULI8_CAT)
-    text = swap_tree_net(3, 2, sorted(cat.arrows))
+    text = swap_tree(3, 2, sorted(cat.arrows))
     table = cat.formula_table()
     before = parse_net(text, cat)
     completed = print_net(complete(denote(before)))
@@ -467,7 +465,7 @@ def test_each_category_reads_its_own_arrows():
                     assert str(exc.value) == "line 4: unknown arrow 'Z'"
 
 
-def test_parses_over_one_category_share_its_links(cut_chain_net):
+def test_parses_over_one_category_share_its_links():
     cat = load_category(fixtures.PAULI8_CAT)
 
     def links(net):
@@ -482,7 +480,7 @@ def test_parses_over_one_category_share_its_links(cut_chain_net):
     # normalizing a chain of X axioms joined by Z cuts gives the category's one
     # AxLink for the composite, the one a parse of that arrow gives
     composite = cat.compose(cat.compose("X", "Z"), "X")
-    nf, _ = normalize_slice(parse_net(cut_chain_net(2), cat).slices[0], cat)
+    nf, _ = normalize_slice(parse_net(cut_chain(2), cat).slices[0], cat)
     axiom = links(parse_net(_net("Q* , Q", f"ax a : {composite}", "out a.0 , a.1"), cat))[0]
     assert list(nf.links.values()) == [axiom] and nf.links["a0"] is axiom
 
@@ -510,7 +508,7 @@ def test_line_entries_start_over_with_the_formula_table(monkeypatch):
         assert len(cat.formulas) < limit + 6
 
 
-def test_print_net_formats_each_distinct_node_once(swap_tree_net, monkeypatch):
+def test_print_net_formats_each_distinct_node_once(monkeypatch):
     calls = Counter()
     real = formula_module._fmt
 
@@ -521,7 +519,7 @@ def test_print_net_formats_each_distinct_node_once(swap_tree_net, monkeypatch):
     monkeypatch.setattr(formula_module, "_fmt", counted)
     for d in (3, 6):
         cat = load_category(fixtures.PAULI8_CAT)  # no node of its table is formatted yet
-        net_text = swap_tree_net(d, 2, sorted(cat.arrows))
+        net_text = swap_tree(d, 2, sorted(cat.arrows))
         back = complete(denote(parse_net(net_text, cat)))
         calls.clear()
         text = print_net(back)
@@ -660,11 +658,11 @@ def test_non_ascii_digit_slot_rejected(pauli8):
             parse_net(text, pauli8)
 
 
-def test_deep_link_chain_rejected(pauli8, plus_chain_net):
+def test_deep_link_chain_rejected(pauli8):
     # 1,500 nested plus links: labels are built producers first, so the first
     # link too deep is l256 whichever way the chain is written
     for top_down in (False, True):
-        text = plus_chain_net(1500, top_down)
+        text = plus_chain(1500, top_down)
         with pytest.raises(NetError, match="link l256: label nested deeper than 256"):
             parse_net(text, pauli8)
 
@@ -803,39 +801,22 @@ def _labels_along_topo_order(slice_, cat):
     return labs
 
 
-_LINK_HEADS = {"ax", "cut", "times", "plus1", "plus2", "unit"}
-
-
-def _permute_link_lines(text, permute):
-    """``text`` with each slice's link lines, in their places, in the order ``permute`` gives."""
-    lines, block = text.splitlines(keepends=True), []
-    for k, line in enumerate(lines):
-        head = line.partition("#")[0].split()[:1]
-        if head and head[0] in _LINK_HEADS:
-            block.append(k)
-        elif head == ["end"]:
-            for at, moved in zip(block, permute([lines[i] for i in block])):
-                lines[at] = moved
-            block = []
-    return "".join(lines)
-
-
 def test_labels_in_written_order_match_topo_order_in_any_line_order(
-    c2, pauli8, inclusion, hy, corpus, wide_corpus, swap_tree_net, cut_chain_net
+    c2, pauli8, inclusion, hy, corpus, wide_corpus
 ):
     # the same labels whatever order a slice's links are written in: as printed
     # (producers first), reversed (consumers first) and shuffled
     cases = [(t, pauli8) for name, t in fixtures.EXAMPLES.items() if name.endswith(".net")]
     cases += [(print_net(net), net.cat) for net in corpus + wide_corpus]
-    cases += [(swap_tree_net(d, 2, sorted(pauli8.arrows)), pauli8) for d in range(1, 7)]
-    cases += [(cut_chain_net(n), pauli8) for n in (1, 2, 3, 40)]
+    cases += [(swap_tree(d, 2, sorted(pauli8.arrows)), pauli8) for d in range(1, 7)]
+    cases += [(cut_chain(n), pauli8) for n in (1, 2, 3, 40)]
     rng = random.Random(37)
     cases += [(print_net(random_net(cat, rng, name=f"r{i}")), cat)
               for cat in (c2, pauli8, inclusion, hy) for i in range(40)]
     for text, cat in cases:
         want = [_labels_along_topo_order(s, cat) for s in parse_net(text, cat).slices]
         for permute in (list, lambda ls: ls[::-1], lambda ls: rng.sample(ls, len(ls))):
-            net = parse_net(_permute_link_lines(text, permute), cat)
+            net = parse_net(permute_link_lines(text, permute), cat)
             assert [labels(s, cat) for s in net.slices] == want, text
 
 
@@ -854,17 +835,17 @@ end
 
 def test_cyclic_wiring_in_every_line_order(pauli8):
     for order in itertools.permutations(range(5)):
-        text = _permute_link_lines(CYCLIC_NET, lambda ls: [ls[i] for i in order])
+        text = permute_link_lines(CYCLIC_NET, lambda ls: [ls[i] for i in order])
         with pytest.raises(NetError, match="cyclic wiring"):
             parse_net(text, pauli8)
 
 
-def test_plus_chain_written_consumers_first_parses_to_the_depth_limit(pauli8, plus_chain_net):
-    net = parse_net(plus_chain_net(MAX_DEPTH, top_down=True), pauli8)
+def test_plus_chain_written_consumers_first_parses_to_the_depth_limit(pauli8):
+    net = parse_net(plus_chain(MAX_DEPTH, top_down=True), pauli8)
     (s,) = net.slices
     assert labels(s, pauli8) == _labels_along_topo_order(s, pauli8)
     with pytest.raises(NetError, match=f"nested deeper than {MAX_DEPTH}"):
-        parse_net(plus_chain_net(MAX_DEPTH + 1, top_down=True), pauli8)
+        parse_net(plus_chain(MAX_DEPTH + 1, top_down=True), pauli8)
 
 
 # sha256 of the texts below.  The benchmark's random workload is drawn by the
@@ -995,15 +976,13 @@ def test_parse_net_errors_pinned(pauli8, text, message):
     assert str(exc.value) == message
 
 
-def test_parse_counts_port_uses_only_when_its_port_table_does_not_close(
-    pauli8, cut_chain_net, swap_tree_net, monkeypatch
-):
+def test_parse_counts_port_uses_only_when_its_port_table_does_not_close(pauli8, monkeypatch):
     calls = []
     real = net_module.validate_uses
     monkeypatch.setattr(net_module, "validate_uses", lambda s: calls.append(s) or real(s))
     # each output taken once out of the table, and none left: no recount
-    parse_net(cut_chain_net(400), pauli8)
-    parse_net(swap_tree_net(5, 2, sorted(pauli8.arrows)), pauli8)
+    parse_net(cut_chain(400), pauli8)
+    parse_net(swap_tree(5, 2, sorted(pauli8.arrows)), pauli8)
     assert calls == []
     # a use spelled another way leaves its output in the table: the recount runs, and passes
     spaced = parse_net(_net("Q* , Q", "ax a : id Q", "out a .0 , a.1"), pauli8)
@@ -1018,13 +997,13 @@ def test_parse_counts_port_uses_only_when_its_port_table_does_not_close(
     assert len(calls) == 2 and calls[0] is one and calls[1] is two
 
 
-def test_parse_shares_one_axlink_per_arrow(pauli8, cut_chain_net, swap_tree_net):
+def test_parse_shares_one_axlink_per_arrow(pauli8):
     def axioms(net):
         return {id(link): link for s in net.slices for link in s.links.values()
                 if isinstance(link, AxLink)}
 
-    assert list(axioms(parse_net(cut_chain_net(50), pauli8)).values()) == [AxLink("X")]
-    tree = parse_net(swap_tree_net(3, 2, sorted(pauli8.arrows)), pauli8)
+    assert list(axioms(parse_net(cut_chain(50), pauli8)).values()) == [AxLink("X")]
+    tree = parse_net(swap_tree(3, 2, sorted(pauli8.arrows)), pauli8)
     assert list(axioms(tree).values()) == [AxLink("id Q")]  # across all 8 slices
     # spelled two ways, one arrow is one link
     net = parse_net(_net("Q* , Q , Q* , Q , Q* , Q", "ax a : id  Q", "ax b : X", "ax c : id Q",
@@ -1032,9 +1011,9 @@ def test_parse_shares_one_axlink_per_arrow(pauli8, cut_chain_net, swap_tree_net)
     assert sorted(link.arrow for link in axioms(net).values()) == ["X", "id Q"]
 
 
-def test_label_nested_too_deep_pinned(pauli8, plus_chain_net):
+def test_label_nested_too_deep_pinned(pauli8):
     with pytest.raises(NetError) as exc:
-        parse_net(plus_chain_net(MAX_DEPTH + 1), pauli8)
+        parse_net(plus_chain(MAX_DEPTH + 1), pauli8)
     assert str(exc.value) == f"link l{MAX_DEPTH}: label nested deeper than {MAX_DEPTH}"
 
 
@@ -1090,18 +1069,18 @@ def test_of_two_faults_the_one_checked_first_is_raised_in_any_line_order(pauli8)
     ]
     for text, kind, message in cases:
         for permute in (list, lambda ls: ls[::-1]):
-            written = _permute_link_lines(text, permute)
+            written = permute_link_lines(text, permute)
             with pytest.raises((ParseError, NetError)) as exc:
                 parse_net(written, pauli8)
             assert type(exc.value) is kind and str(exc.value) == message(written), written
 
 
-def test_parse_peaks_under_500_bytes_per_link(pauli8, cut_chain_net):
+def test_parse_peaks_under_500_bytes_per_link(pauli8):
     # the one pass keeps no table of pending inputs beside the table of outputs:
     # a chain written producers first peaked at about 415 bytes per link (CPython
     # 3.11), against about 645 when every input waited for the slice's end line
     n = 3200
-    text = cut_chain_net(n)
+    text = cut_chain(n)
     parse_net(text, pauli8)  # the category's formula table holds the net's formulas
     tracemalloc.start()
     try:
@@ -1303,7 +1282,7 @@ def test_of_two_misused_ports_both_routes_name_the_least_by_its_text(pauli8):
     assert text.index("ax a") < text.index("ax b")
     rng = random.Random(34)
     for permute in (list, lambda ls: ls[::-1], *[lambda ls: rng.sample(ls, len(ls))] * 8):
-        written = _permute_link_lines(text, permute)
+        written = permute_link_lines(text, permute)
         with pytest.raises(NetError) as exc:
             parse_net(written, pauli8)
         assert str(exc.value) == message, written

@@ -24,6 +24,8 @@ from cqlnet.rewrite import (
     to_net,
 )
 
+from families import cut_chain
+
 
 def test_chain_normalizes_to_bell(pauli8):
     chain = parse_net(fixtures.CHAIN_NET, pauli8)
@@ -210,17 +212,17 @@ def test_confluence_on_random_nets(pauli8, c2):
             assert normalize(net, strategy="random", seed=seed) == base
 
 
-def test_random_strategy_confluence_on_a_long_cut_chain(pauli8, cut_chain_net):
-    chain = parse_net(cut_chain_net(200), pauli8)
+def test_random_strategy_confluence_on_a_long_cut_chain(pauli8):
+    chain = parse_net(cut_chain(200), pauli8)
     base = normalize(chain)
     for seed in (1, 2, 3):
         assert normalize(chain, strategy="random", seed=seed) == base
 
 
-def _trace_slices(pauli8, c2, cut_chain_net):
+def _trace_slices(pauli8, c2):
     """A 120-cut chain and the slices of 40 larger random nets, each with its category."""
     rng = random.Random(19)
-    slices = [(s, pauli8) for s in parse_net(cut_chain_net(120), pauli8).slices]
+    slices = [(s, pauli8) for s in parse_net(cut_chain(120), pauli8).slices]
     for i in range(40):
         cat = c2 if i % 2 else pauli8
         slices += [(s, cat) for s in _larger_net(cat, rng, f"r{i}").slices]
@@ -233,9 +235,9 @@ def _trace(s, cat, strategy="min", seed=0):
     return trace
 
 
-def test_min_strategy_steps_the_least_redex_of_a_rescan(pauli8, c2, cut_chain_net):
+def test_min_strategy_steps_the_least_redex_of_a_rescan(pauli8, c2):
     # the worklist must hold every redex a rescan of the slice finds after each step
-    for s, cat in _trace_slices(pauli8, c2, cut_chain_net):
+    for s, cat in _trace_slices(pauli8, c2):
         rescan, cur = [], s
         while cur is not None and (redexes := find_redexes(cur, cat)):
             cut, rule = redexes[0]
@@ -244,9 +246,9 @@ def test_min_strategy_steps_the_least_redex_of_a_rescan(pauli8, c2, cut_chain_ne
         assert _trace(s, cat) == rescan
 
 
-def test_random_strategy_replays_through_step(pauli8, c2, cut_chain_net):
+def test_random_strategy_replays_through_step(pauli8, c2):
     # each drawn cut is a redex of the slice as it stands, with the drawn rule
-    for s, cat in _trace_slices(pauli8, c2, cut_chain_net):
+    for s, cat in _trace_slices(pauli8, c2):
         for seed in (1, 2, 3):
             trace = _trace(s, cat, "random", seed)
             assert trace == _trace(s, cat, "random", seed)
@@ -269,11 +271,11 @@ def _count_classified(monkeypatch):
     return classified
 
 
-def test_normalize_is_linear_on_a_cut_chain(pauli8, cut_chain_net, monkeypatch):
+def test_normalize_is_linear_on_a_cut_chain(pauli8, monkeypatch):
     # a step reclassifies only the cuts it touched; rescanning every cut
     # after every step would classify about n^2 / 2 of them
     n = 800
-    chain = parse_net(cut_chain_net(n), pauli8)
+    chain = parse_net(cut_chain(n), pauli8)
     classified = _count_classified(monkeypatch)
     trace = []
     nn = normalize(chain, trace=trace)
@@ -284,16 +286,16 @@ def test_normalize_is_linear_on_a_cut_chain(pauli8, cut_chain_net, monkeypatch):
     assert nn == normalize(parse_net(one, pauli8))
 
 
-def test_random_strategy_is_linear_on_a_cut_chain(pauli8, cut_chain_net, monkeypatch):
+def test_random_strategy_is_linear_on_a_cut_chain(pauli8, monkeypatch):
     n = 800
-    chain = parse_net(cut_chain_net(n), pauli8)
+    chain = parse_net(cut_chain(n), pauli8)
     classified = _count_classified(monkeypatch)
     nf, steps = normalize_slice(chain.slices[0], pauli8, "random", random.Random(1))
     assert steps == n - 1 and len(nf.links) == 1
     assert len(classified) <= 4 * n
 
 
-def test_rewrite_keeps_the_consumer_map_the_inverse_of_the_wires(pauli8, c2, cut_chain_net, monkeypatch):
+def test_rewrite_keeps_the_consumer_map_the_inverse_of_the_wires(pauli8, c2, monkeypatch):
     # after every step of every rule, cons holds each wire reversed and each out
     # as (None, k), and nothing else: the ax-ax rule rewires both ends in place
     rules = Counter()
@@ -309,7 +311,7 @@ def test_rewrite_keeps_the_consumer_map_the_inverse_of_the_wires(pauli8, c2, cut
 
     monkeypatch.setattr(rewrite, "_rewrite", checked)
     rng = random.Random(23)
-    slices = [(s, pauli8) for n in (2, 3, 40) for s in parse_net(cut_chain_net(n), pauli8).slices]
+    slices = [(s, pauli8) for n in (2, 3, 40) for s in parse_net(cut_chain(n), pauli8).slices]
     for i in range(40):
         cat = c2 if i % 2 else pauli8
         slices += [(s, cat) for s in _larger_net(cat, rng, f"r{i}").slices]
@@ -319,8 +321,8 @@ def test_rewrite_keeps_the_consumer_map_the_inverse_of_the_wires(pauli8, c2, cut
     assert rules.keys() == {"ax-self", "ax-ax", "times", "plus", "unit"}
 
 
-def test_min_strategy_builds_no_rng(pauli8, cut_chain_net, monkeypatch):
-    nets = [parse_net(cut_chain_net(20), pauli8), random_net(pauli8, random.Random(3))]
+def test_min_strategy_builds_no_rng(pauli8, monkeypatch):
+    nets = [parse_net(cut_chain(20), pauli8), random_net(pauli8, random.Random(3))]
     want = [normalize(net) for net in nets]
 
     def no_rng(*args):
